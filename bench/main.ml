@@ -25,6 +25,7 @@ module E = Goengine.Engine
 module Clock = Goengine.Clock
 module Pool = Goengine.Pool
 module D = Goengine.Diagnostics
+module M = Goobs.Metrics
 
 (* --jobs N: size of the domain pool the detectors fan out on. *)
 let jobs_flag = ref 1
@@ -1299,7 +1300,7 @@ let eserve () =
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf "{\"path\":\"f%d.go\",\"src\":\"%s\"}" i
-             (D.json_escape src)))
+             (M.json_escape src)))
       sources;
     Buffer.add_string b "]}";
     Buffer.contents b
@@ -1406,7 +1407,7 @@ let eserve () =
         if i = nfiles - 1 then
           Buffer.add_string b
             (Printf.sprintf "{\"path\":\"f%d.go\",\"src\":\"%s\"}" i
-               (D.json_escape (last_src ^ Printf.sprintf "// edit %d\n" n)))
+               (M.json_escape (last_src ^ Printf.sprintf "// edit %d\n" n)))
         else
           Buffer.add_string b
             (Printf.sprintf "{\"path\":\"f%d.go\",\"digest\":\"%s\"}" i d))
@@ -1605,7 +1606,7 @@ let echaos () =
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf "{\"path\":\"f%d.go\",\"src\":\"%s\"}" i
-             (D.json_escape src)))
+             (M.json_escape src)))
       sources;
     Buffer.add_string b "]}";
     Buffer.contents b
@@ -1878,16 +1879,13 @@ let echaos () =
 
 (* ------------------------------------------------------- json out --- *)
 
-
-let json_escape = D.json_escape
-
 let write_json path (timings : (string * float) list) =
   let oc = open_out path in
   let experiments =
     String.concat ","
       (List.map
          (fun (n, s) ->
-           Printf.sprintf {|{"name":"%s","seconds":%.6f}|} (json_escape n) s)
+           Printf.sprintf {|{"name":"%s","seconds":%.6f}|} (M.json_escape n) s)
          timings)
   in
   let parallel =
@@ -1903,7 +1901,7 @@ let write_json path (timings : (string * float) list) =
                      (List.map
                         (fun (n, s) ->
                           Printf.sprintf {|{"name":"%s","seconds":%.6f}|}
-                            (json_escape n) s)
+                            (M.json_escape n) s)
                         pt.pp_passes)
                  in
                  Printf.sprintf
@@ -1919,7 +1917,7 @@ let write_json path (timings : (string * float) list) =
         let speedup j = seconds_at 1 /. max 1e-9 (seconds_at j) in
         Printf.sprintf
           {|{"app":"%s","loc":%d,"hw_threads":%d,"points":[%s],"speedup_jobs2":%.3f,"speedup_jobs4":%.3f,"diags_identical":%b}|}
-          (json_escape p.par_app) p.par_loc
+          (M.json_escape p.par_app) p.par_loc
           (Domain.recommended_domain_count ())
           points (speedup 2) (speedup 4) p.par_identical
   in
@@ -1933,7 +1931,7 @@ let write_json path (timings : (string * float) list) =
                 (fun p ->
                   Printf.sprintf
                     {|{"app":"%s","cold_s":%.6f,"warm_s":%.6f,"disk_s":%.6f,"hits":%d,"misses":%d}|}
-                    (json_escape p.ip_app) p.ip_cold_s p.ip_warm_s p.ip_disk_s
+                    (M.json_escape p.ip_app) p.ip_cold_s p.ip_warm_s p.ip_disk_s
                     p.ip_hits p.ip_misses)
                 points))
   in
@@ -1947,7 +1945,7 @@ let write_json path (timings : (string * float) list) =
                 (fun p ->
                   Printf.sprintf
                     {|{"app":"%s","bare_s":%.6f,"guarded_s":%.6f,"clean_s":%.6f,"armed_s":%.6f}|}
-                    (json_escape p.rp_app) p.rp_bare_s p.rp_guarded_s
+                    (M.json_escape p.rp_app) p.rp_bare_s p.rp_guarded_s
                     p.rp_clean_s p.rp_armed_s)
                 points))
   in
@@ -1964,7 +1962,7 @@ let write_json path (timings : (string * float) list) =
                      (List.map
                         (fun (s, ms) ->
                           Printf.sprintf {|{"stage":"%s","ms":%.3f}|}
-                            (json_escape s) ms)
+                            (M.json_escape s) ms)
                         p.fp_stages)
                  in
                  Printf.sprintf
@@ -2038,7 +2036,7 @@ let write_json path (timings : (string * float) list) =
   let metrics =
     String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
+         (fun (k, v) -> Printf.sprintf {|"%s":%d|} (M.json_escape k) v)
          (Goobs.Metrics.counters_list Goobs.Metrics.default))
   in
   Printf.fprintf oc

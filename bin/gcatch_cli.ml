@@ -454,11 +454,12 @@ let cache_dir_arg =
     & opt (some string) (Sys.getenv_opt "GCATCH_CACHE_DIR")
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist the per-channel solve cache in $(docv) across runs \
-           (default: the GCATCH_CACHE_DIR environment variable). Entries are \
-           content-addressed by the canonical per-channel problem, so a warm \
-           run reproduces the cold run's diagnostics byte for byte; \
-           corrupted or stale entries are dropped and recomputed.")
+          "Persist per-file frontend artifacts, detector pass results and \
+           per-channel solve verdicts in $(docv) across runs (default: the \
+           GCATCH_CACHE_DIR environment variable). Entries are \
+           content-addressed, so a warm run reproduces the cold run's \
+           diagnostics byte for byte; corrupted or stale entries are \
+           dropped and recomputed.")
 
 let no_cache_arg =
   Arg.(

@@ -79,7 +79,7 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
   (match cache_dir with
   | None -> ()
   | Some dir -> (
-      (match Goserve.Snapshot.validate_dir dir with
+      (match Goengine.Store.validate_dir dir with
       | Ok () -> ()
       | Error msg ->
           Log.error msg;
@@ -89,7 +89,7 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
           Log.errorf
             "snapshot %s was written by an incompatible version (%s, want %s); \
              delete it to start cold"
-            (Goserve.Snapshot.path ~dir) v Goserve.Snapshot.format_version;
+            (Goserve.Snapshot.path ~dir) v Goengine.Store.format_version;
           exit 2
       | Goserve.Snapshot.Corrupt ->
           Log.warn "snapshot is corrupt; starting cold (it will be deleted)"
@@ -203,8 +203,8 @@ let cache_dir_arg =
     & opt (some string) (Sys.getenv_opt "GCATCH_CACHE_DIR")
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist the per-file artifact, pass-result, and solve caches in \
-           $(docv): a restarted daemon warms from disk")
+          "Persist the per-file artifact, pass-result, and solve caches and \
+           the warm snapshot in $(docv): a restarted daemon warms from disk")
 
 let max_cache_mb_arg =
   Arg.(

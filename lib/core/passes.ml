@@ -137,25 +137,28 @@ let note_diag (n : Bmoc.chan_note) : D.t =
    and [cacheable] lets a pass refuse to persist degraded results. *)
 let pass_cached ~cache_dir ~pass ~fpr ~metrics (a : E.artifacts) ~cacheable
     compute =
-  let stage = "pass." ^ pass in
+  let kind = "pass." ^ pass in
   match cache_dir with
   | Some dir when not (Goengine.Faults.active ()) -> (
       match Lazy.force a.E.a_content with
       | None -> compute ()
-      | Some content ->
+      | Some content -> (
+          let store = Goengine.Store.at dir in
           let key =
             Digest.to_hex
               (Digest.string (String.concat "\x00" [ content; pass; fpr ]))
           in
-          (match (try E.disk_read dir ~stage ~key with _ -> None) with
+          match Goengine.Store.read store ~kind ~key with
           | Some (r, _) ->
               M.incr (M.counter metrics "engine.pass_cache_hit");
               r
           | None ->
               let r = compute () in
-              if cacheable r then (
-                (try ignore (E.disk_write dir ~stage ~key r) with _ -> ());
-                M.incr (M.counter metrics "engine.pass_cache_store"));
+              (* a store counts only once it is on disk *)
+              if
+                cacheable r
+                && Result.is_ok (Goengine.Store.write store ~kind ~key r)
+              then M.incr (M.counter metrics "engine.pass_cache_store");
               r))
   | _ -> compute ()
 

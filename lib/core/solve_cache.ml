@@ -18,9 +18,8 @@ module Trace = Goobs.Trace
    - an in-process table, shared by every run in the process (bench
      loops, repeated [analyse] calls, the jobs=1-then-jobs=4 test);
    - an optional on-disk tier ([GCATCH_CACHE_DIR] / [--cache-dir]), one
-     file per fingerprint, written atomically (temp file + rename) and
-     integrity-checked on read — a corrupted or truncated entry is
-     treated as a miss and unlinked, never an error.
+     {!Goengine.Store} entry of kind "solve" per fingerprint — a
+     corrupted or truncated entry is a miss, never an error.
 
    The entry stores the channel's bug list *and* its per-channel counter
    snapshot, so a hit replays the exact metrics of the original solve:
@@ -37,8 +36,6 @@ type entry = {
   e_bugs : Report.bmoc_bug list;
   e_stats : (string * int) list; (* per-channel counter snapshot *)
 }
-
-let format_version = "gcatch-solve-cache/1"
 
 (* Canonical fingerprint of any marshalable value: MD5 of its
    [No_sharing] representation.  [No_sharing] makes the bytes depend
@@ -76,141 +73,6 @@ let export_memory () : (string * entry) list = Goengine.Memo.export mem
 let import_memory (entries : (string * entry) list) =
   Goengine.Memo.import mem entries
 
-(* ---------------------------------------------------- on-disk tier --- *)
-
-(* Disk-tier health.  Every disk access is best-effort: an I/O error is
-   counted, never raised.  When the cache directory itself disappears
-   mid-run (a concurrent `rm -rf`, an unmounted tmpfs), the whole tier
-   degrades to memory-only with ONE warning — per-entry errors against a
-   gone directory would only repeat the same news hundreds of times.
-   Cache degradations are reported through these process-wide counters
-   and that single warning, deliberately *not* through the per-run
-   health ledger: warm and cold runs must keep byte-identical run-level
-   metrics. *)
-let disk_enabled = Atomic.make true
-
-let c_read_error = lazy (M.counter M.default "bmoc.solve_cache_read_error")
-let c_write_error = lazy (M.counter M.default "bmoc.solve_cache_write_error")
-
-let disable_disk dir =
-  if Atomic.compare_and_set disk_enabled true false then
-    Goobs.Log.warn
-      ~kv:[ ("dir", dir) ]
-      "solve-cache directory unavailable; continuing memory-only"
-
-(* Tests re-arm the disk tier between scenarios. *)
-let reset_disk_state () = Atomic.set disk_enabled true
-
-(* A vanished directory (as opposed to a bad entry) is what flips the
-   tier off; [mkdir] reinstates it when the parent still exists. *)
-let dir_usable dir =
-  Sys.file_exists dir
-  || match Unix.mkdir dir 0o755 with
-     | () -> true
-     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> true
-     | exception _ -> false
-
-let disk_file dir fp = Filename.concat dir ("gcatch-" ^ fp ^ ".solve")
-
-(* payload = digest(body) ^ body, body = Marshal(version, fp, entry) *)
-let disk_read dir fp : entry option =
-  (match Goengine.Faults.fire ~site:"cache.read" ~key:fp () with
-  | None -> ()
-  | Some Goengine.Faults.Stall ->
-      Goengine.Pool.sleep_yielding Goengine.Faults.stall_s
-  | Some _ -> raise (Goengine.Faults.Injected ("cache.read", fp)));
-  let path = disk_file dir fp in
-  match open_in_bin path with
-  | exception Sys_error _ -> None (* no entry *)
-  | ic ->
-      let r =
-        match
-          let n = in_channel_length ic in
-          if n < 16 then None
-          else begin
-            let digest = really_input_string ic 16 in
-            let body = really_input_string ic (n - 16) in
-            if Digest.string body <> digest then None
-            else
-              let v, fp', e =
-                (Marshal.from_string body 0 : string * string * entry)
-              in
-              if v = format_version && fp' = fp then Some e else None
-          end
-        with
-        | r -> r
-        | exception _ -> None
-      in
-      close_in_noerr ic;
-      (match r with
-      | Some _ -> ()
-      | None ->
-          (* corrupted, truncated, or stale format: drop the file so it
-             is rebuilt on the next store; the lookup is a plain miss.
-             The unlink itself is best-effort — another process may have
-             dropped the same corrupt entry a beat earlier. *)
-          (try Sys.remove path with _ -> ()));
-      r
-
-(* [disk_read] with the fault boundary: any failure is a miss, counted
-   once, and a vanished directory retires the tier. *)
-let checked_read dir fp : entry option =
-  if not (Atomic.get disk_enabled) then None
-  else begin
-    (* yield around the blocking syscalls: a scheduled task reading the
-       disk tier gives other tasks a turn before and after the I/O *)
-    Goengine.Pool.yield ();
-    let r =
-      try disk_read dir fp
-      with _ ->
-        M.incr (Lazy.force c_read_error);
-        if not (dir_usable dir) then disable_disk dir;
-        None
-    in
-    Goengine.Pool.yield ();
-    r
-  end
-
-let disk_write dir fp (e : entry) : unit =
-  (match Goengine.Faults.fire ~site:"cache.write" ~key:fp () with
-  | None -> ()
-  | Some Goengine.Faults.Stall ->
-      Goengine.Pool.sleep_yielding Goengine.Faults.stall_s
-  | Some _ -> raise (Goengine.Faults.Injected ("cache.write", fp)));
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let body = Marshal.to_string (format_version, fp, e) [ Marshal.No_sharing ] in
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf ".gcatch-%s.%d.tmp" fp (Unix.getpid ()))
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Digest.string body);
-      output_string oc body);
-  match Sys.rename tmp (disk_file dir fp) with
-  | () -> ()
-  | exception e ->
-      (* rename lost a race (concurrent unlink of the target's directory
-         entry, or the dir itself): drop the temp file and re-raise so
-         [checked_write] accounts for it *)
-      (try Sys.remove tmp with _ -> ());
-      raise e
-
-(* [disk_write] with the fault boundary: a cache store never fails the
-   analysis. *)
-let checked_write dir fp (e : entry) : unit =
-  if Atomic.get disk_enabled then begin
-    (* as in [checked_read]: bracket the blocking I/O with yields *)
-    Goengine.Pool.yield ();
-    (try disk_write dir fp e
-     with _ ->
-       M.incr (Lazy.force c_write_error);
-       if not (dir_usable dir) then disable_disk dir);
-    Goengine.Pool.yield ()
-  end
-
 (* -------------------------------------------------------- frontend --- *)
 
 let c_hit = lazy (M.counter M.default "bmoc.solve_cache_hit")
@@ -246,14 +108,13 @@ let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
   let stored = ref false in
   match
     Goengine.Memo.find_or_compute mem fp (fun () ->
+        let disk = Option.map Goengine.Store.at dir in
         match
-          match dir with
-          | None -> None
-          | Some d ->
+          Option.bind disk (fun s ->
               Trace.with_span ~name:"bmoc.cache.lookup" (fun () ->
-                  checked_read d fp)
+                  Goengine.Store.read s ~kind:"solve" ~key:fp))
         with
-        | Some e ->
+        | Some (e, _) ->
             from_disk := true;
             (e, true)
         | None ->
@@ -261,11 +122,11 @@ let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
             if store then begin
               M.incr (Lazy.force c_store);
               stored := true;
-              match dir with
-              | None -> ()
-              | Some d ->
+              Option.iter
+                (fun s ->
                   Trace.with_span ~name:"bmoc.cache.store" (fun () ->
-                      checked_write d fp e)
+                      ignore (Goengine.Store.write s ~kind:"solve" ~key:fp e)))
+                disk
             end;
             (e, store))
   with

@@ -57,34 +57,20 @@ let to_string (d : t) : string =
 
 (* -------------------------------------------------- JSON rendering --- *)
 
-(* Hand-rolled emitter: the build environment has no JSON library and
-   the schema is small.  Strings are escaped per RFC 8259. *)
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module M = Goobs.Metrics
 
+(* Hand-rolled emitter: the build environment has no JSON library and
+   the schema is small. *)
 let loc_to_json (l : Minigo.Loc.t) : string =
   Printf.sprintf {|{"file":"%s","line":%d,"col":%d}|}
-    (json_escape (Minigo.Loc.file l))
+    (M.json_escape (Minigo.Loc.file l))
     (Minigo.Loc.line l) l.Minigo.Loc.col
 
 let to_json (d : t) : string =
   Printf.sprintf {|{"pass":"%s","severity":"%s","message":"%s","loc":%s}|}
-    (json_escape d.pass)
+    (M.json_escape d.pass)
     (severity_str d.severity)
-    (json_escape d.message)
+    (M.json_escape d.message)
     (match d.loc with
     | Some l when not (Minigo.Loc.equal l Minigo.Loc.none) -> loc_to_json l
     | _ -> "null")

@@ -112,8 +112,8 @@ type t = {
   lock : Mutex.t; (* guards [cache] and [file_times]: batch drivers
                      analyse several source sets concurrently through
                      one engine *)
-  cache_dir : string option; (* optional on-disk tier for per-file
-                                artifacts (parse/typed/lowered) *)
+  store : Store.t option; (* optional on-disk tier for per-file
+                             artifacts (parse/sig/typed/lowered) *)
   fc : file_caches;
   file_times : (string, float) Hashtbl.t;
       (* cumulative frontend seconds per source file, for --profile *)
@@ -143,7 +143,7 @@ let create ?(max_entries = 512) ?(passes = []) ?(jobs = 1) ?pool ?registry
     max_entries;
     pool;
     lock = Mutex.create ();
-    cache_dir;
+    store = Option.map Store.at cache_dir;
     fc =
       {
         fc_tokens = Memo.create ();
@@ -277,188 +277,38 @@ let cached (t : t) ~name sources =
 
 (* ------------------------------------------- per-file disk tier ------ *)
 
-(* On-disk per-file artifacts (parse AST, typed AST, lowered file), one
-   file per (stage, content key), mirroring the solve cache's tier:
-   atomic writes (temp + rename), integrity-checked reads, best-effort
-   throughout — a corrupted entry is a miss, a vanished directory
-   retires the tier with one warning.  This is what makes a fresh
-   process warm: re-analysing an edited tree re-lexes/parses/typechecks
-   only the files whose content hash changed. *)
+(* On-disk per-file artifacts (parse AST, signatures, typed AST, lowered
+   file), one {!Store} entry per (stage, content key).  This is what
+   makes a fresh process warm: re-analysing an edited tree
+   re-lexes/parses/typechecks only the files whose content hash changed.
+   Reads and writes record each entry's value digest, which feeds
+   [a_content]. *)
 
-let file_format_version = "gcatch-file-cache/2"
-let disk_enabled = Atomic.make true
-
-(* Tests re-arm the disk tier between scenarios. *)
-let reset_disk_state () = Atomic.set disk_enabled true
-
-let c_read_error = lazy (M.counter M.default "engine.file_cache_read_error")
-let c_write_error = lazy (M.counter M.default "engine.file_cache_write_error")
-
-let disable_disk dir =
-  if Atomic.compare_and_set disk_enabled true false then
-    Goobs.Log.warn
-      ~kv:[ ("dir", dir) ]
-      "file-cache directory unavailable; continuing memory-only"
-
-let dir_usable dir =
-  Sys.file_exists dir
-  || match Unix.mkdir dir 0o755 with
-     | () -> true
-     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> true
-     | exception _ -> false
-
-let disk_file dir ~stage key =
-  Filename.concat dir (Printf.sprintf "gcatch-%s-%s.fe" key stage)
-
-(* payload = digest(body) ^ body, body = hdr ^ vbytes with
-   hdr = Marshal(version, stage, key, digest(vbytes)) and
-   vbytes = Marshal(v).  Carrying the value digest in the fixed-size
-   header lets [disk_digest] report an entry's compiled-content digest
-   from a few hundred bytes of IO, without unmarshalling the value —
-   the engine records digests per (stage, key) so detector passes can
-   key their result cache on compiled content rather than source
-   hashes.  Readers return [Some (v, value_digest)]. *)
-let disk_read dir ~stage ~key =
-  (match Faults.fire ~site:"cache.read" ~key () with
-  | None -> ()
-  | Some Faults.Stall -> Pool.sleep_yielding Faults.stall_s
-  | Some _ -> raise (Faults.Injected ("cache.read", key)));
-  let path = disk_file dir ~stage key in
-  match open_in_bin path with
-  | exception Sys_error _ -> None (* no entry *)
-  | ic ->
-      let r =
-        match
-          let n = in_channel_length ic in
-          if n < 16 then None
-          else begin
-            let digest = really_input_string ic 16 in
-            let body = really_input_string ic (n - 16) in
-            if Digest.string body <> digest then None
-            else
-              let v, st, k, vd =
-                (Marshal.from_string body 0
-                  : string * string * string * string)
-              in
-              if v = file_format_version && st = stage && k = key then
-                let hl = Marshal.total_size (Bytes.unsafe_of_string body) 0 in
-                Some (Marshal.from_string body hl, vd)
-              else None
-          end
-        with
-        | r -> r
-        | exception _ -> None
-      in
-      close_in_noerr ic;
-      (match r with
-      | Some _ -> ()
-      | None -> ( try Sys.remove path with _ -> ()));
-      r
-
-let disk_write dir ~stage ~key v =
-  (match Faults.fire ~site:"cache.write" ~key () with
-  | None -> ()
-  | Some Faults.Stall -> Pool.sleep_yielding Faults.stall_s
-  | Some _ -> raise (Faults.Injected ("cache.write", key)));
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let vbytes = Marshal.to_string v [ Marshal.No_sharing ] in
-  let vd = Digest.to_hex (Digest.string vbytes) in
-  let hdr = Marshal.to_string (file_format_version, stage, key, vd) [] in
-  let body = hdr ^ vbytes in
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf ".gcatch-%s-%s.%d.tmp" key stage (Unix.getpid ()))
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Digest.string body);
-      output_string oc body);
-  match Sys.rename tmp (disk_file dir ~stage key) with
-  | () -> vd
-  | exception e ->
-      (try Sys.remove tmp with _ -> ());
-      raise e
-
-(* Read just the value digest from an entry's header, without touching
-   the value bytes.  Trusts the writer: body integrity is only checked
-   by [disk_read] on an actual value load — a corrupted entry merely
-   yields a pass-cache key nothing was stored under, which converges
-   to a recompute. *)
-let disk_digest dir ~stage ~key =
-  let path = disk_file dir ~stage key in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      let r =
-        match
-          let n = in_channel_length ic in
-          if n < 16 + Marshal.header_size then None
-          else begin
-            seek_in ic 16;
-            let h0 = really_input_string ic Marshal.header_size in
-            let dsz = Marshal.data_size (Bytes.unsafe_of_string h0) 0 in
-            if n < 16 + Marshal.header_size + dsz then None
-            else
-              let rest = really_input_string ic dsz in
-              let v, st, k, vd =
-                (Marshal.from_string (h0 ^ rest) 0
-                  : string * string * string * string)
-              in
-              if v = file_format_version && st = stage && k = key then
-                Some vd
-              else None
-          end
-        with
-        | r -> r
-        | exception _ -> None
-      in
-      close_in_noerr ic;
-      r
-
-let checked_digest (t : t) ~stage ~key =
-  match value_digest t ~stage ~key with
-  | Some d -> Some d
-  | None -> (
-      match t.cache_dir with
-      | Some dir when Atomic.get disk_enabled -> (
-          match (try disk_digest dir ~stage ~key with _ -> None) with
-          | Some d ->
-              record_digest t ~stage ~key d;
-              Some d
-          | None -> None)
-      | _ -> None)
-
-let checked_read (t : t) ~stage ~key =
-  match t.cache_dir with
-  | Some dir when Atomic.get disk_enabled ->
-      Pool.yield ();
-      let r =
-        try disk_read dir ~stage ~key
-        with _ ->
-          M.incr (Lazy.force c_read_error);
-          if not (dir_usable dir) then disable_disk dir;
-          None
-      in
-      Pool.yield ();
-      (match r with
+let disk_read (t : t) ~stage ~key =
+  match t.store with
+  | None -> None
+  | Some s -> (
+      match Store.read s ~kind:stage ~key with
       | Some (v, d) ->
           record_digest t ~stage ~key d;
           Some v
       | None -> None)
-  | _ -> None
 
-let checked_write (t : t) ~stage ~key v =
-  match t.cache_dir with
-  | Some dir when Atomic.get disk_enabled ->
-      Pool.yield ();
-      (try record_digest t ~stage ~key (disk_write dir ~stage ~key v)
-       with _ ->
-         M.incr (Lazy.force c_write_error);
-         if not (dir_usable dir) then disable_disk dir);
-      Pool.yield ()
-  | _ -> ()
+let disk_write (t : t) ~stage ~key v =
+  match t.store with
+  | None -> ()
+  | Some s -> (
+      match Store.write s ~kind:stage ~key v with
+      | Ok d -> record_digest t ~stage ~key d
+      | Error _ -> ())
+
+let disk_digest (t : t) ~stage ~key =
+  match value_digest t ~stage ~key with
+  | Some d -> Some d
+  | None ->
+      let d = Option.bind t.store (fun s -> Store.digest s ~kind:stage ~key) in
+      Option.iter (record_digest t ~stage ~key) d;
+      d
 
 (* ------------------------------------------- per-file stage units ---- *)
 
@@ -476,7 +326,7 @@ let file_unit (t : t) ~stage ~memo ~key ~file ?(disk = false) ?reintern
   let from_disk = ref false in
   match
     Memo.find_or_compute memo key (fun () ->
-        match (if disk then checked_read t ~stage ~key else None) with
+        match (if disk then disk_read t ~stage ~key else None) with
         | Some v ->
             from_disk := true;
             let v = match reintern with Some f -> f v | None -> v in
@@ -484,7 +334,7 @@ let file_unit (t : t) ~stage ~memo ~key ~file ?(disk = false) ?reintern
         | None ->
             M.incr (M.counter t.registry ("stage." ^ stage ^ ".runs"));
             let v = compute () in
-            if disk then checked_write t ~stage ~key v;
+            if disk then disk_write t ~stage ~key v;
             (v, true))
   with
   | `Hit v ->
@@ -718,7 +568,7 @@ let build_artifacts (t : t) ~name sources : artifacts =
       (let fp = Lazy.force a_fp in
        let part stage tag (_, _, key) =
          let key = Digest.to_hex (Digest.string (key ^ tag ^ fp)) in
-         checked_digest t ~stage ~key
+         disk_digest t ~stage ~key
        in
        let file_part fk =
          match (part "typecheck" "\x00" fk, part "lower" "\x01" fk) with
@@ -1175,11 +1025,11 @@ let run_to_json (r : run) : string =
   let pass_json pr =
     Printf.sprintf
       {|{"name":"%s","elapsed_s":%.6f,"diagnostics":%d,"metrics":{%s}}|}
-      (D.json_escape pr.pr_pass) pr.pr_elapsed_s
+      (M.json_escape pr.pr_pass) pr.pr_elapsed_s
       (List.length pr.pr_diags)
       (String.concat ","
          (List.map
-            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (D.json_escape k) v)
+            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (M.json_escape k) v)
             pr.pr_metrics))
   in
   let health_json =
@@ -1193,12 +1043,12 @@ let run_to_json (r : run) : string =
                String.sub k 7 (String.length k - 7)
              else k
            in
-           Printf.sprintf {|"%s":%d|} (D.json_escape k) v)
+           Printf.sprintf {|"%s":%d|} (M.json_escape k) v)
          r.r_health)
   in
   Printf.sprintf
     {|{"name":"%s","source_key":"%s","from_cache":%b,"frontend_ok":%b,"elapsed_s":%.6f,"health":{%s},"diagnostics":%s,"passes":[%s]}|}
-    (D.json_escape r.r_name) r.r_key r.r_from_cache
+    (M.json_escape r.r_name) r.r_key r.r_from_cache
     (not (frontend_failed r))
     r.r_elapsed_s health_json
     (D.list_to_json r.r_diags)

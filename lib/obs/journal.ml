@@ -232,7 +232,7 @@ let open_ ~path =
 
 let close () =
   if Atomic.get on then begin
-    emit ~event:"journal.close" [ ("events", I (Atomic.get seq)) ];
+    emit ~event:"journal.close" [];
     Atomic.set on false;
     drain_all ();
     Mutex.lock mu;
@@ -249,130 +249,30 @@ let close () =
 
 (* Reader ---------------------------------------------------------------- *)
 
-(* Flat-object JSON parser, just wide enough for journal lines: strings,
-   numbers, booleans, null.  Returns [None] on any malformed input —
-   a truncated final line from a killed run parses as [None] and the
-   summariser stops at the valid prefix. *)
+(* A journal line as a flat object over {!Json}: strings, numbers,
+   booleans and null (read as [S ""]).  Integral numbers read as [I].
+   Returns [None] on anything else or on malformed input — a truncated
+   final line from a killed run parses as [None] and the summariser
+   stops at the valid prefix. *)
 let parse_line (s : string) : (string * field) list option =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\r')
-    do
-      incr pos
-    done
+  let field = function
+    | Json.Str s -> Some (S s)
+    | Json.Null -> Some (S "")
+    | Json.Bool b -> Some (B b)
+    | Json.Num f when Float.is_integer f && Float.abs f < 0x1p53 ->
+        Some (I (int_of_float f))
+    | Json.Num f -> Some (F f)
+    | Json.Arr _ | Json.Obj _ -> None
   in
-  let exception Bad in
-  let expect c = if peek () = Some c then incr pos else raise Bad in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise Bad;
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          if !pos >= n then raise Bad;
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 >= n then raise Bad;
-              let hex = String.sub s (!pos + 1) 4 in
-              let code =
-                try int_of_string ("0x" ^ hex) with _ -> raise Bad
-              in
-              pos := !pos + 4;
-              (* keep it simple: non-ASCII escapes round-trip as '?' *)
-              Buffer.add_char b
-                (if code < 0x80 then Char.chr code else '?')
-          | _ -> raise Bad);
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (
-          pos := !pos + 4;
-          B true)
-        else raise Bad
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (
-          pos := !pos + 5;
-          B false)
-        else raise Bad
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (
-          pos := !pos + 4;
-          S "")
-        else raise Bad
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          incr pos
-        done;
-        let tok = String.sub s start (!pos - start) in
-        (match int_of_string_opt tok with
-        | Some i -> I i
-        | None -> (
-            match float_of_string_opt tok with
-            | Some f -> F f
-            | None -> raise Bad))
-    | _ -> raise Bad
-  in
-  try
-    skip_ws ();
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        skip_ws ();
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> raise Bad
-      in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> n then raise Bad;
-    Some (List.rev !fields)
-  with Bad -> None
+  match Json.parse s with
+  | Ok (Json.Obj kvs) ->
+      List.fold_right
+        (fun (k, v) acc ->
+          match (field v, acc) with
+          | Some f, Some fields -> Some ((k, f) :: fields)
+          | _ -> None)
+        kvs (Some [])
+  | _ -> None
 
 let str_field fields k =
   match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None

@@ -288,6 +288,7 @@ let json_escape s =
         | '"' -> Buffer.add_string b "\\\""
         | '\\' -> Buffer.add_string b "\\\\"
         | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
         | '\t' -> Buffer.add_string b "\\t"
         | c when Char.code c < 0x20 ->
             Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))

@@ -136,10 +136,8 @@ let report ?(top = 10) (reg : Metrics.t) (pass_times : (string * float) list) :
        "  %d unit(s) attempted: %d ok, %d degraded, %d skipped, %d retried"
        attempted (c "health.ok") (c "health.degraded") (c "health.skipped")
        (c "health.retried");
-     let errs =
-       c "bmoc.solve_cache_read_error" + c "bmoc.solve_cache_write_error"
-     in
-     if errs > 0 then line "  %d solve-cache I/O error(s) (best-effort)" errs
+     let errs = c "store.read_error" + c "store.write_error" in
+     if errs > 0 then line "  %d cache I/O error(s) (best-effort)" errs
    end);
   if Sampler.total_samples () > 0 then
     Buffer.add_string b (Sampler.report ~top ());

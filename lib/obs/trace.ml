@@ -212,8 +212,6 @@ let drain () =
 
 (* Chrome trace-event JSON ----------------------------------------------- *)
 
-let json_escape = Metrics.json_escape
-
 let args_json args =
   let b = Buffer.create 32 in
   Buffer.add_char b '{';
@@ -221,7 +219,8 @@ let args_json args =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+        (Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k)
+           (Metrics.json_escape v)))
     args;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -255,7 +254,7 @@ let to_chrome_json spans =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"gcatch\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":%s}"
-           (json_escape sp.sp_name)
+           (Metrics.json_escape sp.sp_name)
            (sp.sp_ts_us -. t0)
            sp.sp_dur_us sp.sp_tid (args_json sp.sp_args)))
     spans;

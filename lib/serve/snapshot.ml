@@ -2,33 +2,26 @@
 
    A daemon restart used to mean a cold engine: every per-file memo,
    solve-cache entry and resolved-source digest gone, and the next
-   client paying the full cold run.  This module marshals the warm
+   client paying the full cold run.  This module persists the warm
    state — [Engine.warm_state] (the six per-file memo tiers plus the
    value-digest table), the solve cache's memory tier, and the content
-   store — into one digest-checked file under the daemon's --cache-dir,
-   written atomically (temp file + rename) exactly like the engine's
-   per-entry disk tiers.  The pass-result cache needs no snapshotting:
-   it is disk-only and already lives in the same directory.
+   store — as one {!Goengine.Store} entry (kind "snap", key "warm") under
+   the daemon's --cache-dir, so it shares the store's digest check,
+   atomic writes and fault semantics on the [snapshot.read] /
+   [snapshot.write] sites.  The pass-result cache needs no snapshotting:
+   it already lives in the same directory.
 
-   File layout: MD5(rest) ^ marshal(version) ^ marshal(payload).  The
-   version string sits in its own marshal frame so [check] can classify
-   a snapshot (missing / corrupt / wrong version / valid) without
-   unmarshalling — and without trusting — the payload; gcatchd's
-   startup validation uses that to fail fast on a version mismatch
-   while a corrupt snapshot is deleted and the daemon starts cold.
-   Loading never raises: any surprise inside the payload bytes is a
-   cold start, not a crash.
+   [check] classifies the snapshot (missing / corrupt / wrong version /
+   valid) from its header, without unmarshalling — and without
+   trusting — the payload; gcatchd's startup validation uses that to
+   fail fast on a version mismatch while a corrupt snapshot is deleted
+   by the next load and the daemon starts cold. *)
 
-   Fault sites: [snapshot.write] (raise/timeout => the save fails and
-   is counted; corrupt => truncated bytes reach the disk, which the
-   next load must survive) and [snapshot.read] (raise/timeout/corrupt
-   => the load behaves as if the file were bad). *)
+module Store = Goengine.Store
 
-module F = Goengine.Faults
-
-let format_version = "gcatch-snapshot/1"
-let file_name = "gcatch-warm.snap"
-let path ~dir = Filename.concat dir file_name
+let kind = "snap"
+let key = "warm"
+let path ~dir = Store.path (Store.at dir) ~kind ~key
 
 type payload = {
   p_engine : Goengine.Engine.warm_state;
@@ -36,124 +29,17 @@ type payload = {
   p_store : (string * string) list; (* content digest -> source *)
 }
 
-type status = Valid | Missing | Corrupt | Version_mismatch of string
+type status = Store.status =
+  | Missing
+  | Corrupt
+  | Version_mismatch of string
+  | Valid
 
-let status_str = function
-  | Valid -> "valid"
-  | Missing -> "missing"
-  | Corrupt -> "corrupt"
-  | Version_mismatch v -> Printf.sprintf "version mismatch (%s)" v
-
-let read_file fp =
-  match open_in_bin fp with
-  | exception _ -> None
-  | ic ->
-      let r =
-        try Some (really_input_string ic (in_channel_length ic))
-        with _ -> None
-      in
-      close_in_noerr ic;
-      r
-
-(* Classify the snapshot without touching the payload.  No fault
-   injection here: this backs the daemon's *startup validation*, which
-   must report what is actually on disk. *)
-let check ~dir : status =
-  let fp = path ~dir in
-  if not (Sys.file_exists fp) then Missing
-  else
-    match read_file fp with
-    | None -> Corrupt
-    | Some raw -> (
-        if String.length raw < 16 then Corrupt
-        else
-          let digest = String.sub raw 0 16 in
-          let body = String.sub raw 16 (String.length raw - 16) in
-          if Digest.string body <> digest then Corrupt
-          else
-            match (Marshal.from_string body 0 : string) with
-            | v when v = format_version -> Valid
-            | v -> Version_mismatch v
-            | exception _ -> Corrupt)
+let check ~dir : status = Store.check (Store.at dir) ~kind ~key
 
 let save ~dir (p : payload) : (unit, string) result =
-  let fault = F.fire ~site:"snapshot.write" () in
-  match fault with
-  | Some (F.Raise | F.Timeout) -> Error "injected fault: snapshot.write"
-  | _ -> (
-      if fault = Some F.Stall then Unix.sleepf F.stall_s;
-      try
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        let vbytes = Marshal.to_string format_version [] in
-        let pbytes = Marshal.to_string p [ Marshal.No_sharing ] in
-        let body = vbytes ^ pbytes in
-        let bytes = Digest.string body ^ body in
-        (* a corrupt-action write truncates what reaches the disk: the
-           digest check on the next load must turn this into a clean
-           cold start *)
-        let bytes =
-          if fault = Some F.Corrupt then
-            String.sub bytes 0 (String.length bytes / 2)
-          else bytes
-        in
-        let tmp =
-          Filename.concat dir
-            (Printf.sprintf ".%s.%d.tmp" file_name (Unix.getpid ()))
-        in
-        let oc = open_out_bin tmp in
-        (try output_string oc bytes
-         with e ->
-           close_out_noerr oc;
-           raise e);
-        close_out oc;
-        Sys.rename tmp (path ~dir);
-        Ok ()
-      with e -> Error (Printexc.to_string e))
+  Result.map ignore (Store.write ~site:"snapshot" (Store.at dir) ~kind ~key p)
 
-(* [None] on anything but a valid snapshot; a corrupt file is deleted so
-   the next boot does not re-parse the same bad bytes. *)
+(* [None] on anything but a valid snapshot. *)
 let load ~dir : payload option =
-  let fp = path ~dir in
-  let fault = F.fire ~site:"snapshot.read" () in
-  match fault with
-  | Some (F.Raise | F.Timeout | F.Corrupt) -> None
-  | _ -> (
-      if fault = Some F.Stall then Unix.sleepf F.stall_s;
-      match check ~dir with
-      | Missing | Version_mismatch _ -> None
-      | Corrupt ->
-          (try Sys.remove fp with _ -> ());
-          None
-      | Valid -> (
-          match read_file fp with
-          | None -> None
-          | Some raw -> (
-              let body = String.sub raw 16 (String.length raw - 16) in
-              try
-                let vsize = Marshal.total_size (Bytes.of_string body) 0 in
-                Some (Marshal.from_string body vsize : payload)
-              with _ ->
-                (try Sys.remove fp with _ -> ());
-                None)))
-
-(* Startup probe for --cache-dir: the directory must be creatable and
-   writable, surfaced as a clear error before the daemon binds — not as
-   silent degradation on the first snapshot tick. *)
-let validate_dir dir : (unit, string) result =
-  try
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    if not (Sys.is_directory dir) then
-      Error (Printf.sprintf "--cache-dir %s: not a directory" dir)
-    else begin
-      let probe =
-        Filename.concat dir (Printf.sprintf ".gcatch-probe.%d" (Unix.getpid ()))
-      in
-      let oc = open_out_bin probe in
-      output_string oc "probe";
-      close_out oc;
-      Sys.remove probe;
-      Ok ()
-    end
-  with e ->
-    Error (Printf.sprintf "--cache-dir %s: not writable (%s)" dir
-             (Printexc.to_string e))
+  Option.map fst (Store.read ~site:"snapshot" (Store.at dir) ~kind ~key)

@@ -149,6 +149,100 @@ let test_disk_corrupt_entry_recovers () =
       Alcotest.(check bool) "restored entries hit" true (disk_hits () > d1);
       check_same_analysis "restored vs cold" cold again)
 
+(* The store's reader must classify files it did not write — earlier
+   formats, foreign marshal frames, entries of another kind — without
+   trusting their shape, and give every fault action one meaning. *)
+let test_store_foreign_entries () =
+  let module Store = Goengine.Store in
+  let module F = Goengine.Faults in
+  with_cache_dir (fun dir ->
+      Result.get_ok (Store.validate_dir dir);
+      let st = Store.at dir in
+      let put ~kind ~key bytes =
+        let oc = open_out_bin (Store.path st ~kind ~key) in
+        output_string oc bytes;
+        close_out oc
+      in
+      let framed v =
+        let body = Marshal.to_string v [] in
+        Digest.string body ^ body
+      in
+      let status =
+        Alcotest.testable
+          (fun ppf s ->
+            Format.pp_print_string ppf
+              (match s with
+              | Store.Valid -> "valid"
+              | Missing -> "missing"
+              | Corrupt -> "corrupt"
+              | Version_mismatch v -> "version " ^ v))
+          ( = )
+      in
+      let vd =
+        match Store.write st ~kind:"solve" ~key:"k1" [ 1; 2; 3 ] with
+        | Ok d -> d
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check (option (pair (list int) string)))
+        "round trip" (Some ([ 1; 2; 3 ], vd))
+        (Store.read st ~kind:"solve" ~key:"k1");
+      Alcotest.(check (option string))
+        "header digest" (Some vd)
+        (Store.digest st ~kind:"solve" ~key:"k1");
+      (* an entry of an earlier format: a miss, kept for the next store *)
+      put ~kind:"solve" ~key:"k2"
+        (framed ("gcatch-solve-cache/1", "k2", [ 4 ]));
+      Alcotest.check status "old format classified"
+        (Store.Version_mismatch "gcatch-solve-cache/1")
+        (Store.check st ~kind:"solve" ~key:"k2");
+      Alcotest.(check bool) "old format is a miss" true
+        (Store.read st ~kind:"solve" ~key:"k2" = None);
+      Alcotest.(check bool) "old format kept" true
+        (Sys.file_exists (Store.path st ~kind:"solve" ~key:"k2"));
+      (* a frame of the wrong shape, and an entry of another kind: corrupt,
+         a miss, unlinked *)
+      put ~kind:"solve" ~key:"k3" (framed 42);
+      let other =
+        Store.write st ~kind:"parse" ~key:"k4" "x" |> Result.get_ok |> ignore;
+        In_channel.with_open_bin (Store.path st ~kind:"parse" ~key:"k4")
+          In_channel.input_all
+      in
+      put ~kind:"solve" ~key:"k4" other;
+      List.iter
+        (fun key ->
+          Alcotest.check status (key ^ " classified corrupt") Store.Corrupt
+            (Store.check st ~kind:"solve" ~key);
+          Alcotest.(check bool) (key ^ " is a miss") true
+            (Store.read st ~kind:"solve" ~key = None);
+          Alcotest.(check bool) (key ^ " unlinked") false
+            (Sys.file_exists (Store.path st ~kind:"solve" ~key)))
+        [ "k3"; "k4" ];
+      (* corrupt actions truncate bytes: on disk for a write, as read for
+         a read; neither is an I/O error *)
+      let errors () =
+        counter "store.read_error" + counter "store.write_error"
+      in
+      let e0 = errors () in
+      let with_plan plan f =
+        F.set_plan (Result.get_ok (F.parse plan));
+        Fun.protect ~finally:F.clear f
+      in
+      with_plan "cache.write:*!corrupt" (fun () ->
+          Alcotest.(check bool) "corrupting write reports success" true
+            (Result.is_ok (Store.write st ~kind:"solve" ~key:"k5" [ 5 ])));
+      Alcotest.check status "truncated on disk" Store.Corrupt
+        (Store.check st ~kind:"solve" ~key:"k5");
+      with_plan "cache.read:*!corrupt" (fun () ->
+          Alcotest.(check bool) "truncated read is a miss" true
+            (Store.read st ~kind:"solve" ~key:"k1" = None));
+      Alcotest.(check bool) "truncated read unlinks" false
+        (Sys.file_exists (Store.path st ~kind:"solve" ~key:"k1"));
+      Alcotest.(check int) "no I/O errors counted" e0 (errors ());
+      with_plan "cache.read:*!raise" (fun () ->
+          Alcotest.(check bool) "raising read is a miss" true
+            (Store.read st ~kind:"solve" ~key:"k2" = None));
+      Alcotest.(check int) "raise counted" (e0 + 1) (errors ()))
+
 (* ------------------------------------------- dedup soundness ---- *)
 
 let test_dedup_never_drops_verdict () =
@@ -185,4 +279,6 @@ let tests =
       test_disk_corrupt_entry_recovers;
     Alcotest.test_case "dedup never drops a verdict" `Slow
       test_dedup_never_drops_verdict;
+    Alcotest.test_case "store classifies foreign entries" `Quick
+      test_store_foreign_entries;
   ]

@@ -356,9 +356,9 @@ let count_warnings ~needle f =
 let test_vanished_cache_dir_degrades_once () =
   with_clean_faults (fun () ->
       SC.reset_memory ();
-      SC.reset_disk_state ();
-      (* a cache dir whose parent is gone cannot be recreated: the disk
-         tier must retire itself with ONE warning, not one per entry *)
+      (* a cache dir whose parent is gone cannot be recreated: the
+         frontend, pass and solve tiers share it, and it must retire with
+         ONE warning, not one per entry or per tier *)
       let dir =
         Filename.concat
           (Filename.concat (Filename.get_temp_dir_name ())
@@ -367,15 +367,15 @@ let test_vanished_cache_dir_degrades_once () =
       in
       let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
       let warnings =
-        count_warnings ~needle:"solve-cache directory unavailable" (fun () ->
-            let a =
-              Gcatch.Driver.analyse ~cfg ~name:"vanished" [ three_chans ]
+        count_warnings ~needle:"directory unavailable" (fun () ->
+            let r =
+              E.analyse (Gcatch.Passes.engine ~cfg ()) ~name:"vanished"
+                [ three_chans ]
             in
             Alcotest.(check int) "verdicts unaffected" 3
-              (List.length a.Gcatch.Driver.bmoc))
+              (List.length (Gcatch.Passes.bmoc_bugs r.E.r_diags)))
       in
       Alcotest.(check int) "exactly one warning" 1 warnings;
-      SC.reset_disk_state ();
       SC.reset_memory ())
 
 let test_cache_fault_injection_is_besteffort () =
@@ -399,23 +399,21 @@ let test_cache_fault_injection_is_besteffort () =
               (Sys.readdir dir);
             try Unix.rmdir dir with Unix.Unix_error _ -> ()
           end;
-          SC.reset_disk_state ();
           SC.reset_memory ())
         (fun () ->
           let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
           (* every store faults: analysis is unaffected, errors counted,
              nothing written *)
           SC.reset_memory ();
-          SC.reset_disk_state ();
           (match F.parse "cache.write:*!raise" with
           | Ok specs -> F.set_plan specs
           | Error e -> Alcotest.fail e);
-          let w0 = counter "bmoc.solve_cache_write_error" in
+          let w0 = counter "store.write_error" in
           let a = Gcatch.Driver.analyse ~cfg ~name:"cache-faulty" [ fig1 ] in
           Alcotest.(check int) "verdict unaffected by write faults" 1
             (List.length a.Gcatch.Driver.bmoc);
           Alcotest.(check bool) "write errors counted" true
-            (counter "bmoc.solve_cache_write_error" > w0);
+            (counter "store.write_error" > w0);
           (* now let stores succeed, then fault every read: entries are
              recomputed, errors counted, verdicts identical *)
           F.clear ();
@@ -425,14 +423,65 @@ let test_cache_fault_injection_is_besteffort () =
           | Ok specs -> F.set_plan specs
           | Error e -> Alcotest.fail e);
           SC.reset_memory ();
-          let r0 = counter "bmoc.solve_cache_read_error" in
+          let r0 = counter "store.read_error" in
           let c = Gcatch.Driver.analyse ~cfg ~name:"cache-faulty" [ fig1 ] in
           Alcotest.(check bool) "read errors counted" true
-            (counter "bmoc.solve_cache_read_error" > r0);
+            (counter "store.read_error" > r0);
           Alcotest.(check (list string))
             "verdicts identical under cache faults"
             (List.map Gcatch.Report.bmoc_str b.Gcatch.Driver.bmoc)
             (List.map Gcatch.Report.bmoc_str c.Gcatch.Driver.bmoc)))
+
+(* A pass result counts as stored only once it is on disk: with the
+   cache directory replaced by a regular file, every store fails, is
+   counted as a write error, and leaves the store counter alone. *)
+let test_pass_cache_counts_only_written_stores () =
+  with_clean_faults (fun () ->
+      let counter name =
+        Option.value
+          (List.assoc_opt name (M.counters_list M.default))
+          ~default:0
+      in
+      let dir =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "gcatch-pass-store-%d" (Unix.getpid ()))
+      in
+      let remove () =
+        if Sys.file_exists dir then
+          if Sys.is_directory dir then begin
+            Array.iter
+              (fun f -> Sys.remove (Filename.concat dir f))
+              (Sys.readdir dir);
+            Unix.rmdir dir
+          end
+          else Sys.remove dir
+      in
+      remove ();
+      Fun.protect ~finally:remove (fun () ->
+          let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
+          let engine = Gcatch.Passes.engine ~cfg () in
+          let r1 = E.analyse engine ~name:"pass-store" [ fig1 ] in
+          let stores = E.counter_value engine "engine.pass_cache_store" in
+          Alcotest.(check bool) "cold run stored pass results" true
+            (stores > 0);
+          remove ();
+          let oc = open_out_bin dir in
+          output_string oc "not a directory";
+          close_out oc;
+          let w0 = counter "store.write_error" in
+          let warnings =
+            count_warnings ~needle:"directory unavailable" (fun () ->
+                let r2 = E.analyse engine ~name:"pass-store" [ fig1 ] in
+                Alcotest.(check (list string))
+                  "verdicts unaffected" (diag_strs r1.E.r_diags)
+                  (diag_strs r2.E.r_diags))
+          in
+          Alcotest.(check int) "failed stores not counted" stores
+            (E.counter_value engine "engine.pass_cache_store");
+          Alcotest.(check bool) "write errors counted" true
+            (counter "store.write_error" > w0);
+          Alcotest.(check int) "one warning" 1 warnings))
 
 (* ------------------------------------------------- clean-path parity --- *)
 
@@ -483,4 +532,6 @@ let tests =
       test_cache_fault_injection_is_besteffort;
     Alcotest.test_case "clean path byte-identical" `Quick
       test_clean_path_unchanged;
+    Alcotest.test_case "pass cache counts only written stores" `Quick
+      test_pass_cache_counts_only_written_stores;
   ]

@@ -147,13 +147,12 @@ let test_disk_cache_warm_restart () =
       (Printf.sprintf "gcatch-fe-test-%d" (Unix.getpid ()))
   in
   rm_rf dir;
-  E.reset_disk_state ();
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
   let r1 = E.analyse (Gcatch.Passes.engine ~cfg ()) ~name:"disk" srcs in
   Alcotest.(check bool) "cold run left artifacts on disk" true
     (Array.exists
-       (fun f -> Filename.check_suffix f ".fe")
+       (fun f -> Filename.check_suffix f ".lower")
        (Sys.readdir dir));
   let e2 = Gcatch.Passes.engine ~cfg () in
   let edited = [ fig1; helper1; helper2 ^ "// trailing edit\n" ] in

@@ -528,6 +528,32 @@ let test_journal_truncation_recovery () =
             (contains ~needle rep))
         [ "gcatch journal report"; "truncated"; "per-stage wall time" ])
 
+(* The journal reader is a flat-object view over the shared JSON parser:
+   scalars only, and [None] for anything else, truncated lines included. *)
+let test_journal_parse_line () =
+  Alcotest.(check bool) "flat object" true
+    (Journal.parse_line
+       {|{"seq":3,"ts_ms":1.500,"event":"e\n","ok":true,"n":null}|}
+    = Some
+        [
+          ("seq", Journal.I 3);
+          ("ts_ms", Journal.F 1.5);
+          ("event", Journal.S "e\n");
+          ("ok", Journal.B true);
+          ("n", Journal.S "");
+        ]);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("rejects " ^ l) true (Journal.parse_line l = None))
+    [
+      {|{"seq":9,"ts_ms":123.0,"event":"pass.|};
+      {|{"a":[1]}|};
+      {|{"a":{"b":1}}|};
+      {|[1]|};
+      {|{"a":1} x|};
+      "";
+    ]
+
 (* Normalize a journal for cross-schedule comparison the same way the CI
    step does: drop schedule-dependent pool.* events, strip the volatile
    fields (seq, ts_ms, dur_ms, pid), then sort. *)
@@ -683,4 +709,5 @@ let tests =
     Alcotest.test_case "sampler stack table" `Quick test_sampler_stack_table;
     Alcotest.test_case "sampler diagnostic equality" `Quick
       test_sampler_diag_equality;
+    Alcotest.test_case "journal line parser" `Quick test_journal_parse_line;
   ]
