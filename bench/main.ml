@@ -1267,7 +1267,7 @@ type chaos_result = {
   ch_files : int;
   ch_loc : int;
   ch_cold_edit_s : float; (* one-file edit on a cold restarted daemon *)
-  ch_warm_edit_s : float; (* same edit after a snapshot reload *)
+  ch_warm_edit_s : float; (* same edit after a manifest preload *)
   ch_restart_speedup : float;
   ch_restart_identical : bool; (* warm edit diags == one-shot bytes *)
   ch_clients : int;
@@ -1576,8 +1576,9 @@ let eserve () =
 
 (* E-chaos (PR 10): crash-only serving.  Two measurements:
 
-   1. Restart warmth — a daemon that snapshotted its warm state and was
-      restarted must answer a one-file edit from the reloaded memos at
+   1. Restart warmth — a daemon restarted on its cache directory preloads
+      the entries its warm-state manifest names and must answer a
+      one-file edit from those memos at
       least 5x faster than a cold restart answering the same edit, with
       byte-identical diagnostics.
 
@@ -1670,39 +1671,35 @@ let echaos () =
   let expect_edit = one_shot_diags edited in
   Printf.printf "app: %d file(s), %d LoC\n\n" nfiles loc;
   (* a deployed gcatchd points --cache-dir at one directory and gets the
-     pass-result/per-file disk tiers plus the warm-state snapshot from
+     pass-result/per-file disk tiers plus the warm-state manifest from
      it; the cold control gets neither *)
-  let cfg =
-    {
-      Serve.default_cfg with
-      s_jobs = 1;
-      s_snapshot_dir = Some snap_dir;
-      s_detector =
-        { Gcatch.Bmoc.default_config with cache_dir = Some snap_dir };
-    }
-  in
-  (* daemon's first life: analyse, then snapshot on the way down *)
+  let detector = { Gcatch.Bmoc.default_config with cache_dir = Some snap_dir } in
+  let cfg = { Serve.default_cfg with s_jobs = 1; s_detector = detector } in
+  (* daemon's first life: the request rewrites the manifest *)
   Gcatch.Solve_cache.reset_memory ();
   let srv_a = Serve.create ~cfg () in
   ignore (timed_post srv_a (body_of sources));
-  if not (Serve.save_snapshot srv_a) then failwith "e-chaos: snapshot save";
+  let manifest_bytes =
+    try (Unix.stat (Snapshot.path ~dir:snap_dir)).Unix.st_size
+    with Unix.Unix_error _ -> failwith "e-chaos: no manifest written"
+  in
   (* cold restart control: no durable state, the edit pays a full run *)
   Gcatch.Solve_cache.reset_memory ();
   let srv_cold = Serve.create () in
   let _, cold_edit_s = timed_post srv_cold (body_of edited) in
-  (* warm restart: a fresh server loads the snapshot before serving *)
+  (* warm restart: a fresh server preloads the manifest before serving *)
   Gcatch.Solve_cache.reset_memory ();
   let srv_warm = Serve.create ~cfg () in
-  if not (Serve.load_snapshot srv_warm) then failwith "e-chaos: snapshot load";
+  if not (Serve.preload srv_warm) then failwith "e-chaos: manifest preload";
   let r_warm, warm_edit_s = timed_post srv_warm (body_of edited) in
   let restart_identical = diag_bytes r_warm.T.body = expect_edit in
   let restart_speedup = cold_edit_s /. max 1e-9 warm_edit_s in
   Printf.printf
     "one-file edit after restart:\n\
-    \  cold restart (no snapshot): %.3fs\n\
-    \  warm restart (snapshot reloaded): %.3fs\n\
+    \  cold restart (no cache directory): %.3fs\n\
+    \  warm restart (manifest of %d bytes preloaded): %.3fs\n\
     \  restart warmth: %.1fx   diagnostics byte-identical: %b\n\n"
-    cold_edit_s warm_edit_s restart_speedup restart_identical;
+    cold_edit_s manifest_bytes warm_edit_s restart_speedup restart_identical;
   if not restart_identical then
     failwith "e-chaos: warm-restart diagnostics differ from one-shot";
   if restart_speedup < 5.0 then
@@ -1715,7 +1712,7 @@ let echaos () =
       Serve.default_cfg with
       s_jobs = 1;
       s_max_queue = 16;
-      s_snapshot_dir = Some snap_dir;
+      s_detector = detector;
       s_quar_degraded = 3;
     }
   in
@@ -1744,9 +1741,9 @@ let echaos () =
   in
   let expect = Array.map one_shot_diags variants in
   let bodies = Array.map body_of variants in
-  (* warm all variants and snapshot, so quarantine rebuilds restart warm *)
+  (* warm all variants; the manifest they leave makes quarantine rebuilds
+     restart warm *)
   Array.iter (fun b -> ignore (timed_post srv b)) bodies;
-  if not (Serve.save_snapshot srv) then failwith "e-chaos: soak snapshot";
   (* the storm generator: re-arming the plan resets its nth counters, so
      the same early-occurrence faults keep recurring for the whole soak *)
   let chaos_on = Atomic.make true in

@@ -40,8 +40,8 @@ let stop_flag = Atomic.make false
 
 let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
     solver_timeout_ms max_heap_mb watch max_body_mb log_level log_json
-    inject_faults journal journal_fsync snapshot_interval_ms quarantine_errors
-    quarantine_degraded quarantine_breaches =
+    inject_faults journal journal_fsync quarantine_errors quarantine_degraded
+    quarantine_breaches =
   (match log_level with
   | None -> ()
   | Some s -> (
@@ -75,7 +75,7 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
       at_exit Goobs.Journal.close);
   (* validate --cache-dir up front: an unwritable directory or an
      incompatible snapshot is a usage error at startup, not a silent
-     degradation on the first snapshot tick *)
+     degradation on the first request *)
   (match cache_dir with
   | None -> ()
   | Some dir -> (
@@ -114,7 +114,6 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
       s_max_cache_mb = max_cache_mb;
       s_max_queue = max_queue;
       s_deadline_ms = request_deadline_ms;
-      s_snapshot_dir = cache_dir;
       s_quar_errors = quarantine_errors;
       s_quar_degraded = quarantine_degraded;
       s_quar_breaches = quarantine_breaches;
@@ -123,7 +122,7 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
   let srv = Serve.create ~cfg () in
   (* operator-facing like the port handshake below: restart scripts
      grep this to confirm the boot answered warm *)
-  if Serve.load_snapshot srv then
+  if Serve.preload srv then
     Printf.printf "gcatchd warm snapshot loaded\n%!";
   match
     T.start ?addr ?sock
@@ -148,27 +147,14 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
       else
         Printf.printf "gcatchd listening on %s\n%!"
           (Option.value sock ~default:"?");
-      let last_snap = ref (Unix.gettimeofday ()) in
       while not (Atomic.get stop_flag) do
-        Thread.delay 0.2;
-        if snapshot_interval_ms > 0 then begin
-          let now = Unix.gettimeofday () in
-          if
-            now -. !last_snap
-            >= float_of_int snapshot_interval_ms /. 1000.0
-          then begin
-            ignore (Serve.save_snapshot srv);
-            last_snap := Unix.gettimeofday ()
-          end
-        end
+        Thread.delay 0.2
       done;
       Log.info "gcatchd shutting down";
       (match watch with Some _ -> Serve.stop_watch srv | None -> ());
       T.stop server;
-      (* flush the warm state so the next boot answers warm from the
-         first request; a failed save is logged, never fatal *)
-      ignore (Serve.save_snapshot srv);
-      (* at_exit closes the journal (final flush) *)
+      (* nothing to flush: every request that changed the warm state has
+         already rewritten the manifest; at_exit closes the journal *)
       exit 0
 
 let addr_arg =
@@ -203,8 +189,11 @@ let cache_dir_arg =
     & opt (some string) (Sys.getenv_opt "GCATCH_CACHE_DIR")
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist the per-file artifact, pass-result, and solve caches and \
-           the warm snapshot in $(docv): a restarted daemon warms from disk")
+          "Persist the per-file artifact, pass-result and solve caches, the \
+           sources clients sent, and a manifest of the warm entries \
+           (gcatch-warm.snap, rewritten after each request that changed \
+           it) in $(docv): a restarted daemon preloads the manifest's \
+           entries and answers its first request warm")
 
 let max_cache_mb_arg =
   Arg.(
@@ -303,15 +292,6 @@ let journal_fsync_arg =
            (fsync every drain, so a SIGKILL loses at most the undrained \
            per-domain buffer tails)")
 
-let snapshot_interval_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "snapshot-interval-ms" ] ~docv:"MS"
-        ~doc:
-          "Snapshot the warm state (per-file memos, solve cache, content \
-           store) to --cache-dir every $(docv) ms, in addition to the \
-           SIGTERM flush; 0 (the default) snapshots on shutdown only")
-
 let quarantine_errors_arg =
   Arg.(
     value & opt int 0
@@ -350,7 +330,7 @@ let cmd =
       $ max_cache_mb_arg $ max_queue_arg $ request_deadline_arg
       $ solver_timeout_arg $ max_heap_arg $ watch_arg $ max_body_arg
       $ log_level_arg $ log_json_arg $ inject_faults_arg $ journal_arg
-      $ journal_fsync_arg $ snapshot_interval_arg $ quarantine_errors_arg
-      $ quarantine_degraded_arg $ quarantine_breaches_arg)
+      $ journal_fsync_arg $ quarantine_errors_arg $ quarantine_degraded_arg
+      $ quarantine_breaches_arg)
 
 let () = exit (Cmd.eval cmd)

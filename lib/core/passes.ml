@@ -61,27 +61,22 @@ let nb_diag (b : Nonblocking.nb_bug) : D.t =
 
 (* The traditional checkers all consume the primitive/operation map.
    Alias facts and the call graph come from the engine's cached stages;
-   [Primitives.collect] itself is memoized per artifact key so the five
-   checker passes pay for it once. *)
-let prims_cache : (string, Primitives.t) Hashtbl.t = Hashtbl.create 16
-let prims_mu = Mutex.create ()
+   [Primitives.collect] itself is derived once per artifact record, so
+   the five checker passes pay for it once and the map goes when the
+   engine drops the record. *)
+type E.derived += Prims of Primitives.t
 
 let prims_for (a : E.artifacts) : Primitives.t =
-  (* forced before taking the lock: forcing under [prims_mu] could hold
-     it across the whole frontend *)
+  (* forced before claiming the slot: a waiter must never park on the
+     whole frontend *)
   let ir = Lazy.force a.E.a_ir in
   let alias = Lazy.force a.E.a_alias in
-  Mutex.lock prims_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock prims_mu)
-    (fun () ->
-      match Hashtbl.find_opt prims_cache a.E.a_key with
-      | Some p -> p
-      | None ->
-          if Hashtbl.length prims_cache >= 256 then Hashtbl.reset prims_cache;
-          let p = Primitives.collect ir alias in
-          Hashtbl.add prims_cache a.E.a_key p;
-          p)
+  match
+    Goengine.Memo.find_or_compute a.E.a_derived "primitives" (fun () ->
+        (Prims (Primitives.collect ir alias), true))
+  with
+  | `Hit (Prims p) | `Computed (Prims p) -> p
+  | `Hit _ | `Computed _ -> assert false
 
 (* ----------------------------------------------------------- passes --- *)
 

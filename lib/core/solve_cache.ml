@@ -66,12 +66,22 @@ let set_memory_budget_mb mb =
 
 let memory_bytes () = Goengine.Memo.used_bytes mem
 
-(* Snapshot hooks for the serving layer: the memory tier as a sorted
-   (fingerprint, entry) list.  Entries are plain data (the disk tier
-   already marshals them), so a snapshot can carry them verbatim. *)
-let export_memory () : (string * entry) list = Goengine.Memo.export mem
-let import_memory (entries : (string * entry) list) =
-  Goengine.Memo.import mem entries
+(* Warm-state manifest hooks for the serving layer: the fingerprints
+   the memory tier holds, and a read of named fingerprints from the disk
+   tier into it (no hit/miss counted; a missing entry is skipped).
+   Returns the entries loaded. *)
+let keys () = Goengine.Memo.keys mem
+
+let preload ~dir fps =
+  let disk = Goengine.Store.at dir in
+  List.fold_left
+    (fun n fp ->
+      if
+        Goengine.Memo.preload mem fp (fun () ->
+            Option.map fst (Goengine.Store.read disk ~kind:"solve" ~key:fp))
+      then n + 1
+      else n)
+    0 fps
 
 (* -------------------------------------------------------- frontend --- *)
 

@@ -5,7 +5,7 @@ module D = Diagnostics
 
    An [Engine.t] owns an artifact cache and a registry of detector
    passes.  Artifacts are the per-stage products of the frontend —
-   tokens -> AST -> typed AST -> IR -> alias facts / call graph — and
+   AST -> typed AST -> IR -> alias facts / call graph — and
    are memoized per *source set*, keyed by a content hash, so analysing
    the same sources twice (bench E1–E8, GFix re-using GCatch's compile,
    multi-config CLI runs) performs exactly one parse/typecheck/lower.
@@ -20,12 +20,15 @@ module J = Goobs.Journal
 
 (* ------------------------------------------------------- artifacts --- *)
 
+(* Values that passes above the engine derive from one record and share
+   (the traditional checkers' primitive map).  Cached on the record
+   itself, so they live exactly as long as it does. *)
+type derived = ..
+
 type artifacts = {
   a_key : string;                 (* content hash of (name, sources) *)
   a_name : string;
   a_sources : string list;
-  a_tokens : Minigo.Lexer.token_info list list Lazy.t;
-  a_ast : Minigo.Ast.program Lazy.t;    (* parsed, not yet typed *)
   a_typed : Minigo.Ast.program Lazy.t;  (* type-checked, normalised *)
   a_ir : Goir.Ir.program Lazy.t;
   a_alias : Goanalysis.Alias.t Lazy.t;
@@ -38,6 +41,7 @@ type artifacts = {
          an edit that changes a file's content hash but not its
          compiled form (a trailing comment) still hits the pass
          cache. *)
+  a_derived : derived Memo.t;
 }
 
 (* ---------------------------------------------------------- passes --- *)
@@ -83,9 +87,9 @@ type run = {
    the stages that read cross-file context, the program's signature
    fingerprint).  Promise-keyed so concurrent analyses sharing a file
    compute each per-file unit at most once — which also keeps the
-   per-file stage counters schedule-independent. *)
+   per-file stage counters schedule-independent.  Tokens are not
+   memoised: a file is lexed only when its AST misses both tiers. *)
 type file_caches = {
-  fc_tokens : Minigo.Lexer.token_info list Memo.t;
   fc_ast : Minigo.Ast.file Memo.t;
   fc_sigs : Minigo.Typecheck.sig_item list Memo.t;
   fc_typed : Minigo.Ast.file Memo.t;
@@ -146,7 +150,6 @@ let create ?(max_entries = 512) ?(passes = []) ?(jobs = 1) ?pool ?registry
     store = Option.map Store.at cache_dir;
     fc =
       {
-        fc_tokens = Memo.create ();
         fc_ast = Memo.create ();
         fc_sigs = Memo.create ();
         fc_typed = Memo.create ();
@@ -184,74 +187,18 @@ let registry t = t.registry
 let set_registry t r = t.registry <- r
 
 (* Bound the per-file memo tables to roughly [mb] megabytes total, split
-   evenly across the six stages (the typed/lowered tables dominate in
+   evenly across the five stages (the typed/lowered tables dominate in
    practice, but an even split keeps small stages from being squeezed to
    zero).  Evictions are counted per engine under
    "engine.file_mem_evictions".  [mb <= 0] removes the bound. *)
 let set_cache_budget_mb (t : t) mb =
-  let per = if mb <= 0 then 0 else max 1 (mb * 1024 * 1024 / 6) in
+  let per = if mb <= 0 then 0 else max 1 (mb * 1024 * 1024 / 5) in
   let on_evict n = M.add (M.counter t.registry "engine.file_mem_evictions") n in
-  Memo.set_budget ~on_evict t.fc.fc_tokens ~bytes:per;
   Memo.set_budget ~on_evict t.fc.fc_ast ~bytes:per;
   Memo.set_budget ~on_evict t.fc.fc_sigs ~bytes:per;
   Memo.set_budget ~on_evict t.fc.fc_typed ~bytes:per;
   Memo.set_budget ~on_evict t.fc.fc_lowered ~bytes:per;
   Memo.set_budget ~on_evict t.fc.fc_facts ~bytes:per
-
-(* ---------------------------------------------------- warm state --- *)
-
-(* A marshallable image of everything that makes a long-lived engine
-   warm: the six per-file memo tiers plus the value-digest table that
-   feeds [a_content] (and through it the pass-result cache key).  The
-   serving layer snapshots this to disk so a restarted daemon answers
-   its first request warm.  Entry lists are sorted by key (Memo.export
-   guarantees it), so exporting the same engine state twice yields the
-   same bytes. *)
-type warm_state = {
-  ws_tokens : (string * Minigo.Lexer.token_info list) list;
-  ws_ast : (string * Minigo.Ast.file) list;
-  ws_sigs : (string * Minigo.Typecheck.sig_item list) list;
-  ws_typed : (string * Minigo.Ast.file) list;
-  ws_lowered : (string * Goir.Lower.lowered_file) list;
-  ws_facts :
-    (string
-    * (Goanalysis.Alias.func_summary list * Goanalysis.Callgraph.func_sites list))
-    list;
-  ws_digests : (string * string) list;
-}
-
-let export_warm_state (t : t) : warm_state =
-  let digests =
-    locked t (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.file_digests [])
-  in
-  {
-    ws_tokens = Memo.export t.fc.fc_tokens;
-    ws_ast = Memo.export t.fc.fc_ast;
-    ws_sigs = Memo.export t.fc.fc_sigs;
-    ws_typed = Memo.export t.fc.fc_typed;
-    ws_lowered = Memo.export t.fc.fc_lowered;
-    ws_facts = Memo.export t.fc.fc_facts;
-    ws_digests = List.sort compare digests;
-  }
-
-(* Marshalling loses string interning; re-intern the AST-bearing stages
-   on the way in, exactly as the disk tier does on read. *)
-let import_warm_state (t : t) (ws : warm_state) =
-  Memo.import t.fc.fc_tokens ws.ws_tokens;
-  Memo.import t.fc.fc_ast
-    (List.map (fun (k, v) -> (k, Minigo.Intern.file v)) ws.ws_ast);
-  Memo.import t.fc.fc_sigs ws.ws_sigs;
-  Memo.import t.fc.fc_typed
-    (List.map (fun (k, v) -> (k, Minigo.Intern.file v)) ws.ws_typed);
-  Memo.import t.fc.fc_lowered ws.ws_lowered;
-  Memo.import t.fc.fc_facts ws.ws_facts;
-  locked t (fun () ->
-      List.iter
-        (fun (k, d) ->
-          if not (Hashtbl.mem t.file_digests k) then
-            Hashtbl.replace t.file_digests k d)
-        ws.ws_digests)
 
 (* Read one engine counter by registry name (e.g. "stage.parse.runs",
    "engine.cache_hits"); unknown names read as 0. *)
@@ -309,6 +256,45 @@ let disk_digest (t : t) ~stage ~key =
       let d = Option.bind t.store (fun s -> Store.digest s ~kind:stage ~key) in
       Option.iter (record_digest t ~stage ~key) d;
       d
+
+(* ------------------------------------------------ warm manifest ---- *)
+
+(* The disk-backed memo tiers, by stage name: what a long-lived server
+   lists in its warm-state manifest ([memo_keys]) and reads back into a
+   fresh engine ([preload]).  Facts are memory-only and cheap to rebuild
+   from the lowered files, so they are not listed. *)
+let disk_tiers (t : t) =
+  let tier stage memo reintern =
+    let load key =
+      Memo.preload memo key (fun () ->
+          Option.map reintern (disk_read t ~stage ~key))
+    in
+    (stage, ((fun () -> Memo.keys memo), load))
+  in
+  [
+    tier "parse" t.fc.fc_ast Minigo.Intern.file;
+    tier "sig" t.fc.fc_sigs Fun.id;
+    tier "typecheck" t.fc.fc_typed Minigo.Intern.file;
+    tier "lower" t.fc.fc_lowered Fun.id;
+  ]
+
+let memo_keys (t : t) : (string * string list) list =
+  List.map (fun (stage, (keys, _)) -> (stage, keys ())) (disk_tiers t)
+
+(* Read the named entries into memory through the ordinary disk path
+   (digest check, re-interning, value-digest record, budget charge),
+   without touching any run counter.  Entries that are gone or unreadable
+   are skipped: they recompute on first use.  Returns the entries
+   loaded. *)
+let preload (t : t) (manifest : (string * string list) list) : int =
+  let tiers = disk_tiers t in
+  List.fold_left
+    (fun n (stage, keys) ->
+      match List.assoc_opt stage tiers with
+      | Some (_, load) ->
+          List.fold_left (fun n key -> if load key then n + 1 else n) n keys
+      | None -> n)
+    0 manifest
 
 (* ------------------------------------------- per-file stage units ---- *)
 
@@ -436,18 +422,15 @@ let build_artifacts (t : t) ~name sources : artifacts =
   in
   let grain = frontend_grain (List.length keyed) in
   let pmap f xs = Pool.map ~pool:t.pool ~grain f xs in
-  let lex_file (file, src, key) =
-    file_unit t ~stage:"lex" ~memo:t.fc.fc_tokens ~key ~file (fun () ->
-        Faults.trigger ~site:"frontend" ~key:file ();
-        Minigo.Lexer.tokenize ~file src)
-  in
-  let parse_file ((file, _, key) as fk) =
+  (* lexing is part of the parse unit; it keeps its own run counter,
+     bumped before the fault site so a faulting file still counts *)
+  let parse_file (file, src, key) =
     file_unit t ~stage:"parse" ~memo:t.fc.fc_ast ~key ~file ~disk:true
       ~reintern:Minigo.Intern.file (fun () ->
-        Minigo.Parser.parse_tokens ~file (lex_file fk))
+        M.incr (M.counter t.registry "stage.lex.runs");
+        Faults.trigger ~site:"frontend" ~key:file ();
+        Minigo.Parser.parse_tokens ~file (Minigo.Lexer.tokenize ~file src))
   in
-  let a_tokens = lazy (stage_span t "lex" (fun () -> pmap lex_file keyed)) in
-  let a_ast = lazy (stage_span t "parse" (fun () -> pmap parse_file keyed)) in
   (* a file's declaration signatures: the only cross-file input the
      downstream per-file stages read.  Keyed on content alone (no
      program fingerprint — signatures depend only on the file's own
@@ -613,13 +596,12 @@ let build_artifacts (t : t) ~name sources : artifacts =
     a_key = key_of ~name sources;
     a_name = name;
     a_sources = sources;
-    a_tokens;
-    a_ast;
     a_typed;
     a_ir;
     a_alias;
     a_callgraph;
     a_content;
+    a_derived = Memo.create ();
   }
 
 (* Look up (or create) the artifact record for a source set.  Stages are
@@ -685,7 +667,7 @@ let frontend_diag : exn -> D.t option = function
            (Printf.sprintf "lowering error: %s at %s" m
               (Minigo.Loc.to_string loc)))
   | Faults.Injected ("frontend", key) ->
-      (* the injection site sits in the per-file lexer loop; carry the
+      (* the injection site sits in each file's parse unit; carry the
          file name as a location so salvage can identify the file *)
       Some
         (D.v ~pass:"frontend/fault"
@@ -967,7 +949,7 @@ let frontend_failed (r : run) = r.r_artifacts = None
 (* ------------------------------------------- frontend profiling ------ *)
 
 (* The [top] source files with the largest cumulative frontend compute
-   time (lex + parse + typecheck + lower + facts), slowest first. *)
+   time (parse + sig + typecheck + lower + facts), slowest first. *)
 let slowest_files ?(top = 10) (t : t) : (string * float) list =
   let all =
     locked t (fun () ->
@@ -1016,7 +998,7 @@ let frontend_report ?(top = 10) (t : t) : string =
         line "  stage %-10s %8.1f ms across files / %8.1f ms wall = %.2fx \
               parallel"
           s files_ms wall (files_ms /. wall))
-    [ "lex"; "parse"; "typecheck"; "lower"; "facts" ];
+    [ "parse"; "typecheck"; "lower"; "facts" ];
   Buffer.contents b
 
 (* ------------------------------------------------- run rendering ----- *)

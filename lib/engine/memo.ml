@@ -116,42 +116,17 @@ let enforce_budget_locked t =
     if !evicted > 0 then t.on_evict !evicted
   end
 
-(* Snapshot support: [export] lists the completed entries (sorted by
-   key, so two exports of the same table are byte-identical after
-   marshalling); [import] seeds a table with previously exported
-   entries, skipping keys already present.  Imported entries are sized
-   and budget-charged exactly as computed ones, so a bounded table
-   enforces its budget over restored state too. *)
-
-let export t =
+(* The keys of the completed entries, sorted: gcatchd's warm-state
+   manifest names each tier's live entries by key. *)
+let keys t =
   Mutex.lock t.mu;
-  let entries =
+  let ks =
     Hashtbl.fold
-      (fun k s acc -> match s with Done c -> (k, c.v) :: acc | Computing -> acc)
+      (fun k s acc -> match s with Done _ -> k :: acc | Computing -> acc)
       t.tbl []
   in
   Mutex.unlock t.mu;
-  List.sort (fun (a, _) (b, _) -> compare a b) entries
-
-let import t entries =
-  List.iter
-    (fun (key, v) ->
-      (* size outside the lock, as in find_or_compute *)
-      let words =
-        if t.budget_words > 0 then
-          Obj.reachable_words (Obj.repr v) + String.length key / word_bytes + 8
-        else 0
-      in
-      Mutex.lock t.mu;
-      (match Hashtbl.find_opt t.tbl key with
-      | Some _ -> ()
-      | None ->
-          t.clock <- t.clock + 1;
-          Hashtbl.replace t.tbl key (Done { v; words; tick = t.clock });
-          t.used_words <- t.used_words + words;
-          enforce_budget_locked t);
-      Mutex.unlock t.mu)
-    entries
+  List.sort compare ks
 
 let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
     [ `Hit of 'v | `Computed of 'v ] =
@@ -211,3 +186,15 @@ let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
           Condition.broadcast t.cv;
           Mutex.unlock t.mu;
           raise e)
+
+(* Seed [key] from [load] when absent, with the same at-most-once claim
+   and budget charge as a computation; [load] returning [None] leaves the
+   key absent.  True when an entry was loaded. *)
+let preload t key load =
+  let exception Absent in
+  match
+    find_or_compute t key (fun () ->
+        match load () with Some v -> (v, true) | None -> raise Absent)
+  with
+  | `Computed _ -> true
+  | `Hit _ | (exception Absent) -> false

@@ -1,6 +1,6 @@
 (* The one on-disk format for every cached or persisted artifact: the
    per-file frontend tiers, detector pass results, per-channel solve
-   verdicts and gcatchd's warm snapshot.
+   verdicts, and gcatchd's sources and warm-state manifest.
 
    An entry is one file per (kind, key) under a directory handle:
 
@@ -30,14 +30,16 @@
      memory-only with ONE warning.
 
    Fault sites [<site>.read] / [<site>.write] ([site] is "cache" for the
-   analysis tiers, "snapshot" for the warm snapshot) mean the same on
-   every entry: raise/timeout is a counted I/O error, stall sleeps
-   (yielding inside a scheduled task), corrupt truncates the entry's
-   bytes — on disk for a write, as read for a read. *)
+   analysis tiers and sources, "snapshot" for the warm-state manifest)
+   mean the same on every entry: raise/timeout is a counted I/O error,
+   stall sleeps (yielding inside a scheduled task), corrupt truncates the
+   entry's bytes — on disk for a write, as read for a read. *)
 
 module M = Goobs.Metrics
 
-let format_version = "gcatch-store/1"
+(* Bumped whenever a kind's value type changes: Marshal is untyped, so an
+   entry written under another layout must read as a miss. *)
+let format_version = "gcatch-store/2"
 
 (* A directory handle.  Handles are shared per directory path, so the
    frontend, pass and solve tiers pointed at one --cache-dir retire

@@ -1050,7 +1050,6 @@ let build_sigs (prog : A.program) : sigs =
 type lowered_file = {
   lf_funcs : (string * Ir.func) list; (* in lowering order *)
   lf_pp_count : int;                  (* program points this file consumed *)
-  lf_captures : (string * string list) list; (* lifted name -> free vars *)
 }
 
 let lower_file (sigs : sigs) (file : A.file) : lowered_file =
@@ -1100,9 +1099,6 @@ let lower_file (sigs : sigs) (file : A.file) : lowered_file =
   {
     lf_funcs = List.rev !funcs;
     lf_pp_count = glob.pp_counter;
-    lf_captures =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) glob.g_captures []);
   }
 
 (* Accessors for per-file analysis passes that extract local facts from
@@ -1147,13 +1143,6 @@ let rebase_func off (f : Ir.func) : Ir.func =
           f.Ir.blocks;
     }
 
-(* The process-wide capture map behind the public [captures] API.
-   Assembly merges every file's captures in; the table accumulates
-   across programs (it is never reset: cached files are not re-lowered
-   on warm runs, so their entries must survive). *)
-let lit_captures : (string, string list) Hashtbl.t = Hashtbl.create 16
-let lit_captures_mu = Mutex.create ()
-
 let assemble (prog : A.program) (files : lowered_file list) : Ir.program =
   let funcs = Hashtbl.create 16 in
   let off = ref 0 in
@@ -1162,11 +1151,6 @@ let assemble (prog : A.program) (files : lowered_file list) : Ir.program =
       List.iter
         (fun (name, f) -> Hashtbl.replace funcs name (rebase_func !off f))
         lf.lf_funcs;
-      Mutex.lock lit_captures_mu;
-      List.iter
-        (fun (name, fvs) -> Hashtbl.replace lit_captures name fvs)
-        lf.lf_captures;
-      Mutex.unlock lit_captures_mu;
       off := !off + lf.lf_pp_count)
     files;
   let main = if Hashtbl.mem funcs "main" then Some "main" else None in
@@ -1175,11 +1159,3 @@ let assemble (prog : A.program) (files : lowered_file list) : Ir.program =
 let lower_program (prog : A.program) : Ir.program =
   let sigs = build_sigs prog in
   assemble prog (List.map (lower_file sigs) prog)
-
-(* Mapping from lifted literal name to the free variables it captures;
-   exposed for the runtime and tests. *)
-let captures name =
-  Mutex.lock lit_captures_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lit_captures_mu)
-    (fun () -> Hashtbl.find_opt lit_captures name)

@@ -50,6 +50,3 @@ val assemble : Minigo.Ast.program -> lowered_file list -> Ir.program
 (** Rebase and merge per-file results, in file order, into one
     program.  Rebasing deep-copies blocks, so a cached [lowered_file]
     may appear at different offsets in different programs. *)
-
-val captures : string -> string list option
-(** Free variables captured by a lifted literal, by lifted name. *)

@@ -178,7 +178,6 @@ type cfg = {
   s_max_queue : int; (* admitted (queued + running) request bound *)
   s_deadline_ms : int option; (* per-request SLO *)
   s_max_artifact_sets : int; (* engine artifact-cache LRU size *)
-  s_snapshot_dir : string option; (* warm-state snapshot home *)
   s_quar_errors : int; (* consecutive internal-error requests tripping
                           quarantine; 0 disables this threshold *)
   s_quar_degraded : int; (* consecutive requests with degraded units *)
@@ -193,7 +192,6 @@ let default_cfg =
     s_max_queue = 16;
     s_deadline_ms = None;
     s_max_artifact_sets = 8;
-    s_snapshot_dir = None;
     (* every threshold off by default: an unconfigured server behaves
        exactly as before this feature existed *)
     s_quar_errors = 0;
@@ -213,6 +211,8 @@ type t = {
   rid : int Atomic.t;
   store_mu : Mutex.t;
   store : (string, string) Hashtbl.t; (* content digest -> source *)
+  mutable manifest : Snapshot.manifest option;
+      (* the warm-state manifest last written, under run_mu *)
   infl_mu : Mutex.t;
   infl_cv : Condition.t;
   inflight : (string, T.response option ref) Hashtbl.t;
@@ -228,8 +228,8 @@ type t = {
 
 let counter t name = M.counter t.registry name
 
-let create ?(cfg = default_cfg) () : t =
-  let registry = M.default in
+(* A fresh engine for [cfg], at boot and on every quarantine rebuild. *)
+let new_engine cfg registry =
   let engine =
     Gcatch.Passes.engine ~cfg:cfg.s_detector ~jobs:cfg.s_jobs ~registry
       ~max_entries:cfg.s_max_artifact_sets ()
@@ -240,8 +240,12 @@ let create ?(cfg = default_cfg) () : t =
     E.set_cache_budget_mb engine (max 1 (cfg.s_max_cache_mb * 3 / 4));
     Gcatch.Solve_cache.set_memory_budget_mb (max 1 (cfg.s_max_cache_mb / 4))
   end;
+  engine
+
+let create ?(cfg = default_cfg) () : t =
+  let registry = M.default in
   {
-    engine;
+    engine = new_engine cfg registry;
     registry;
     cfg;
     run_mu = Mutex.create ();
@@ -249,6 +253,7 @@ let create ?(cfg = default_cfg) () : t =
     rid = Atomic.make 0;
     store_mu = Mutex.create ();
     store = Hashtbl.create 256;
+    manifest = None;
     infl_mu = Mutex.create ();
     infl_cv = Condition.create ();
     inflight = Hashtbl.create 16;
@@ -268,13 +273,44 @@ let quarantined t = Atomic.get t.quarantined
    remembered by digest, so later requests can send digests only.  The
    store is content-addressed and idempotent; it is bounded only by what
    clients actually send — sources dwarfed by the memo tables the
-   --max-cache-mb budget already bounds. *)
+   --max-cache-mb budget already bounds.  With a cache directory each
+   new source is also a Store entry of kind "src", read back on a digest
+   the memory table lacks, so a restarted daemon still resolves the
+   digests its clients send.  An entry already on disk (a restarted
+   daemon's clients resending what it saw before) is not rewritten; a
+   corrupt one is dropped by the read that finds it, and the client's
+   resend after the 409 writes it afresh. *)
+let cache_dir t = t.cfg.s_detector.Gcatch.Bmoc.cache_dir
+
 let remember t src =
   let d = Digest.to_hex (Digest.string src) in
   Mutex.lock t.store_mu;
-  if not (Hashtbl.mem t.store d) then Hashtbl.add t.store d src;
+  let fresh = not (Hashtbl.mem t.store d) in
+  if fresh then Hashtbl.add t.store d src;
   Mutex.unlock t.store_mu;
+  (match cache_dir t with
+  | Some dir when fresh ->
+      let s = Goengine.Store.at dir in
+      if not (Sys.file_exists (Goengine.Store.path s ~kind:"src" ~key:d)) then
+        ignore (Goengine.Store.write s ~kind:"src" ~key:d src)
+  | _ -> ());
   d
+
+let recall t d =
+  Mutex.lock t.store_mu;
+  let r = Hashtbl.find_opt t.store d in
+  Mutex.unlock t.store_mu;
+  match (r, cache_dir t) with
+  | Some s, _ -> Some s
+  | None, None -> None
+  | None, Some dir ->
+      Option.map
+        (fun (s, _) ->
+          Mutex.lock t.store_mu;
+          Hashtbl.replace t.store d s;
+          Mutex.unlock t.store_mu;
+          s)
+        (Goengine.Store.read (Goengine.Store.at dir) ~kind:"src" ~key:d)
 
 let resolve t (files : (string * [ `Src of string | `Digest of string ]) list)
     : (string list, string list) result =
@@ -287,10 +323,7 @@ let resolve t (files : (string * [ `Src of string | `Digest of string ]) list)
             ignore (remember t s);
             s
         | `Digest d -> (
-            Mutex.lock t.store_mu;
-            let r = Hashtbl.find_opt t.store d in
-            Mutex.unlock t.store_mu;
-            match r with
+            match recall t d with
             | Some s -> s
             | None ->
                 missing := d :: !missing;
@@ -301,82 +334,61 @@ let resolve t (files : (string * [ `Src of string | `Digest of string ]) list)
 
 (* ------------------------------------------- durable warm state ------- *)
 
-(* Import a snapshot payload into the live server.  Caller holds
-   [run_mu] (no engine session in flight). *)
-let import_payload_locked (t : t) (p : Snapshot.payload) =
-  E.import_warm_state t.engine p.Snapshot.p_engine;
-  Gcatch.Solve_cache.import_memory p.Snapshot.p_solve;
-  Mutex.lock t.store_mu;
-  List.iter
-    (fun (d, s) -> if not (Hashtbl.mem t.store d) then Hashtbl.add t.store d s)
-    p.Snapshot.p_store;
-  Mutex.unlock t.store_mu;
-  M.incr (counter t "serve.snapshot_loads");
-  if J.enabled () then
-    J.emit ~event:"snapshot.load"
-      [
-        ("solve_entries", J.I (List.length p.Snapshot.p_solve));
-        ("sources", J.I (List.length p.Snapshot.p_store));
-      ]
+(* The warm-state manifest names the entries of the engine's disk-backed
+   memo tiers and of the solve cache; the values stay in the Store alone.
+   Caller holds [run_mu] (no engine session in flight). *)
+let current_manifest (t : t) : Snapshot.manifest =
+  {
+    Snapshot.m_files = E.memo_keys t.engine;
+    m_solve = Gcatch.Solve_cache.keys ();
+  }
 
-(* Reload the last good snapshot into a (fresh or restarted) server.
-   Returns false when there is nothing valid to load — which is a clean
-   cold start, never an error. *)
-let load_snapshot (t : t) : bool =
-  match t.cfg.s_snapshot_dir with
+(* After a request: rewrite the manifest when the request changed a tier's
+   key set, so a crash at any point restarts from the last request.  A
+   failed write is retried after the next request. *)
+let update_manifest_locked (t : t) =
+  match cache_dir t with
+  | None -> ()
+  | Some dir -> (
+      let m = current_manifest t in
+      if t.manifest <> Some m then
+        match Snapshot.save ~dir m with
+        | Ok () ->
+            t.manifest <- Some m;
+            M.incr (counter t "serve.snapshot_saves")
+        | Error e ->
+            M.incr (counter t "serve.snapshot_errors");
+            Log.warn ~kv:[ ("error", e) ] "snapshot save failed")
+
+(* Read every entry the manifest names into the memory tiers.  False when
+   there is no valid manifest — a clean cold start, never an error.
+   Caller holds [run_mu]. *)
+let preload_locked (t : t) : bool =
+  match cache_dir t with
   | None -> false
   | Some dir -> (
       match Snapshot.load ~dir with
       | None -> false
-      | Some p ->
-          Mutex.lock t.run_mu;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.run_mu)
-            (fun () -> import_payload_locked t p);
+      | Some m ->
+          let files = E.preload t.engine m.Snapshot.m_files in
+          let solve = Gcatch.Solve_cache.preload ~dir m.Snapshot.m_solve in
+          t.manifest <- Some m;
+          M.incr (counter t "serve.snapshot_loads");
+          if J.enabled () then
+            J.emit ~event:"snapshot.load"
+              [ ("file_entries", J.I files); ("solve_entries", J.I solve) ];
           true)
 
-(* Write the warm state to disk: quiesce (take [run_mu]), export, then
-   marshal outside the lock — the atomic temp+rename write means a
-   crash mid-save leaves the previous snapshot intact. *)
-let save_snapshot (t : t) : bool =
-  match t.cfg.s_snapshot_dir with
-  | None -> false
-  | Some dir -> (
-      let p =
-        Mutex.lock t.run_mu;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.run_mu)
-          (fun () ->
-            Mutex.lock t.store_mu;
-            let store =
-              Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
-            in
-            Mutex.unlock t.store_mu;
-            {
-              Snapshot.p_engine = E.export_warm_state t.engine;
-              p_solve = Gcatch.Solve_cache.export_memory ();
-              p_store = List.sort compare store;
-            })
-      in
-      match Snapshot.save ~dir p with
-      | Ok () ->
-          M.incr (counter t "serve.snapshot_saves");
-          if J.enabled () then
-            J.emit ~event:"snapshot.save"
-              [
-                ("solve_entries", J.I (List.length p.Snapshot.p_solve));
-                ("sources", J.I (List.length p.Snapshot.p_store));
-              ];
-          true
-      | Error e ->
-          M.incr (counter t "serve.snapshot_errors");
-          Log.warn ~kv:[ ("error", e) ] "snapshot save failed";
-          false)
+let preload (t : t) : bool =
+  Mutex.lock t.run_mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.run_mu)
+    (fun () -> preload_locked t)
 
 (* ------------------------------------------- self-healing rebuild ----- *)
 
-(* Tear the poisoned engine down and stand a fresh one up from the last
-   good snapshot, without dropping the listener.  Runs on its own
+(* Tear the poisoned engine down and stand a fresh one up, preloaded from
+   the manifest, without dropping the listener.  Runs on its own
    thread (the tripping request still holds [run_mu] when it spawns
    us); [t.quarantined] is already set, so every request arriving
    meanwhile answers 503 + Retry-After instead of queueing behind the
@@ -390,24 +402,13 @@ let rebuild_engine (t : t) ~reason : unit =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.run_mu)
     (fun () ->
-      let e =
-        Gcatch.Passes.engine ~cfg:t.cfg.s_detector ~jobs:t.cfg.s_jobs
-          ~registry:t.registry ~max_entries:t.cfg.s_max_artifact_sets ()
-      in
-      if t.cfg.s_max_cache_mb > 0 then
-        E.set_cache_budget_mb e (max 1 (t.cfg.s_max_cache_mb * 3 / 4));
       Gcatch.Solve_cache.reset_memory ();
-      t.engine <- e;
+      t.engine <- new_engine t.cfg t.registry;
       (* the heap latch guarded state that just went away with the old
          engine; clear it and let the fresh engine earn its own verdict *)
       Atomic.set Goengine.Supervise.heap_tripped false;
       Gc.compact ();
-      (match t.cfg.s_snapshot_dir with
-      | Some dir -> (
-          match Snapshot.load ~dir with
-          | Some p -> import_payload_locked t p
-          | None -> ())
-      | None -> ()));
+      ignore (preload_locked t));
   Mutex.lock t.sup_mu;
   t.sk_errors <- 0;
   t.sk_degraded <- 0;
@@ -549,6 +550,7 @@ let execute (t : t) ~rid (req : req) (sources : string list) : T.response =
         in
         E.set_registry t.engine t.registry;
         M.merge_into ~dst:t.registry req_reg;
+        update_manifest_locked t;
         (match t.cfg.s_deadline_ms with
         | Some _ -> Goengine.Supervise.clear_deadline ()
         | None -> ());

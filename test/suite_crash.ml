@@ -1,11 +1,11 @@
-(* Crash-only gcatchd tests (PR 10): a snapshot round-trips the warm
-   state so a restarted server answers a one-file edit from memory with
-   byte-identical diagnostics, corrupt or mismatched snapshots fall back
-   to a clean cold start, a solver-fault storm quarantines the engine
-   and a background rebuild restores byte-correct service, the retrying
-   client honours Retry-After against a saturated queue and rides out
-   connection-level chaos, and the journal's fsync policy keeps events
-   durable without a clean close. *)
+(* Crash-only gcatchd tests: the warm-state manifest lets a restarted
+   server answer a one-file edit from preloaded memos with byte-identical
+   diagnostics (even when an entry it names is gone), corrupt or
+   mismatched manifests fall back to a clean cold start, a solver-fault
+   storm quarantines the engine and a background rebuild restores
+   byte-correct service, the retrying client honours Retry-After against
+   a saturated queue and rides out connection-level chaos, and the
+   journal's fsync policy keeps events durable without a clean close. *)
 
 module E = Goengine.Engine
 module F = Goengine.Faults
@@ -104,53 +104,111 @@ let set_plan s =
   | Ok specs -> F.set_plan specs
   | Error e -> Alcotest.fail e
 
-(* ------------------------------------------- snapshot warm round-trip --- *)
+(* ------------------------------------------- manifest warm restart --- *)
 
-(* Server A analyses a two-file program and snapshots its warm state.
-   A fresh server B (the "restarted daemon") loads the snapshot and
-   answers a one-file edit: the unedited file must come from the memo
-   tiers, the unchanged channel from the solve cache's memory tier, and
-   the diagnostics must be byte-identical to a cold one-shot run. *)
-let test_snapshot_roundtrip () =
+(* gcatchd's configuration for a cache directory: the detector's
+   --cache-dir is also where the warm-state manifest lives. *)
+let cfg_at ?(cfg = Serve.default_cfg) dir =
+  {
+    cfg with
+    Serve.s_detector = { Gcatch.Bmoc.default_config with cache_dir = Some dir };
+  }
+
+(* simulate process death: the solve cache's memory tier is global
+   state that would die with the process *)
+let restart () = Gcatch.Solve_cache.reset_memory ()
+
+(* Counter deltas over [f]. *)
+let deltas names f =
+  let before = List.map pv names in
+  let r = f () in
+  (r, List.map2 (fun n b -> (n, pv n - b)) names before)
+
+(* Server A analyses a two-file program; its request leaves the
+   manifest.  A fresh server B on the same cache directory (the
+   restarted daemon) preloads it and answers a one-file edit: only the
+   edited file compiles, nothing is read from disk during the request,
+   and the diagnostics are byte-identical to a cold one-shot run. *)
+let test_manifest_restart () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg = { Serve.default_cfg with Serve.s_snapshot_dir = Some dir } in
+  let cfg = cfg_at dir in
   let sources = [ leak "Snap"; clean ] in
   let edited = [ leak "Snap"; clean_edited ] in
   let expect = local_diag_bytes ~jobs:1 edited in
-  with_server ~cfg (fun srv server ->
+  restart ();
+  with_server ~cfg (fun _ server ->
       let code, _ = T.fetch_post server "/analyse" (body_of_sources sources) in
-      Alcotest.(check int) "warm-up status" 200 code;
-      Alcotest.(check bool) "snapshot saved" true (Serve.save_snapshot srv));
-  Alcotest.(check bool) "snapshot file exists" true
-    (Sys.file_exists (Snapshot.path ~dir));
-  Alcotest.(check bool) "snapshot checks valid" true
+      Alcotest.(check int) "warm-up status" 200 code);
+  Alcotest.(check bool) "request left a valid manifest" true
     (Snapshot.check ~dir = Snapshot.Valid);
-  (* simulate process death: the solve cache's memory tier is global
-     state that would die with the process *)
-  Gcatch.Solve_cache.reset_memory ();
+  restart ();
   with_server ~cfg (fun srv server ->
-      Alcotest.(check bool) "snapshot loaded" true (Serve.load_snapshot srv);
-      Alcotest.(check bool) "load counted" true (pv "serve.snapshot_loads" > 0);
-      let mem0 = pv "engine.file_mem_hit" in
-      let solve0 = pv "bmoc.solve_cache_hit" in
-      let code, body =
-        T.fetch_post server "/analyse" (body_of_sources edited)
+      let loads0 = pv "serve.snapshot_loads" in
+      Alcotest.(check bool) "manifest preloaded" true (Serve.preload srv);
+      Alcotest.(check int) "load counted" 1 (pv "serve.snapshot_loads" - loads0);
+      let (code, body), d =
+        deltas
+          [
+            "stage.typecheck.runs";
+            "stage.lower.runs";
+            "engine.file_disk_hit";
+            "bmoc.solve_cache_disk_hit";
+            "engine.file_mem_hit";
+            "bmoc.solve_cache_hit";
+          ]
+          (fun () -> T.fetch_post server "/analyse" (body_of_sources edited))
       in
+      let d n = List.assoc n d in
       Alcotest.(check int) "edit status" 200 code;
-      Alcotest.(check bool) "warm memo hit after restart" true
-        (pv "engine.file_mem_hit" > mem0);
-      Alcotest.(check bool) "warm solve hit after restart" true
-        (pv "bmoc.solve_cache_hit" > solve0);
+      Alcotest.(check int) "one typecheck" 1 (d "stage.typecheck.runs");
+      Alcotest.(check int) "one lower" 1 (d "stage.lower.runs");
+      Alcotest.(check int) "no per-file disk read" 0 (d "engine.file_disk_hit");
+      Alcotest.(check int) "no solve disk read" 0 (d "bmoc.solve_cache_disk_hit");
+      Alcotest.(check bool) "preloaded memo hit" true (d "engine.file_mem_hit" > 0);
+      Alcotest.(check bool) "preloaded solve hit" true
+        (d "bmoc.solve_cache_hit" > 0);
       Alcotest.(check string) "edit diagnostics byte-identical" expect
         (diag_bytes_of_response body))
 
-(* --------------------------------------- corrupt / mismatched snapshot --- *)
+(* A manifest can outlive the entries it names (a cleaned cache
+   directory, a crash between writes): the missing ones recompute. *)
+let test_manifest_missing_entry () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = cfg_at dir in
+  let edited = [ leak "Gone"; clean_edited ] in
+  let expect = local_diag_bytes ~jobs:1 edited in
+  with_server ~cfg (fun _ server ->
+      let code, _ =
+        T.fetch_post server "/analyse" (body_of_sources [ leak "Gone"; clean ])
+      in
+      Alcotest.(check int) "warm-up status" 200 code);
+  let lowered =
+    List.filter (fun n -> Filename.check_suffix n ".lower")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check int) "one lower entry per file" 2 (List.length lowered);
+  List.iter (fun n -> Sys.remove (Filename.concat dir n)) lowered;
+  restart ();
+  with_server ~cfg (fun srv server ->
+      Alcotest.(check bool) "manifest still preloads" true (Serve.preload srv);
+      let (code, body), d =
+        deltas [ "stage.lower.runs" ] (fun () ->
+            T.fetch_post server "/analyse" (body_of_sources edited))
+      in
+      Alcotest.(check int) "edit status" 200 code;
+      Alcotest.(check int) "both files re-lowered" 2
+        (List.assoc "stage.lower.runs" d);
+      Alcotest.(check string) "diagnostics byte-identical" expect
+        (diag_bytes_of_response body))
+
+(* --------------------------------------- corrupt / mismatched manifest --- *)
 
 let test_corrupt_snapshot_cold_start () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg = { Serve.default_cfg with Serve.s_snapshot_dir = Some dir } in
+  let cfg = cfg_at dir in
   let fp = Snapshot.path ~dir in
   (* garbage bytes: digest check fails *)
   write_file fp "this is not a snapshot, but it is long enough to try";
@@ -158,10 +216,10 @@ let test_corrupt_snapshot_cold_start () =
     (Snapshot.check ~dir = Snapshot.Corrupt);
   with_server ~cfg (fun srv server ->
       Alcotest.(check bool) "corrupt snapshot rejected" false
-        (Serve.load_snapshot srv);
+        (Serve.preload srv);
       Alcotest.(check bool) "corrupt snapshot deleted" false
         (Sys.file_exists fp);
-      (* the cold server still answers correctly *)
+      (* the cold server still answers correctly, and leaves a manifest *)
       let sources = [ leak "Cold"; clean ] in
       let expect = local_diag_bytes ~jobs:1 sources in
       let code, body =
@@ -169,9 +227,8 @@ let test_corrupt_snapshot_cold_start () =
       in
       Alcotest.(check int) "cold status" 200 code;
       Alcotest.(check string) "cold diagnostics" expect
-        (diag_bytes_of_response body);
-      (* truncate a real snapshot mid-file: same clean recovery *)
-      Alcotest.(check bool) "snapshot saved" true (Serve.save_snapshot srv));
+        (diag_bytes_of_response body));
+  (* truncate a real manifest mid-file: same clean recovery *)
   let raw =
     let ic = open_in_bin fp in
     let s = really_input_string ic (in_channel_length ic) in
@@ -184,13 +241,20 @@ let test_corrupt_snapshot_cold_start () =
   Alcotest.(check bool) "truncated snapshot rejected" true
     (Snapshot.load ~dir = None);
   Alcotest.(check bool) "truncated snapshot deleted" false (Sys.file_exists fp);
-  (* a version-mismatched snapshot is reported but never deleted *)
+  (* an entry of the previous store version is reported, never deleted *)
+  let vbytes = Marshal.to_string () [] in
   let body =
-    Marshal.to_string "gcatch-snapshot/0" [] ^ Marshal.to_string () []
+    Marshal.to_string
+      ( "gcatch-store/1",
+        Snapshot.kind,
+        Snapshot.key,
+        Digest.to_hex (Digest.string vbytes) )
+      []
+    ^ vbytes
   in
   write_file fp (Digest.string body ^ body);
   Alcotest.(check bool) "old version classified" true
-    (Snapshot.check ~dir = Snapshot.Version_mismatch "gcatch-snapshot/0");
+    (Snapshot.check ~dir = Snapshot.Version_mismatch "gcatch-store/1");
   Alcotest.(check bool) "old version not loaded" true
     (Snapshot.load ~dir = None);
   Alcotest.(check bool) "old version preserved for inspection" true
@@ -198,39 +262,44 @@ let test_corrupt_snapshot_cold_start () =
 
 (* ------------------------------------------------ snapshot fault sites --- *)
 
+(* Each request below brings a new source, so each one rewrites the
+   manifest. *)
 let test_snapshot_fault_sites () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg = { Serve.default_cfg with Serve.s_snapshot_dir = Some dir } in
-  with_server ~cfg (fun srv server ->
-      let code, _ =
-        T.fetch_post server "/analyse" (body_of_sources [ leak "FS" ])
+  with_server ~cfg:(cfg_at dir) (fun _ server ->
+      let post name =
+        let code, _ =
+          T.fetch_post server "/analyse" (body_of_sources [ leak name ])
+        in
+        Alcotest.(check int) "request status" 200 code
       in
-      Alcotest.(check int) "warm-up status" 200 code;
-      (* a raise on snapshot.write fails the save and is counted *)
+      (* a raise on snapshot.write fails the request's manifest write,
+         counted, while the request itself still answers *)
       let errs0 = pv "serve.snapshot_errors" in
       set_plan "snapshot.write:*!raise";
-      Fun.protect ~finally:F.clear (fun () ->
-          Alcotest.(check bool) "faulted save fails" false
-            (Serve.save_snapshot srv));
-      Alcotest.(check bool) "save error counted" true
-        (pv "serve.snapshot_errors" > errs0);
-      Alcotest.(check bool) "no snapshot written" false
+      Fun.protect ~finally:F.clear (fun () -> post "FS");
+      Alcotest.(check int) "save error counted" 1
+        (pv "serve.snapshot_errors" - errs0);
+      Alcotest.(check bool) "no manifest written" false
         (Sys.file_exists (Snapshot.path ~dir));
       (* a corrupt-action write truncates the bytes on disk; the next
          load must treat that as a cold start and delete the file *)
+      let saves0 = pv "serve.snapshot_saves" in
       set_plan "snapshot.write:*!corrupt";
-      Fun.protect ~finally:F.clear (fun () ->
-          Alcotest.(check bool) "corrupting save reports success" true
-            (Serve.save_snapshot srv));
-      Alcotest.(check bool) "corrupted snapshot on disk" true
+      Fun.protect ~finally:F.clear (fun () -> post "FSCorrupt");
+      Alcotest.(check int) "corrupting save reports success" 1
+        (pv "serve.snapshot_saves" - saves0);
+      Alcotest.(check bool) "corrupted manifest on disk" true
         (Sys.file_exists (Snapshot.path ~dir));
-      Alcotest.(check bool) "corrupted snapshot rejected" true
+      Alcotest.(check bool) "corrupted manifest rejected" true
         (Snapshot.load ~dir = None);
-      Alcotest.(check bool) "corrupted snapshot deleted" false
+      Alcotest.(check bool) "corrupted manifest deleted" false
         (Sys.file_exists (Snapshot.path ~dir));
-      (* a good snapshot plus a snapshot.read fault: load declines *)
-      Alcotest.(check bool) "clean save" true (Serve.save_snapshot srv);
+      (* a good manifest plus a snapshot.read fault: load declines *)
+      post "FSClean";
+      Alcotest.(check bool) "clean manifest" true
+        (Snapshot.check ~dir = Snapshot.Valid);
       set_plan "snapshot.read:*!raise";
       Fun.protect ~finally:F.clear (fun () ->
           Alcotest.(check bool) "faulted load declines" true
@@ -241,28 +310,24 @@ let test_snapshot_fault_sites () =
 (* --------------------------------------------------- quarantine rebuild --- *)
 
 (* A solver-fault storm degrades consecutive runs; once the streak
-   crosses --quarantine-degraded the engine is quarantined and rebuilt
-   from the last good snapshot on a background thread, without dropping
+   crosses --quarantine-degraded the engine is quarantined and rebuilt,
+   preloaded from the manifest, on a background thread without dropping
    the listener.  After the storm clears, the rebuilt engine must
    answer with byte-correct diagnostics. *)
 let test_quarantine_rebuild_under_solver_storm () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg =
-    {
-      Serve.default_cfg with
-      Serve.s_snapshot_dir = Some dir;
-      Serve.s_quar_degraded = 2;
-    }
-  in
+  let cfg = cfg_at ~cfg:{ Serve.default_cfg with Serve.s_quar_degraded = 2 } dir in
   with_server ~cfg (fun srv server ->
       let code, _ =
         T.fetch_post server "/analyse" (body_of_sources [ leak "Good" ])
       in
       Alcotest.(check int) "healthy warm-up" 200 code;
-      Alcotest.(check bool) "snapshot saved" true (Serve.save_snapshot srv);
+      Alcotest.(check bool) "manifest written" true
+        (Snapshot.check ~dir = Snapshot.Valid);
       let rebuilds0 = pv "serve.engine_rebuilds" in
       let quars0 = pv "serve.quarantines" in
+      let loads0 = pv "serve.snapshot_loads" in
       set_plan "solver:*!raise";
       Fun.protect ~finally:F.clear (fun () ->
           (* two consecutive degraded runs trip the streak *)
@@ -276,6 +341,8 @@ let test_quarantine_rebuild_under_solver_storm () =
           wait_for (fun () -> pv "serve.engine_rebuilds" > rebuilds0));
       Alcotest.(check bool) "quarantine counted" true
         (pv "serve.quarantines" > quars0);
+      Alcotest.(check bool) "rebuild preloaded the manifest" true
+        (pv "serve.snapshot_loads" > loads0);
       wait_for (fun () -> not (Serve.quarantined srv));
       let sources = [ leak "AfterStorm"; clean ] in
       let expect = local_diag_bytes ~jobs:1 sources in
@@ -385,8 +452,9 @@ let test_journal_fsync_policy () =
 
 let tests =
   [
-    Alcotest.test_case "snapshot warm round-trip" `Quick
-      test_snapshot_roundtrip;
+    Alcotest.test_case "snapshot warm round-trip" `Quick test_manifest_restart;
+    Alcotest.test_case "manifest names a deleted entry" `Quick
+      test_manifest_missing_entry;
     Alcotest.test_case "corrupt snapshot cold start" `Quick
       test_corrupt_snapshot_cold_start;
     Alcotest.test_case "snapshot fault sites" `Quick test_snapshot_fault_sites;

@@ -176,6 +176,34 @@ let test_json_escaping () =
   Alcotest.(check bool) "escaped" true
     (contains ~needle:{|quote \" backslash \\ newline \n tab \t|} j)
 
+(* ---- derived per-record state follows the artifact LRU ---- *)
+
+(* The traditional checkers' primitive map (which holds a whole IR
+   program) must go when the engine evicts its artifact record, not
+   outlive it in a process-wide table. *)
+let test_prims_follow_artifact_lru () =
+  let max_entries = 4 and sets = 12 in
+  let e = Gcatch.Passes.engine ~max_entries () in
+  let maps = Weak.create sets in
+  let analyse_set i =
+    let src = Printf.sprintf "package p\nfunc F%d() {\n\tprintln(%d)\n}\n" i i in
+    match (analyse e src).E.r_artifacts with
+    | Some a -> Weak.set maps i (Some (Gcatch.Passes.prims_for a))
+    | None -> Alcotest.fail "frontend failed"
+  in
+  for i = 0 to sets - 1 do
+    analyse_set i
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to sets - 1 do
+    if Weak.check maps i then incr live
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d primitive maps live, at most %d" !live sets
+       max_entries)
+    true (!live <= max_entries)
+
 let tests =
   [
     Alcotest.test_case "parse error -> diagnostic" `Quick test_parse_error_diag;
@@ -193,4 +221,6 @@ let tests =
       test_duplicate_pass_rejected;
     Alcotest.test_case "json output" `Quick test_json_output;
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
+    Alcotest.test_case "primitive maps follow the artifact LRU" `Quick
+      test_prims_follow_artifact_lru;
   ]
