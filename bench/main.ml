@@ -30,14 +30,42 @@ module M = Goobs.Metrics
 (* --jobs N: size of the domain pool the detectors fan out on. *)
 let jobs_flag = ref 1
 
+(* The §6 WaitGroup extension, registered on the shared engine as the
+   extra pass "bmoc+waitgroup". *)
+let wg_cfg =
+  {
+    Gcatch.Bmoc.default_config with
+    path_cfg = { Gcatch.Pathenum.default_config with model_waitgroup = true };
+  }
+
 (* One staged engine drives every experiment: E1's per-app compiles are
    reused by E5/E6/E8 and by E4's second (WaitGroup-extension) sweep, so
-   each distinct source set is parsed/typechecked/lowered exactly once
-   per bench run. *)
-let engine = lazy (E.create ~jobs:!jobs_flag ())
+   each distinct source set is parsed/typechecked/lowered, and its alias
+   facts and call graph derived, exactly once per bench run. *)
+let engine =
+  lazy
+    (let e = Gcatch.Passes.engine ~jobs:!jobs_flag () in
+     E.register e
+       {
+         (Gcatch.Passes.bmoc_pass ~cfg:wg_cfg ()) with
+         E.p_name = "bmoc+waitgroup";
+         p_doc = "BMOC with WaitGroup Add/Done/Wait modeled (§6)";
+         p_default = false;
+       };
+     e)
 
-let analyse ?cfg ~name sources =
-  Gcatch.Driver.analyse_with (Lazy.force engine) ?cfg ~name sources
+let analyse ?only ~name sources =
+  E.analyse ?only (Lazy.force engine) ~name sources
+
+let bmoc_of (r : E.run) = Gcatch.Passes.bmoc_bugs r.E.r_diags
+let typed_of (r : E.run) = Lazy.force (Option.get r.E.r_artifacts).E.a_typed
+
+(* The sum of one counter over an app's detector passes. *)
+let pass_counter (s : Score.app_score) name =
+  List.fold_left
+    (fun acc pr ->
+      acc + Option.value (List.assoc_opt name pr.E.pr_metrics) ~default:0)
+    0 s.run.E.r_passes
 
 let line () = print_endline (String.make 78 '-')
 
@@ -48,10 +76,10 @@ let header title =
 
 (* The per-app sweep fans out across the pool.  Apps are compiled first
    (sequentially, filling the shared artifact cache) so the parallel part
-   is pure detection; [Pool.map] keeps results in input order and a
-   nested per-channel fan-out inside a worker forks real scheduled tasks
-   with the same input-order assembly, so the scores are identical at
-   every jobs setting. *)
+   is the alias/call-graph facts and detection; [Pool.map] keeps results
+   in input order and a nested per-channel fan-out inside a worker forks
+   real scheduled tasks with the same input-order assembly, so the
+   scores are identical at every jobs setting. *)
 let scores : Score.app_score list Lazy.t =
   lazy
     (let e = Lazy.force engine in
@@ -140,7 +168,8 @@ let e2 () =
   List.iter
     (fun (s : Score.app_score) ->
       Printf.printf "%-14s %9d %12.3f %14d %12d\n" s.name s.loc s.elapsed_s
-        s.analysis.stats.solver_calls s.analysis.stats.total_path_events)
+        (pass_counter s "bmoc.solver_calls")
+        (pass_counter s "bmoc.total_path_events"))
     rows;
   let slowest =
     List.fold_left
@@ -187,7 +216,7 @@ let e3 () =
               if has "BatchCopy" then incr loop_fp
               else if has "GuardedNotify" then incr infeasible_fp
               else incr other_fp)
-        s.analysis.bmoc)
+        s.bmoc)
     (Lazy.force scores);
   Printf.printf "loop-unrolling FPs:   %d   (paper: 11 of 51)\n" !loop_fp;
   Printf.printf "infeasible-path FPs:  %d   (paper: 9 + 20 related)\n"
@@ -214,8 +243,10 @@ let e4 () =
   let detected = ref 0 in
   List.iter
     (fun (e : Gocorpus.Bugset.entry) ->
-      let a = analyse ~name:e.bs_name [ "package b\n" ^ e.bs_src ] in
-      let found = a.bmoc <> [] in
+      let r =
+        analyse ~only:[ "bmoc" ] ~name:e.bs_name [ "package b\n" ^ e.bs_src ]
+      in
+      let found = bmoc_of r <> [] in
       if found then incr detected;
       let d, t =
         Option.value (Hashtbl.find_opt per_class e.bs_class) ~default:(0, 0)
@@ -230,19 +261,16 @@ let e4 () =
     Gocorpus.Bugset.total
     (100. *. float_of_int !detected /. float_of_int Gocorpus.Bugset.total);
   (* the §6 WaitGroup extension recovers part of the miss classes *)
-  let wg_cfg =
-    {
-      Gcatch.Bmoc.default_config with
-      path_cfg = { Gcatch.Pathenum.default_config with model_waitgroup = true };
-    }
-  in
   let detected_ext = ref 0 in
   List.iter
     (fun (e : Gocorpus.Bugset.entry) ->
-      (* same sources, new config: the engine serves the compile from
-         its cache and only detection re-runs *)
-      let a = analyse ~cfg:wg_cfg ~name:e.bs_name [ "package b\n" ^ e.bs_src ] in
-      if a.bmoc <> [] then incr detected_ext)
+      (* same sources, new pass: the engine serves the compile and the
+         facts from its cache and only detection re-runs *)
+      let r =
+        analyse ~only:[ "bmoc+waitgroup" ] ~name:e.bs_name
+          [ "package b\n" ^ e.bs_src ]
+      in
+      if bmoc_of r <> [] then incr detected_ext)
     Gocorpus.Bugset.entries;
   Printf.printf
     "with the §6 WaitGroup extension enabled: %d/%d = %.0f%% (the paper \
@@ -269,8 +297,8 @@ let e5 () =
       let ir = Lazy.force a.E.a_ir in
       let run cfg =
         let t0 = Clock.now_s () in
-        let _, stats = Gcatch.Bmoc.detect ~cfg ir in
-        (Clock.elapsed_since t0, stats)
+        let r = Gcatch.Bmoc.detect_full ~cfg ir in
+        (Clock.elapsed_since t0, r.Gcatch.Bmoc.f_stats)
       in
       let t_on, s_on = run Gcatch.Bmoc.default_config in
       let t_off, s_off =
@@ -360,13 +388,14 @@ let e6 () =
   let overheads =
     List.filter_map
       (fun (name, src) ->
-        let a = analyse ~name:"e6" [ src ] in
+        let r = analyse ~name:"e6" [ src ] in
+        let source = typed_of r in
         let patched =
           List.fold_left
             (fun prog (_, o) ->
               match o with G.Fixed f -> f.patched | G.Not_fixed _ -> prog)
-            a.source
-            (G.fix_all a.source a.bmoc)
+            source
+            (G.fix_all source (bmoc_of r))
         in
         (* average steps over schedules where the original does not leak,
            so both versions do comparable work *)
@@ -382,7 +411,7 @@ let e6 () =
           if !n = 0 then None
           else Some (float_of_int !total /. float_of_int !n)
         in
-        match (steps a.source, steps patched) with
+        match (steps source, steps patched) with
         | Some s0, Some s1 ->
             let ov = 100. *. (s1 -. s0) /. max 1. s0 in
             Printf.printf "%-26s %12.1f %12.1f %9.2f%%\n" name s0 s1 ov;
@@ -462,16 +491,16 @@ let e8 () =
   let apps = [ "docker"; "etcd"; "go"; "grpc" ] in
   (* a private engine: E8 measures *cold* preprocessing, so it must not
      be served compiles cached by earlier experiments *)
-  let cold = E.create () in
+  let cold = Gcatch.Passes.engine () in
   List.iter
     (fun name ->
       let app = Option.get (Gocorpus.Apps.find name) in
       let t0 = Clock.now_s () in
       (* preprocessing: parse, type check, lower, alias, call graph, and
          detection — everything GFix consumes *)
-      let a = Gcatch.Driver.analyse_with cold ~name app.sources in
+      let r = E.analyse cold ~name app.sources in
       let t1 = Clock.now_s () in
-      ignore (G.fix_all a.source a.bmoc);
+      ignore (G.fix_all (typed_of r) (bmoc_of r));
       let t2 = Clock.now_s () in
       let pre = t1 -. t0 and fix = t2 -. t1 in
       Printf.printf "%-14s %14.3f %14.3f %9.1f%%\n" name pre fix
@@ -506,7 +535,7 @@ let micro () =
       Test.make ~name:"alias analysis"
         (Staged.stage (fun () -> ignore (Goanalysis.Alias.analyse ir)));
       Test.make ~name:"BMOC detection (figure-1)"
-        (Staged.stage (fun () -> ignore (Gcatch.Bmoc.detect ir)));
+        (Staged.stage (fun () -> ignore (Gcatch.Bmoc.detect_full ir)));
       Test.make ~name:"full analysis (bbolt, cached compile)"
         (Staged.stage (fun () ->
              ignore (analyse ~name:"bbolt" bbolt.sources)));
@@ -689,18 +718,18 @@ let eincr () =
         Gcatch.Solve_cache.reset_memory ();
         let m0 = counter_now "bmoc.solve_cache_miss" in
         let t0 = Clock.now_s () in
-        let bugs_cold, _ = Gcatch.Bmoc.detect ~cfg ir in
+        let bugs_cold = (Gcatch.Bmoc.detect_full ~cfg ir).f_bugs in
         let cold = Clock.elapsed_since t0 in
         let misses = counter_now "bmoc.solve_cache_miss" - m0 in
         let h0 = counter_now "bmoc.solve_cache_hit" in
         let t0 = Clock.now_s () in
-        let bugs_warm, _ = Gcatch.Bmoc.detect ~cfg ir in
+        let bugs_warm = (Gcatch.Bmoc.detect_full ~cfg ir).f_bugs in
         let warm = Clock.elapsed_since t0 in
         let hits = counter_now "bmoc.solve_cache_hit" - h0 in
         (* drop the memory tier: the next run is served from disk *)
         Gcatch.Solve_cache.reset_memory ();
         let t0 = Clock.now_s () in
-        let bugs_disk, _ = Gcatch.Bmoc.detect ~cfg ir in
+        let bugs_disk = (Gcatch.Bmoc.detect_full ~cfg ir).f_bugs in
         let disk = Clock.elapsed_since t0 in
         let same bugs =
           List.map R.bmoc_str bugs = List.map R.bmoc_str bugs_cold
@@ -958,11 +987,11 @@ let erobust () =
         (* the solve cache would hide the solver work the fast path sits
            in; detection must actually reach every fault site *)
         let cfg = { Gcatch.Bmoc.default_config with solve_cache = false } in
-        let clean = med (fun () -> Gcatch.Bmoc.detect ~cfg ir) in
+        let clean = med (fun () -> Gcatch.Bmoc.detect_full ~cfg ir) in
         (match Goengine.Faults.parse "solver:*@zz-never-matches!raise" with
         | Ok specs -> Goengine.Faults.set_plan specs
         | Error e -> failwith e);
-        let armed = med (fun () -> Gcatch.Bmoc.detect ~cfg ir) in
+        let armed = med (fun () -> Gcatch.Bmoc.detect_full ~cfg ir) in
         Goengine.Faults.clear ();
         Printf.printf
           "%-14s %10.4f %10.4f %6.1f%% %10.4f %10.4f %6.1f%% %8.2f%%\n" name

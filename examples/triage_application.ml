@@ -26,7 +26,7 @@ let () =
         app.spec.name app.loc
         (List.length app.truth);
       let score =
-        Goreport.Score.score_app ~engine:(Goengine.Engine.create ()) app
+        Goreport.Score.score_app ~engine:(Gcatch.Passes.engine ()) app
       in
       Printf.printf "analysis time: %.2fs\n\n" score.elapsed_s;
 
@@ -40,7 +40,7 @@ let () =
             | Goreport.Score.FP_unexpected -> "FP (!!)  "
           in
           Printf.printf "  [%s] %s\n" cls (Gcatch.Report.bmoc_str b))
-        score.analysis.bmoc;
+        score.bmoc;
 
       print_endline "\n-- traditional checkers --";
       List.iter
@@ -51,7 +51,7 @@ let () =
             | _ -> "FP      "
           in
           Printf.printf "  [%s] %s\n" cls (Gcatch.Report.trad_str t))
-        score.analysis.trad;
+        score.trad_bugs;
 
       print_endline "\n-- GFix --";
       List.iter

@@ -46,18 +46,18 @@ let default_config =
     retry_rungs = 2;
   }
 
-(* Detector statistics, served from the metrics registry: [detect_ext]
+(* Detector statistics, served from the metrics registry: [detect_with]
    accumulates per-channel counts into "bmoc.*" counters and returns
    this record as a read-only snapshot of that run (the field names are
    the registry names minus the "bmoc." prefix). *)
 type stats = {
-  mutable channels_analysed : int;
-  mutable combinations : int;
-  mutable groups_checked : int;
-  mutable solver_calls : int;
-  mutable total_path_events : int;
-  mutable constraints_hint : int; (* micro-ops considered, a proxy *)
-  mutable solver_timeouts : int;  (* channels skipped on budget exhaustion *)
+  channels_analysed : int;
+  combinations : int;
+  groups_checked : int;
+  solver_calls : int;
+  total_path_events : int;
+  constraints_hint : int; (* micro-ops considered, a proxy *)
+  solver_timeouts : int;  (* channels skipped on budget exhaustion *)
 }
 
 (* Per-channel working counters: owned by the single domain analysing
@@ -386,7 +386,7 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
   let seen_groups = Hashtbl.create 16 in
   try
     (* "solver" fault site: a crash raises out to the per-channel
-       boundary in [detect_full]; a timeout exercises the existing
+       boundary in [detect_with]; a timeout exercises the existing
        budget path (and hence the degradation ladder) *)
     (match Goengine.Faults.fire ~site:"solver" ~key:(Alias.obj_str c) () with
     | None -> ()
@@ -653,13 +653,15 @@ type chan_outcome =
    an exception while solving one channel becomes a [`Faulted] note (and
    a health.degraded count) instead of aborting the batch, and a channel
    that would start under watchdog pressure is skipped up front, so a
-   tripped deadline flushes everything already gathered. *)
-let detect_full ?(cfg = default_config) ?(pool = Pool.sequential)
-    ?(metrics = M.default) (prog : Ir.program) : full =
+   tripped deadline flushes everything already gathered.
+
+   The alias facts, call graph and primitive map are the caller's: the
+   engine pass hands over the ones its artifact record already holds,
+   which every other detector pass reads too. *)
+let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
+    ?(metrics = M.default) ~(alias : Alias.t) ~(cg : Callgraph.t)
+    ~(prims : Primitives.t) (prog : Ir.program) : full =
   let reg = M.create () in
-  let alias = Alias.analyse prog in
-  let cg = Callgraph.build ~alias prog in
-  let prims = Primitives.collect prog alias in
   let dis = Disentangle.build prims cg in
   let roots =
     List.filter
@@ -842,13 +844,10 @@ let detect_full ?(cfg = default_config) ?(pool = Pool.sequential)
     f_notes = List.rev !notes;
   }
 
-(* The historical 3-tuple interface (tests and the driver use it). *)
-let detect_ext ?cfg ?pool ?metrics (prog : Ir.program) :
-    Report.bmoc_bug list * stats * skipped list =
-  let r = detect_full ?cfg ?pool ?metrics prog in
-  (r.f_bugs, r.f_stats, r.f_skipped)
-
-(* Detect BMOC bugs across the whole program. *)
-let detect ?cfg ?pool (prog : Ir.program) : Report.bmoc_bug list * stats =
-  let bugs, stats, _ = detect_ext ?cfg ?pool prog in
-  (bugs, stats)
+(* [detect_with] on facts derived here from [prog] alone, for callers
+   without an artifact record: GFix re-detecting a patched program. *)
+let detect_full ?cfg ?pool ?metrics (prog : Ir.program) : full =
+  let alias = Alias.analyse prog in
+  let cg = Callgraph.build ~alias prog in
+  let prims = Primitives.collect prog alias in
+  detect_with ?cfg ?pool ?metrics ~alias ~cg ~prims prog

@@ -471,8 +471,7 @@ let fix_to_fixpoint ?(max_rounds = 8) (prog : A.program)
       if rounds = 0 then cur
       else
         let ir = Goir.Lower.lower_program cur in
-        let bugs, _ = Bmoc.detect ir in
-        let round = fix_all cur bugs in
+        let round = fix_all cur (Bmoc.detect_full ir).Bmoc.f_bugs in
         let progress =
           List.exists (fun (_, o) -> match o with Fixed _ -> true | _ -> false)
             round

@@ -17,4 +17,12 @@ type nb_bug = {
 
 val nb_str : nb_bug -> string
 
-val detect : ?cfg:Bmoc.config -> Goir.Ir.program -> nb_bug list
+val detect :
+  ?cfg:Bmoc.config ->
+  alias:Goanalysis.Alias.t ->
+  cg:Goanalysis.Callgraph.t ->
+  prims:Primitives.t ->
+  Goir.Ir.program ->
+  nb_bug list
+(** Check every closed channel on the caller's alias facts, call graph
+    and primitive map (the engine pass passes its artifact record's). *)

@@ -4,10 +4,11 @@ module M = Goobs.Metrics
 
 (* GCatch's detectors packaged as named engine passes.
 
-   The registry replaces the hard-coded detector calls that used to live
-   in [Driver] and in every entry point: BMOC, each of the five
-   traditional checkers, and the §6 non-blocking checkers are
+   The registry is the one way to run the detectors: BMOC, each of the
+   five traditional checkers, and the §6 non-blocking checkers are
    independent passes with their own enable flag, timing, and metrics.
+   Every pass reads the alias facts, call graph and primitive map from
+   the artifact record, so they are derived once per program.
    Each diagnostic carries the original typed report as a payload so
    GFix and the scorer lose nothing by going through the engine. *)
 
@@ -59,11 +60,11 @@ let nb_diag (b : Nonblocking.nb_bug) : D.t =
 
 (* ------------------------------------------------- shared pre-pass --- *)
 
-(* The traditional checkers all consume the primitive/operation map.
-   Alias facts and the call graph come from the engine's cached stages;
+(* Every detector pass consumes the primitive/operation map.  Alias
+   facts and the call graph come from the engine's cached stages;
    [Primitives.collect] itself is derived once per artifact record, so
-   the five checker passes pay for it once and the map goes when the
-   engine drops the record. *)
+   the passes pay for it once and the map goes when the engine drops
+   the record. *)
 type E.derived += Prims of Primitives.t
 
 let prims_for (a : E.artifacts) : Primitives.t =
@@ -174,7 +175,10 @@ let bmoc_pass ?(cfg = Bmoc.default_config) () : E.pass =
             ~cacheable:(fun (_, sk, nt) -> sk = [] && nt = [])
             (fun () ->
               let r =
-                Bmoc.detect_full ~cfg ~pool ~metrics (Lazy.force a.E.a_ir)
+                Bmoc.detect_with ~cfg ~pool ~metrics
+                  ~alias:(Lazy.force a.E.a_alias)
+                  ~cg:(Lazy.force a.E.a_callgraph) ~prims:(prims_for a)
+                  (Lazy.force a.E.a_ir)
               in
               (r.Bmoc.f_bugs, r.Bmoc.f_skipped, r.Bmoc.f_notes))
         in
@@ -244,7 +248,10 @@ let nonblocking_pass ?(cfg = Bmoc.default_config) () : E.pass =
           pass_cached ~cache_dir:cfg.Bmoc.cache_dir ~pass:"nonblocking"
             ~fpr:(Lazy.force fpr) ~metrics a
             ~cacheable:(fun _ -> true)
-            (fun () -> Nonblocking.detect ~cfg (Lazy.force a.E.a_ir))
+            (fun () ->
+              Nonblocking.detect ~cfg ~alias:(Lazy.force a.E.a_alias)
+                ~cg:(Lazy.force a.E.a_callgraph) ~prims:(prims_for a)
+                (Lazy.force a.E.a_ir))
         in
         M.add (M.counter metrics "nonblocking.reports") (List.length bugs);
         List.map nb_diag bugs);

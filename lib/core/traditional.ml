@@ -22,8 +22,7 @@ type lockset = Alias.obj list
    walk raises — or that would start under watchdog pressure — simply
    contributes no bugs, counted in the health ledger; its siblings are
    unaffected.  [metrics] counters are atomic, so pool workers account
-   directly.  Without a registry (the legacy [detect] entry point) the
-   walk runs bare, exactly as before. *)
+   directly.  Without a registry the walk runs bare. *)
 let guarded ?metrics ~checker (f : Ir.func) (work : unit -> 'a list) : 'a list
     =
   match metrics with
@@ -411,15 +410,3 @@ let check_fatal_in_child ?(pool = Pool.sequential) ?metrics (prog : Ir.program)
           f;
       List.rev !bugs)
     (Ir.funcs_list prog)
-
-(* --------------------------------------------------- all together --- *)
-
-let detect ?pool (prog : Ir.program) : Report.trad_bug list =
-  let alias = Alias.analyse prog in
-  let cg = Callgraph.build ~alias prog in
-  let prims = Primitives.collect prog alias in
-  check_missing_unlock ?pool prims alias prog
-  @ check_double_lock ?pool prims alias cg prog
-  @ check_conflicting_order ?pool prims alias prog
-  @ check_field_race ?pool prims alias prog
-  @ check_fatal_in_child ?pool prog

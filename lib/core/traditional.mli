@@ -6,20 +6,15 @@
     per-function walks out across domains.  Results are merged back in
     function order, so output is identical for jobs=1 and jobs=N. *)
 
-val detect :
-  ?pool:Goengine.Pool.t -> Goir.Ir.program -> Report.trad_bug list
-(** Run all five checkers, computing alias facts, the call graph, and
-    the primitive map internally. *)
-
-(** The individual checkers, taking pre-computed facts so a staged
-    engine can share one alias/callgraph/primitive computation across
-    all of them (each is registered as its own engine pass).
+(** Each checker takes pre-computed facts, so the staged engine shares
+    one alias/callgraph/primitive computation across all of them (each
+    is registered as its own engine pass).
 
     [metrics] arms the per-function fault boundary: a function whose
     walk raises (or that would start under watchdog pressure) is dropped
     from the result and accounted as degraded/skipped in the registry's
     "health.*" counters, instead of aborting the checker.  Without it
-    the walks run bare, as the legacy [detect] entry point expects. *)
+    the walks run bare. *)
 
 val check_missing_unlock :
   ?pool:Goengine.Pool.t ->

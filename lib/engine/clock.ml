@@ -2,9 +2,9 @@
 
    [Unix.gettimeofday] is wall-clock time: NTP slews and manual clock
    adjustments show up as negative or wildly wrong elapsed times in
-   long-running analyses.  Every timer in the engine (and the Driver
-   compatibility shim) reads CLOCK_MONOTONIC instead, via the
-   bechamel binding that is already part of the build. *)
+   long-running analyses.  Every timer in the engine reads
+   CLOCK_MONOTONIC instead, via the bechamel binding that is already
+   part of the build. *)
 
 let now_ns () : int64 = Monotonic_clock.now ()
 

@@ -80,7 +80,9 @@ type app_score = {
   fixed_s3 : int;
   unfixed : int;
   fix_details : (R.bmoc_bug * Gcatch.Gfix.outcome) list;
-  analysis : Gcatch.Driver.analysis;
+  bmoc : R.bmoc_bug list; (* every BMOC report, in canonical order *)
+  trad_bugs : R.trad_bug list;
+  run : Goengine.Engine.run; (* per-pass timings, metrics and health *)
 }
 
 let trad_kinds =
@@ -92,31 +94,29 @@ let trad_kinds =
     R.Fatal_in_child;
   ]
 
-(* [engine] lets batch drivers (bench, triage) share one artifact cache
-   across apps and configurations; without it the Driver's process-wide
-   engine is used, which still compiles each app only once.  [pool]
-   overrides the engine's own domain pool for the detector fan-out
-   (e.g. bench measuring one app at several job counts through a single
-   shared artifact cache). *)
-let score_app ?engine ?pool ?(cfg = Gcatch.Bmoc.default_config)
-    (app : Gocorpus.Apps.app) : app_score =
+(* Score one application from an engine run of its detector passes.
+   [engine] lets batch drivers (bench, triage) share one artifact cache
+   across apps; its registered passes set the detector configuration.
+   Without it, [cfg] configures a fresh {!Gcatch.Passes} engine.
+   [elapsed_s] is detector time: the passes' own elapsed times, which
+   include any alias and call-graph stage they force. *)
+let score_app ?engine ?cfg (app : Gocorpus.Apps.app) : app_score =
   let module E = Goengine.Engine in
-  let a =
-    match (engine, pool) with
-    | Some e, None ->
-        Gcatch.Driver.analyse_with e ~cfg ~name:app.spec.name app.sources
-    | Some e, Some pool ->
-        let art = E.artifacts e ~name:app.spec.name app.sources in
-        Gcatch.Driver.analyse_ir ~cfg ~pool
-          (Lazy.force art.E.a_typed) (Lazy.force art.E.a_ir)
-    | None, Some pool ->
-        let src, ir =
-          Gcatch.Driver.compile_sources ~name:app.spec.name app.sources
-        in
-        Gcatch.Driver.analyse_ir ~cfg ~pool src ir
-    | None, None -> Gcatch.Driver.analyse ~cfg ~name:app.spec.name app.sources
+  let engine =
+    match engine with Some e -> e | None -> Gcatch.Passes.engine ?cfg ()
   in
-  let bmoc_classes = List.map (fun b -> (b, classify_bmoc app.truth b)) a.bmoc in
+  let run = E.analyse engine ~name:app.spec.name app.sources in
+  let source =
+    match run.E.r_artifacts with
+    | Some art -> Lazy.force art.E.a_typed
+    | None ->
+        failwith
+          (String.concat "; "
+             (List.map Goengine.Diagnostics.render_human (E.errors run)))
+  in
+  let bmoc = Gcatch.Passes.bmoc_bugs run.E.r_diags in
+  let trad_bugs = Gcatch.Passes.trad_bugs run.E.r_diags in
+  let bmoc_classes = List.map (fun b -> (b, classify_bmoc app.truth b)) bmoc in
   let count p = List.length (List.filter p bmoc_classes) in
   let bmoc_c_tp = count (fun (b, c) -> b.R.kind = R.Chan_only && c = TP false) in
   let bmoc_m_tp =
@@ -134,7 +134,7 @@ let score_app ?engine ?pool ?(cfg = Gcatch.Bmoc.default_config)
   let trad =
     List.map
       (fun k ->
-        let of_kind = List.filter (fun (t : R.trad_bug) -> t.tkind = k) a.trad in
+        let of_kind = List.filter (fun (t : R.trad_bug) -> t.tkind = k) trad_bugs in
         let tp =
           List.length
             (List.filter (fun t -> classify_trad app.truth t = TP false) of_kind)
@@ -173,7 +173,7 @@ let score_app ?engine ?pool ?(cfg = Gcatch.Bmoc.default_config)
         else None)
       bmoc_classes
   in
-  let fixes = Gcatch.Gfix.fix_all a.source fix_targets in
+  let fixes = Gcatch.Gfix.fix_all source fix_targets in
   let strat s =
     List.length
       (List.filter
@@ -193,7 +193,8 @@ let score_app ?engine ?pool ?(cfg = Gcatch.Bmoc.default_config)
   {
     name = app.spec.name;
     loc = app.loc;
-    elapsed_s = a.elapsed_s;
+    elapsed_s =
+      List.fold_left (fun acc pr -> acc +. pr.E.pr_elapsed_s) 0. run.E.r_passes;
     bmoc_c_tp;
     bmoc_c_fp;
     bmoc_m_tp;
@@ -206,5 +207,7 @@ let score_app ?engine ?pool ?(cfg = Gcatch.Bmoc.default_config)
     fixed_s3;
     unfixed;
     fix_details = fixes;
-    analysis = a;
+    bmoc;
+    trad_bugs;
+    run;
   }

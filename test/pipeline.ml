@@ -1,0 +1,49 @@
+(* How the suites run GCatch: the engine's pass registry
+   ({!Gcatch.Passes}) over one source set, with the typed reports
+   recovered from the diagnostics' payloads. *)
+
+module E = Goengine.Engine
+module P = Gcatch.Passes
+
+(* Shared by every analysis under the default detector configuration,
+   so a source set analysed twice compiles once. *)
+let default_engine = lazy (P.engine ())
+
+type t = {
+  run : E.run;
+  source : Minigo.Ast.program; (* type-checked: what GFix patches *)
+  bmoc : Gcatch.Report.bmoc_bug list;
+  trad : Gcatch.Report.trad_bug list;
+}
+
+(* The default passes (BMOC and the five traditional checkers).  A
+   [cfg] or [jobs] other than the defaults gets a fresh engine. *)
+let analyse ?cfg ?(jobs = 1) ~name sources : t =
+  let engine =
+    if cfg = None && jobs = 1 then Lazy.force default_engine
+    else P.engine ?cfg ~jobs ()
+  in
+  let run = E.analyse engine ~name sources in
+  match run.E.r_artifacts with
+  | None -> Alcotest.failf "%s: frontend failed" name
+  | Some a ->
+      {
+        run;
+        source = Lazy.force a.E.a_typed;
+        bmoc = P.bmoc_bugs run.E.r_diags;
+        trad = P.trad_bugs run.E.r_diags;
+      }
+
+(* The lowered IR alone. *)
+let compile_ir ~name sources : Goir.Ir.program =
+  Lazy.force (E.artifacts (Lazy.force default_engine) ~name sources).E.a_ir
+
+(* The run's "bmoc.*" counters: the detector statistics, which a
+   solve-cache hit replays exactly. *)
+let bmoc_counters (r : E.run) : (string * int) list =
+  List.concat_map
+    (fun pr ->
+      List.filter
+        (fun (k, _) -> String.starts_with ~prefix:"bmoc." k)
+        pr.E.pr_metrics)
+    r.E.r_passes

@@ -19,14 +19,14 @@ let stores () = counter "bmoc.solve_cache_store"
 let app_sources name =
   (Option.get (Gocorpus.Apps.find name)).Gocorpus.Apps.sources
 
-let bmoc_strs (a : Gcatch.Driver.analysis) =
+let bmoc_strs (a : Pipeline.t) =
   List.map Gcatch.Report.bmoc_str a.bmoc
 
-let trad_strs (a : Gcatch.Driver.analysis) =
+let trad_strs (a : Pipeline.t) =
   List.map Gcatch.Report.trad_str a.trad
 
-let check_same_analysis label (a : Gcatch.Driver.analysis)
-    (b : Gcatch.Driver.analysis) =
+let check_same_analysis label (a : Pipeline.t)
+    (b : Pipeline.t) =
   Alcotest.(check (list string))
     (label ^ ": same BMOC reports")
     (bmoc_strs a) (bmoc_strs b);
@@ -40,10 +40,10 @@ let test_warm_replays_cold () =
   SC.reset_memory ();
   let sources = app_sources "bbolt" in
   let h0 = hits () and m0 = misses () in
-  let cold = Gcatch.Driver.analyse ~name:"cache-bbolt" sources in
+  let cold = Pipeline.analyse ~name:"cache-bbolt" sources in
   let h1 = hits () and m1 = misses () in
   Alcotest.(check bool) "cold run misses" true (m1 > m0);
-  let warm = Gcatch.Driver.analyse ~name:"cache-bbolt" sources in
+  let warm = Pipeline.analyse ~name:"cache-bbolt" sources in
   let h2 = hits () and m2 = misses () in
   Alcotest.(check bool) "warm run hits" true (h2 - h1 >= m1 - m0);
   Alcotest.(check int) "warm run never misses" m1 m2;
@@ -51,14 +51,17 @@ let test_warm_replays_cold () =
   check_same_analysis "warm vs cold" cold warm;
   (* the cached per-channel counter snapshots replay exactly, so the
      aggregated run stats are identical too *)
-  Alcotest.(check bool) "same stats" true (cold.stats = warm.stats)
+  Alcotest.(check (list (pair string int)))
+    "same stats"
+    (Pipeline.bmoc_counters cold.run)
+    (Pipeline.bmoc_counters warm.run)
 
 let test_cache_off_matches () =
   let sources = app_sources "bbolt" in
-  let cached = Gcatch.Driver.analyse ~name:"cache-bbolt" sources in
+  let cached = Pipeline.analyse ~name:"cache-bbolt" sources in
   let cfg = { Gcatch.Bmoc.default_config with solve_cache = false } in
   let h0 = hits () and m0 = misses () in
-  let uncached = Gcatch.Driver.analyse ~cfg ~name:"cache-bbolt" sources in
+  let uncached = Pipeline.analyse ~cfg ~name:"cache-bbolt" sources in
   Alcotest.(check int) "no hits when off" (h0) (hits ());
   Alcotest.(check int) "no misses when off" (m0) (misses ());
   check_same_analysis "cache off vs on" cached uncached
@@ -68,10 +71,13 @@ let test_warm_jobs_identical () =
      tier serves the same verdicts whatever the schedule *)
   SC.reset_memory ();
   let sources = app_sources "grpc" in
-  let a1 = Gcatch.Driver.analyse ~jobs:1 ~name:"cache-grpc" sources in
-  let a4 = Gcatch.Driver.analyse ~jobs:4 ~name:"cache-grpc" sources in
+  let a1 = Pipeline.analyse ~jobs:1 ~name:"cache-grpc" sources in
+  let a4 = Pipeline.analyse ~jobs:4 ~name:"cache-grpc" sources in
   check_same_analysis "jobs 1 cold vs jobs 4 warm" a1 a4;
-  Alcotest.(check bool) "same stats" true (a1.stats = a4.stats)
+  Alcotest.(check (list (pair string int)))
+    "same stats"
+    (Pipeline.bmoc_counters a1.run)
+    (Pipeline.bmoc_counters a4.run)
 
 (* ----------------------------------------------------- disk tier ---- *)
 
@@ -101,30 +107,42 @@ let solve_files dir =
     (fun f -> Filename.check_suffix f ".solve")
     (Array.to_list (Sys.readdir dir))
 
+(* The solve cache's disk tier, reached through the standalone detector
+   on the compiled IR: an engine with the same [cache_dir] would serve
+   whole pass results from its pass cache and never consult it. *)
+let detect ~cfg ~name sources =
+  Gcatch.Bmoc.detect_full ~cfg (Pipeline.compile_ir ~name sources)
+
+let check_same_bugs label (a : Gcatch.Bmoc.full) (b : Gcatch.Bmoc.full) =
+  Alcotest.(check (list string))
+    (label ^ ": same BMOC reports")
+    (List.map Gcatch.Report.bmoc_str a.f_bugs)
+    (List.map Gcatch.Report.bmoc_str b.f_bugs)
+
 let test_disk_tier_roundtrip () =
   with_cache_dir (fun dir ->
       let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
       let sources = app_sources "bbolt" in
       SC.reset_memory ();
       let s0 = stores () in
-      let cold = Gcatch.Driver.analyse ~cfg ~name:"cache-disk" sources in
+      let cold = detect ~cfg ~name:"cache-disk" sources in
       Alcotest.(check bool) "entries stored" true (stores () > s0);
       Alcotest.(check bool) "files written" true (solve_files dir <> []);
       (* a fresh process is simulated by dropping the memory tier: the
          warm verdicts must now come from disk *)
       SC.reset_memory ();
       let d0 = disk_hits () in
-      let warm = Gcatch.Driver.analyse ~cfg ~name:"cache-disk" sources in
+      let warm = detect ~cfg ~name:"cache-disk" sources in
       Alcotest.(check bool) "disk hits" true (disk_hits () > d0);
-      check_same_analysis "disk warm vs cold" cold warm;
-      Alcotest.(check bool) "same stats" true (cold.stats = warm.stats))
+      check_same_bugs "disk warm vs cold" cold warm;
+      Alcotest.(check bool) "same stats" true (cold.f_stats = warm.f_stats))
 
 let test_disk_corrupt_entry_recovers () =
   with_cache_dir (fun dir ->
       let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
       let sources = app_sources "bbolt" in
       SC.reset_memory ();
-      let cold = Gcatch.Driver.analyse ~cfg ~name:"cache-corrupt" sources in
+      let cold = detect ~cfg ~name:"cache-corrupt" sources in
       (* clobber every entry: truncated, garbage, and flipped-byte bodies
          must all be treated as misses, unlinked, and recomputed *)
       List.iteri
@@ -139,15 +157,15 @@ let test_disk_corrupt_entry_recovers () =
         (solve_files dir);
       SC.reset_memory ();
       let d0 = disk_hits () in
-      let warm = Gcatch.Driver.analyse ~cfg ~name:"cache-corrupt" sources in
+      let warm = detect ~cfg ~name:"cache-corrupt" sources in
       Alcotest.(check int) "corrupt entries are misses" d0 (disk_hits ());
-      check_same_analysis "recomputed vs cold" cold warm;
+      check_same_bugs "recomputed vs cold" cold warm;
       (* the clobbered files were replaced by fresh stores *)
       SC.reset_memory ();
       let d1 = disk_hits () in
-      let again = Gcatch.Driver.analyse ~cfg ~name:"cache-corrupt" sources in
+      let again = detect ~cfg ~name:"cache-corrupt" sources in
       Alcotest.(check bool) "restored entries hit" true (disk_hits () > d1);
-      check_same_analysis "restored vs cold" cold again)
+      check_same_bugs "restored vs cold" cold again)
 
 (* The store's reader must classify files it did not write — earlier
    formats, foreign marshal frames, entries of another kind — without
@@ -259,8 +277,8 @@ let test_dedup_never_drops_verdict () =
   List.iter
     (fun (e : Gocorpus.Bugset.entry) ->
       let src = [ "package b\n" ^ e.bs_src ] in
-      let on = Gcatch.Driver.analyse ~name:e.bs_name src in
-      let off = Gcatch.Driver.analyse ~cfg:off_cfg ~name:e.bs_name src in
+      let on = Pipeline.analyse ~name:e.bs_name src in
+      let off = Pipeline.analyse ~cfg:off_cfg ~name:e.bs_name src in
       Alcotest.(check (list string))
         (e.bs_name ^ ": dedup on/off verdicts agree")
         (bmoc_strs off) (bmoc_strs on))

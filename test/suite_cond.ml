@@ -6,7 +6,7 @@
 
 module R = Gcatch.Report
 
-let analyse src = Gcatch.Driver.analyse_string ("package p\n" ^ src)
+let analyse src = Pipeline.analyse ~name:"input" [ "package p\n" ^ src ]
 
 let run ?(seed = 5) src =
   let prog =
@@ -139,8 +139,8 @@ let test_broadcast_never_blocks () =
 
 let test_ir_shape () =
   (* the lowering must produce the sketch's select-with-default *)
-  let _, ir =
-    Gcatch.Driver.compile_sources ~name:"cond"
+  let ir =
+    Pipeline.compile_ir ~name:"cond"
       [ "package p\nfunc f() {\n\tvar cv sync.Cond\n\tcv.Signal()\n\tcv.Wait()\n}" ]
   in
   let f = Option.get (Goir.Ir.find_func ir "f") in

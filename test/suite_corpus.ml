@@ -36,7 +36,7 @@ let test_no_unexpected_fp name () =
           Alcotest.failf "%s: unexpected false positive: %s" name
             (Gcatch.Report.bmoc_str b)
       | _ -> ())
-    s.analysis.bmoc;
+    s.bmoc;
   List.iter
     (fun (t : Gcatch.Report.trad_bug) ->
       match Score.classify_trad app.truth t with
@@ -44,7 +44,7 @@ let test_no_unexpected_fp name () =
           Alcotest.failf "%s: unexpected traditional FP: %s" name
             (Gcatch.Report.trad_str t)
       | _ -> ())
-    s.analysis.trad
+    s.trad_bugs
 
 let test_empty_apps_clean () =
   List.iter
@@ -102,7 +102,7 @@ let test_bugset_coverage () =
   let detected = ref 0 in
   List.iter
     (fun (e : Gocorpus.Bugset.entry) ->
-      let a = Gcatch.Driver.analyse ~name:e.bs_name [ "package b\n" ^ e.bs_src ] in
+      let a = Pipeline.analyse ~name:e.bs_name [ "package b\n" ^ e.bs_src ] in
       let found = a.bmoc <> [] in
       if found then incr detected;
       Alcotest.(check bool)
@@ -140,9 +140,72 @@ let test_benign_patterns_never_leak () =
 
 let test_filler_is_benign () =
   let src = "package f\n" ^ Gocorpus.Filler.generate ~seed:3 ~target_lines:300 in
-  let a = Gcatch.Driver.analyse ~name:"filler" [ src ] in
+  let a = Pipeline.analyse ~name:"filler" [ src ] in
   Alcotest.(check int) "filler: no BMOC reports" 0 (List.length a.bmoc);
   Alcotest.(check int) "filler: no trad reports" 0 (List.length a.trad)
+
+(* Every detector reads the engine's facts.  On each corpus app and
+   bug-set program the bmoc pass must match the standalone detector run
+   on the record's IR (which derives its own facts), the nonblocking
+   pass must match a run on freshly derived facts, and one analysis of
+   all seven passes must derive the alias facts and call graph once. *)
+let test_engine_facts_match_standalone () =
+  let module E = Goengine.Engine in
+  let module D = Goengine.Diagnostics in
+  let module Pa = Gcatch.Passes in
+  let programs =
+    List.map
+      (fun (a : Gocorpus.Apps.app) -> (a.spec.name, a.sources))
+      (Gocorpus.Apps.all ())
+    @ List.map
+        (fun (e : Gocorpus.Bugset.entry) ->
+          (e.bs_name, [ "package b\n" ^ e.bs_src ]))
+        Gocorpus.Bugset.entries
+  in
+  (* skipped channels and supervision notes, less their timings *)
+  let warnings diags =
+    List.map (fun (d : D.t) -> (d.D.severity, d.D.loc)) diags
+  in
+  let bmoc_strs = List.map Gcatch.Report.bmoc_str in
+  let nb_strs = List.map Gcatch.Nonblocking.nb_str in
+  List.iter
+    (fun (name, sources) ->
+      let engine = Pa.engine () in
+      let r = E.analyse ~extra:[ "nonblocking" ] engine ~name sources in
+      let runs stage = E.counter_value engine ("stage." ^ stage ^ ".runs") in
+      Alcotest.(check int) (name ^ ": one alias run") 1 (runs "alias");
+      Alcotest.(check int) (name ^ ": one callgraph run") 1 (runs "callgraph");
+      let ir = Lazy.force (Option.get r.E.r_artifacts).E.a_ir in
+      let reg = Goobs.Metrics.create () in
+      let full = Gcatch.Bmoc.detect_full ~metrics:reg ir in
+      Alcotest.(check (list string))
+        (name ^ ": bmoc bugs")
+        (bmoc_strs full.f_bugs)
+        (bmoc_strs (Pa.bmoc_bugs r.E.r_diags));
+      Alcotest.(check bool)
+        (name ^ ": bmoc skips and notes")
+        true
+        (warnings
+           (List.map Pa.skip_diag full.f_skipped
+           @ List.map Pa.note_diag full.f_notes)
+        = warnings
+            (List.filter
+               (fun (d : D.t) -> d.D.pass = "bmoc" && Pa.bmoc_bugs [ d ] = [])
+               r.E.r_diags));
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": bmoc counters")
+        (List.filter
+           (fun (k, _) -> String.starts_with ~prefix:"bmoc." k)
+           (Goobs.Metrics.counters_list reg))
+        (Pipeline.bmoc_counters r);
+      let alias = Goanalysis.Alias.analyse ir in
+      let cg = Goanalysis.Callgraph.build ~alias ir in
+      let prims = Gcatch.Primitives.collect ir alias in
+      Alcotest.(check (list string))
+        (name ^ ": nonblocking bugs")
+        (nb_strs (Gcatch.Nonblocking.detect ~alias ~cg ~prims ir))
+        (nb_strs (Pa.nb_bugs r.E.r_diags)))
+    programs
 
 let app_tests =
   List.concat_map
@@ -167,4 +230,6 @@ let tests =
       Alcotest.test_case "benign patterns never leak" `Quick
         test_benign_patterns_never_leak;
       Alcotest.test_case "filler is benign" `Quick test_filler_is_benign;
+      Alcotest.test_case "engine facts match standalone derivation" `Slow
+        test_engine_facts_match_standalone;
     ]

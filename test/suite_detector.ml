@@ -4,7 +4,7 @@
 
 module R = Gcatch.Report
 
-let analyse src = Gcatch.Driver.analyse_string ("package p\n" ^ src)
+let analyse src = Pipeline.analyse ~name:"input" [ "package p\n" ^ src ]
 
 let bmoc_count src = List.length (analyse src).bmoc
 
@@ -185,7 +185,7 @@ let test_disentangling_pset () =
 let test_ablation_still_finds_fig1 () =
   let cfg = { Gcatch.Bmoc.default_config with disentangle = false } in
   let src = "func main() {\n\tc := make(chan int)\n\tgo func() {\n\t\tc <- 1\n\t}()\n}" in
-  let a = Gcatch.Driver.analyse ~cfg ~name:"abl" [ "package p\n" ^ src ] in
+  let a = Pipeline.analyse ~cfg ~name:"abl" [ "package p\n" ^ src ] in
   Alcotest.(check bool) "whole-program mode detects too" true
     (List.length a.bmoc >= 1)
 

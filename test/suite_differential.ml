@@ -30,7 +30,7 @@ let program ~cap ~sends ~recvs =
     (String.concat "" (List.init recvs (fun _ -> "\t<-c\n")))
 
 let static_buggy src =
-  let a = Gcatch.Driver.analyse ~name:"diff" [ src ] in
+  let a = Pipeline.analyse ~name:"diff" [ src ] in
   a.bmoc <> []
 
 let dynamic_leaky src =

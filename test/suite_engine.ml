@@ -101,17 +101,22 @@ let test_cache_memoizes_errors () =
        (List.map (fun (d : D.t) -> d.D.message) r1.E.r_diags)
        (List.map (fun (d : D.t) -> d.D.message) r2.E.r_diags))
 
-let test_driver_shim_shares_compile () =
-  (* the legacy Driver API rides the same engine machinery: two analyses
-     through one engine compile once, detect twice *)
-  let engine = E.create () in
-  let a1 = Gcatch.Driver.analyse_with engine ~name:"d" [ fig1 ] in
-  let a2 = Gcatch.Driver.analyse_with engine ~name:"d" [ fig1 ] in
-  Alcotest.(check int) "one parse" 1
-    (E.counter_value engine "stage.parse.runs");
-  Alcotest.(check bool) "same compiled IR shared" true (a1.ir == a2.ir);
-  Alcotest.(check int) "same findings" (List.length a1.bmoc)
-    (List.length a2.bmoc)
+let test_passes_share_facts () =
+  (* every detector pass reads the record's facts: two analyses through
+     one engine compile once, and all seven passes of both runs share
+     one alias analysis and one call graph *)
+  let engine = Gcatch.Passes.engine () in
+  let r1 = analyse ~extra:[ "nonblocking" ] engine fig1 in
+  let r2 = analyse ~extra:[ "nonblocking" ] engine fig1 in
+  let c = E.counter_value engine in
+  Alcotest.(check int) "one parse" 1 (c "stage.parse.runs");
+  Alcotest.(check int) "one alias run" 1 (c "stage.alias.runs");
+  Alcotest.(check int) "one callgraph run" 1 (c "stage.callgraph.runs");
+  let ir r = Lazy.force (Option.get r.E.r_artifacts).E.a_ir in
+  Alcotest.(check bool) "same compiled IR shared" true (ir r1 == ir r2);
+  Alcotest.(check int) "same findings"
+    (List.length (Gcatch.Passes.bmoc_bugs r1.E.r_diags))
+    (List.length (Gcatch.Passes.bmoc_bugs r2.E.r_diags))
 
 (* ---- pass registry ---- *)
 
@@ -212,8 +217,8 @@ let tests =
     Alcotest.test_case "bug payload recovery" `Quick test_bug_diag_payload;
     Alcotest.test_case "cache hit on repeat" `Quick test_cache_hit_on_repeat;
     Alcotest.test_case "cache memoizes errors" `Quick test_cache_memoizes_errors;
-    Alcotest.test_case "driver shim shares compile" `Quick
-      test_driver_shim_shares_compile;
+    Alcotest.test_case "passes share one fact derivation" `Quick
+      test_passes_share_facts;
     Alcotest.test_case "pass selection" `Quick test_pass_selection;
     Alcotest.test_case "unknown pass rejected" `Quick
       test_unknown_pass_rejected;

@@ -34,9 +34,7 @@ let parse_error_src = "package p\nfunc main( {}\n"
 let no_cache_cfg =
   { Gcatch.Bmoc.default_config with solve_cache = false; cache_dir = None }
 
-let compile_ir src =
-  let _, ir = Gcatch.Driver.compile_sources ~name:"faults-ir" [ src ] in
-  ir
+let compile_ir src = Pipeline.compile_ir ~name:"faults-ir" [ src ]
 
 let with_clean_faults f =
   Fun.protect
@@ -402,6 +400,7 @@ let test_cache_fault_injection_is_besteffort () =
           SC.reset_memory ())
         (fun () ->
           let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
+          let ir = compile_ir fig1 in
           (* every store faults: analysis is unaffected, errors counted,
              nothing written *)
           SC.reset_memory ();
@@ -409,28 +408,28 @@ let test_cache_fault_injection_is_besteffort () =
           | Ok specs -> F.set_plan specs
           | Error e -> Alcotest.fail e);
           let w0 = counter "store.write_error" in
-          let a = Gcatch.Driver.analyse ~cfg ~name:"cache-faulty" [ fig1 ] in
+          let a = Gcatch.Bmoc.detect_full ~cfg ir in
           Alcotest.(check int) "verdict unaffected by write faults" 1
-            (List.length a.Gcatch.Driver.bmoc);
+            (List.length a.Gcatch.Bmoc.f_bugs);
           Alcotest.(check bool) "write errors counted" true
             (counter "store.write_error" > w0);
           (* now let stores succeed, then fault every read: entries are
              recomputed, errors counted, verdicts identical *)
           F.clear ();
           SC.reset_memory ();
-          let b = Gcatch.Driver.analyse ~cfg ~name:"cache-faulty" [ fig1 ] in
+          let b = Gcatch.Bmoc.detect_full ~cfg ir in
           (match F.parse "cache.read:*!raise" with
           | Ok specs -> F.set_plan specs
           | Error e -> Alcotest.fail e);
           SC.reset_memory ();
           let r0 = counter "store.read_error" in
-          let c = Gcatch.Driver.analyse ~cfg ~name:"cache-faulty" [ fig1 ] in
+          let c = Gcatch.Bmoc.detect_full ~cfg ir in
           Alcotest.(check bool) "read errors counted" true
             (counter "store.read_error" > r0);
           Alcotest.(check (list string))
             "verdicts identical under cache faults"
-            (List.map Gcatch.Report.bmoc_str b.Gcatch.Driver.bmoc)
-            (List.map Gcatch.Report.bmoc_str c.Gcatch.Driver.bmoc)))
+            (List.map Gcatch.Report.bmoc_str b.Gcatch.Bmoc.f_bugs)
+            (List.map Gcatch.Report.bmoc_str c.Gcatch.Bmoc.f_bugs)))
 
 (* A pass result counts as stored only once it is on disk: with the
    cache directory replaced by a regular file, every store fails, is

@@ -4,7 +4,7 @@
 module G = Gcatch.Gfix
 module R = Gcatch.Report
 
-let analyse src = Gcatch.Driver.analyse_string ("package p\n" ^ src)
+let analyse src = Pipeline.analyse ~name:"input" [ "package p\n" ^ src ]
 
 let fix_first src =
   let a = analyse src in
@@ -36,7 +36,7 @@ let expect_rejected name substr src =
         (Printf.sprintf "%s: reason %S mentions %S" name r substr)
         true (contains r substr)
 
-let validate_patch name (a : Gcatch.Driver.analysis) (f : G.fix) =
+let validate_patch name (a : Pipeline.t) (f : G.fix) =
   (* dynamic check only when the program has a main to drive *)
   if Minigo.Ast.find_func a.source "main" <> None then begin
     let seeds = 25 in

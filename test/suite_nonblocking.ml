@@ -4,9 +4,14 @@
 
 module NB = Gcatch.Nonblocking
 
+let engine = Gcatch.Passes.engine ()
+
 let detect src =
-  let _, ir = Gcatch.Driver.compile_sources ~name:"nb" [ "package p\n" ^ src ] in
-  NB.detect ir
+  let r =
+    Goengine.Engine.analyse ~only:[ "nonblocking" ] engine ~name:"nb"
+      [ "package p\n" ^ src ]
+  in
+  Gcatch.Passes.nb_bugs r.Goengine.Engine.r_diags
 
 let kinds src =
   List.sort_uniq compare (List.map (fun (b : NB.nb_bug) -> b.nb_kind) (detect src))

@@ -345,8 +345,8 @@ let test_skip_diag_enriched () =
         { Gcatch.Pathenum.default_config with solver_timeout_ms = Some 0 };
     }
   in
-  let _, ir = Gcatch.Driver.compile_sources ~name:"skip" [ multi_chan ] in
-  let _, _, skipped = Gcatch.Bmoc.detect_ext ~cfg ir in
+  let ir = Pipeline.compile_ir ~name:"skip" [ multi_chan ] in
+  let skipped = (Gcatch.Bmoc.detect_full ~cfg ir).Gcatch.Bmoc.f_skipped in
   Alcotest.(check bool) "something skipped" true (skipped <> []);
   let sk = List.hd skipped in
   Alcotest.(check bool) "budget recorded" true

@@ -156,12 +156,16 @@ let test_solver_timeout_skips () =
         { Gcatch.Pathenum.default_config with solver_timeout_ms = Some 0 };
     }
   in
-  let _, ir = Gcatch.Driver.compile_sources ~name:"timeout" [ fig1 ] in
-  let bugs, stats, skipped = Gcatch.Bmoc.detect_ext ~cfg ir in
-  Alcotest.(check int) "no bugs survive the 0ms budget" 0 (List.length bugs);
-  Alcotest.(check bool) "at least one channel skipped" true (skipped <> []);
+  let ir = Pipeline.compile_ir ~name:"timeout" [ fig1 ] in
+  let r = Gcatch.Bmoc.detect_full ~cfg ir in
+  Alcotest.(check int) "no bugs survive the 0ms budget" 0
+    (List.length r.Gcatch.Bmoc.f_bugs);
+  Alcotest.(check bool) "at least one channel skipped" true
+    (r.Gcatch.Bmoc.f_skipped <> []);
   Alcotest.(check int)
-    "stats count the skips" (List.length skipped) stats.Gcatch.Bmoc.solver_timeouts
+    "stats count the skips"
+    (List.length r.Gcatch.Bmoc.f_skipped)
+    r.Gcatch.Bmoc.f_stats.Gcatch.Bmoc.solver_timeouts
 
 let test_no_timeout_finds_fig1 () =
   (* a generous budget changes nothing: figure 1's bug is still found *)
@@ -172,10 +176,10 @@ let test_no_timeout_finds_fig1 () =
         { Gcatch.Pathenum.default_config with solver_timeout_ms = Some 60_000 };
     }
   in
-  let _, ir = Gcatch.Driver.compile_sources ~name:"timeout2" [ fig1 ] in
-  let bugs, _, skipped = Gcatch.Bmoc.detect_ext ~cfg ir in
-  Alcotest.(check bool) "bug found" true (bugs <> []);
-  Alcotest.(check int) "nothing skipped" 0 (List.length skipped)
+  let ir = Pipeline.compile_ir ~name:"timeout2" [ fig1 ] in
+  let r = Gcatch.Bmoc.detect_full ~cfg ir in
+  Alcotest.(check bool) "bug found" true (r.Gcatch.Bmoc.f_bugs <> []);
+  Alcotest.(check int) "nothing skipped" 0 (List.length r.Gcatch.Bmoc.f_skipped)
 
 (* ---------------------------------------------------- determinism --- *)
 
@@ -199,22 +203,6 @@ let test_corpus_determinism () =
       if d1 <> d4 then
         Alcotest.failf "%s: diagnostics differ between jobs=1 and jobs=4" name)
     seq par
-
-let test_driver_jobs_matches () =
-  (* the Driver-level jobs knob: same reports either way *)
-  let app = Option.get (Gocorpus.Apps.find "bbolt") in
-  let a1 = Gcatch.Driver.analyse ~name:"bbolt" app.sources in
-  let a4 = Gcatch.Driver.analyse ~jobs:4 ~name:"bbolt" app.sources in
-  Alcotest.(check int)
-    "same bmoc count" (List.length a1.bmoc) (List.length a4.bmoc);
-  Alcotest.(check bool)
-    "same bmoc reports" true
-    (List.map Gcatch.Report.bmoc_str a1.bmoc
-    = List.map Gcatch.Report.bmoc_str a4.bmoc);
-  Alcotest.(check bool)
-    "same traditional reports" true
-    (List.map Gcatch.Report.trad_str a1.trad
-    = List.map Gcatch.Report.trad_str a4.trad)
 
 (* -------------------------------------------- inline fast path ---- *)
 
@@ -265,6 +253,4 @@ let tests =
       test_no_timeout_finds_fig1;
     Alcotest.test_case "corpus determinism jobs 1 vs 4" `Slow
       test_corpus_determinism;
-    Alcotest.test_case "driver jobs knob determinism" `Slow
-      test_driver_jobs_matches;
   ]

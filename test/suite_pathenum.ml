@@ -6,9 +6,7 @@ module Alias = Goanalysis.Alias
 module P = Gcatch.Pathenum
 
 let make_ctx ?(model_wg = false) src =
-  let _, ir =
-    Gcatch.Driver.compile_sources ~name:"pe" [ "package p\n" ^ src ]
-  in
+  let ir = Pipeline.compile_ir ~name:"pe" [ "package p\n" ^ src ] in
   let alias = Alias.analyse ir in
   let cg = Goanalysis.Callgraph.build ~alias ir in
   let prims = Gcatch.Primitives.collect ir alias in

@@ -10,7 +10,7 @@ let wg_cfg =
 
 let analyse ?(wg = true) src =
   let cfg = if wg then wg_cfg else Gcatch.Bmoc.default_config in
-  Gcatch.Driver.analyse ~cfg ~name:"wg" [ "package p\n" ^ src ]
+  Pipeline.analyse ~cfg ~name:"wg" [ "package p\n" ^ src ]
 
 let buggy_skip_done =
   "func Gather(skip bool) {\n\
