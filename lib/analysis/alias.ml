@@ -339,9 +339,9 @@ let propagate st by_name (summaries : func_summary list) =
 
 (* The sequential global fixpoint over per-function summaries.  The
    summary list is re-sorted by function name so the solve visits
-   functions in exactly the order the old whole-program pass did
-   ([Ir.funcs_list] sorts by name) — per-file callers can hand the
-   summaries over in any order. *)
+   functions in exactly the order the whole-program pass does
+   ([Ir.funcs_list] is the name-sorted order fixed at assembly) —
+   per-file callers can hand the summaries over in any order. *)
 let solve (prog : Ir.program) (summaries : func_summary list) : t =
   let summaries =
     List.sort (fun a b -> String.compare a.fs_name b.fs_name) summaries

@@ -60,24 +60,37 @@ let nb_diag (b : Nonblocking.nb_bug) : D.t =
 
 (* ------------------------------------------------- shared pre-pass --- *)
 
-(* Every detector pass consumes the primitive/operation map.  Alias
-   facts and the call graph come from the engine's cached stages;
-   [Primitives.collect] itself is derived once per artifact record, so
-   the passes pay for it once and the map goes when the engine drops
-   the record. *)
-type E.derived += Prims of Primitives.t
+(* Every detector pass consumes the primitive/operation map, and the
+   four lockset checkers share one walk of every function.  Alias facts
+   and the call graph come from the engine's cached stages; the map and
+   the walk are derived once per artifact record ([E.a_derive], counted
+   as "stage.primitives.runs" and "stage.lockset.runs"), so the passes
+   pay for each once and both go when the engine drops the record.
+   Inputs are forced before claiming a slot: a waiter must never park
+   on the whole frontend. *)
+type E.derived += Prims of Primitives.t | Lockset of Traditional.walk
 
 let prims_for (a : E.artifacts) : Primitives.t =
-  (* forced before claiming the slot: a waiter must never park on the
-     whole frontend *)
   let ir = Lazy.force a.E.a_ir in
   let alias = Lazy.force a.E.a_alias in
   match
-    Goengine.Memo.find_or_compute a.E.a_derived "primitives" (fun () ->
+    a.E.a_derive "primitives" (fun () ->
         (Prims (Primitives.collect ir alias), true))
   with
-  | `Hit (Prims p) | `Computed (Prims p) -> p
-  | `Hit _ | `Computed _ -> assert false
+  | Prims p -> p
+  | _ -> assert false
+
+let walk_for pool (a : E.artifacts) : Traditional.walk =
+  let ir = Lazy.force a.E.a_ir in
+  let alias = Lazy.force a.E.a_alias in
+  let prims = prims_for a in
+  match
+    a.E.a_derive "lockset" (fun () ->
+        let w = Traditional.walk ~pool prims alias ir in
+        (Lockset w, Traditional.complete w))
+  with
+  | Lockset w -> w
+  | _ -> assert false
 
 (* ----------------------------------------------------------- passes --- *)
 
@@ -204,7 +217,6 @@ let trad_pass name doc run : E.pass =
 let traditional_passes ?cfg () : E.pass list =
   let cache_dir = Option.bind cfg (fun c -> c.Bmoc.cache_dir) in
   let ir a = Lazy.force a.E.a_ir in
-  let alias a = Lazy.force a.E.a_alias in
   let cg a = Lazy.force a.E.a_callgraph in
   (* the traditional checkers take no configuration, so the cache key
      needs no fingerprint beyond the pass name *)
@@ -217,20 +229,14 @@ let traditional_passes ?cfg () : E.pass list =
   [
     trad "trad.missing-unlock" "lock acquired but not released on some path"
       (fun pool metrics a ->
-        Traditional.check_missing_unlock ~pool ~metrics (prims_for a) (alias a)
-          (ir a));
+        Traditional.missing_unlock ~metrics (walk_for pool a));
     trad "trad.double-lock" "same mutex acquired twice without release"
       (fun pool metrics a ->
-        Traditional.check_double_lock ~pool ~metrics (prims_for a) (alias a)
-          (cg a) (ir a));
+        Traditional.double_lock ~metrics (cg a) (walk_for pool a));
     trad "trad.lock-order" "conflicting lock acquisition order"
-      (fun pool metrics a ->
-        Traditional.check_conflicting_order ~pool ~metrics (prims_for a)
-          (alias a) (ir a));
+      (fun pool metrics a -> Traditional.lock_order ~metrics (walk_for pool a));
     trad "trad.field-race" "struct field accessed without the usual lock"
-      (fun pool metrics a ->
-        Traditional.check_field_race ~pool ~metrics (prims_for a) (alias a)
-          (ir a));
+      (fun pool metrics a -> Traditional.field_race ~metrics (walk_for pool a));
     trad "trad.fatal-child" "testing.Fatal called from a child goroutine"
       (fun pool metrics a ->
         Traditional.check_fatal_in_child ~pool ~metrics (ir a));

@@ -14,7 +14,10 @@ module Pool = Goengine.Pool
    4. struct-field race— lockset: a field protected by a mutex on most
                          accesses but not all, with goroutines involved;
    5. Fatal in child   — testing.T's Fatal family called from a goroutine
-                         other than the one running the test function. *)
+                         other than the one running the test function.
+
+   Checkers 1-4 are folds over one shared lockset walk of every function
+   ([walk]), derived once per program; 5 scans goroutine bodies. *)
 
 type lockset = Alias.obj list
 
@@ -22,7 +25,7 @@ type lockset = Alias.obj list
    walk raises — or that would start under watchdog pressure — simply
    contributes no bugs, counted in the health ledger; its siblings are
    unaffected.  [metrics] counters are atomic, so pool workers account
-   directly.  Without a registry the walk runs bare. *)
+   directly.  Without a registry the check runs bare. *)
 let guarded ?metrics ~checker (f : Ir.func) (work : unit -> 'a list) : 'a list
     =
   match metrics with
@@ -47,220 +50,330 @@ let mutex_objs prims alias fname p =
       | _ -> false)
     (place_objs alias fname p)
 
-(* Bounded path walk of one function, threading a lockset.  [visit] is
-   called on every (instruction, lockset-before); [at_exit] on every
-   function exit with the final lockset. *)
-let walk_paths ?(loop_bound = 1) (f : Ir.func)
-    ~(transfer : Ir.inst -> lockset -> lockset)
-    ~(visit : Ir.inst -> lockset -> unit) ~(at_exit : lockset -> Ir.terminator -> unit) : unit =
-  let visits = Hashtbl.create 8 in
+(* ------------------------------------------- the shared lockset walk --- *)
+
+(* Bounded path walk of one function, threading a lockset: [step] sees
+   every instruction with the lockset before it and returns the lockset
+   after; [at_exit] sees every function exit with the final lockset.
+   Each block is entered at most twice on one path, and paths stop at
+   depth 4000. *)
+let walk_paths (f : Ir.func) ~(step : Ir.inst -> lockset -> lockset)
+    ~(at_exit : lockset -> Ir.terminator -> unit) : unit =
+  let visits = Array.make (Array.length f.blocks) 0 in
   let rec go bid (ls : lockset) depth =
     if depth > 4000 then ()
     else
-      let count = Option.value (Hashtbl.find_opt visits bid) ~default:0 in
-      if count > loop_bound then ()
+      let count = visits.(bid) in
+      if count > 1 then ()
       else begin
-        Hashtbl.replace visits bid (count + 1);
+        visits.(bid) <- count + 1;
         let b = Ir.block f bid in
-        let ls =
-          List.fold_left
-            (fun ls i ->
-              visit i ls;
-              transfer i ls)
-            ls b.insts
-        in
+        let ls = List.fold_left (fun ls i -> step i ls) ls b.insts in
         (match Ir.successors b with
         | [] -> at_exit ls b.term
         | succs -> List.iter (fun s -> go s ls (depth + 1)) succs);
-        Hashtbl.replace visits bid count
+        visits.(bid) <- count
       end
   in
   go f.entry [] 0
 
-let lock_transfer prims alias fname (i : Ir.inst) (ls : lockset) : lockset =
-  match i.idesc with
-  | Ilock p -> mutex_objs prims alias fname p @ ls
-  | Iunlock p ->
-      let objs = mutex_objs prims alias fname p in
-      (* release one instance of each unlocked mutex *)
-      List.fold_left
-        (fun ls o ->
-          let rec remove_one = function
-            | [] -> []
-            | x :: rest -> if x = o then rest else x :: remove_one rest
-          in
-          remove_one ls)
-        ls objs
-  | _ -> ls
+(* release one instance of each unlocked mutex *)
+let release objs (ls : lockset) : lockset =
+  List.fold_left
+    (fun ls o ->
+      let rec remove_one = function
+        | [] -> []
+        | x :: rest -> if x = o then rest else x :: remove_one rest
+      in
+      remove_one ls)
+    ls objs
+
+(* What the walk of one function saw, in walk order.  Each lockset is
+   the one held just before the instruction. *)
+type event =
+  | Lock of Ir.inst * Alias.obj list * lockset
+      (* a lock site, its mutex objects *)
+  | Call of Ir.inst * string * lockset
+      (* a direct call made while a lock is held *)
+  | Access of Ir.inst * string * bool * Alias.obj list * lockset
+      (* a field load ([false]) or store ([true]): field, base objects *)
+  | Return of lockset (* a return that still holds a lock *)
+
+let walk_func prims alias (f : Ir.func) : event list =
+  let events = ref [] in
+  let emit e = events := e :: !events in
+  let access i b fld is_write ls =
+    (* channel bookkeeping fields are not program state *)
+    if fld <> "$done" && fld <> "$elem" then
+      emit (Access (i, fld, is_write, place_objs alias f.name (Ir.Pvar b), ls))
+  in
+  walk_paths f
+    ~step:(fun i ls ->
+      match i.idesc with
+      | Ilock p ->
+          let objs = mutex_objs prims alias f.name p in
+          emit (Lock (i, objs, ls));
+          objs @ ls
+      | Iunlock p -> release (mutex_objs prims alias f.name p) ls
+      | Icall (_, g, _) when ls <> [] ->
+          emit (Call (i, g, ls));
+          ls
+      | Ifield_load (_, b, fld) ->
+          access i b fld false ls;
+          ls
+      | Ifield_store (b, fld, _) ->
+          access i b fld true ls;
+          ls
+      | _ -> ls)
+    ~at_exit:(fun ls term ->
+      (* a panic exit aborts the goroutine anyway; returns should not
+         hold locks *)
+      match (term, ls) with
+      | Ir.Treturn _, _ :: _ -> emit (Return ls)
+      | _ -> ());
+  List.rev !events
+
+(* A function's walk: its events, the exception the walk raised (which
+   every lockset checker replays inside its own fault boundary), or
+   [Deferred] when pressure stopped the walk at this function's
+   boundary. *)
+type outcome = Walked of event list | Raised of exn | Deferred
+
+(* One function's facts: its walk, plus what a scan of all its blocks
+   (reachable or not) finds — the mutexes its lock sites name, for the
+   double-lock call summary, and its struct allocation sites, for the
+   field-race constructor test. *)
+type func_facts = {
+  f_func : Ir.func;
+  f_locks : Alias.obj list; (* sorted, no duplicates *)
+  f_structs : Ir.pp list;
+  f_walk : outcome;
+}
+
+type walk = {
+  w_prims : Primitives.t;
+  w_alias : Alias.t;
+  w_funcs : func_facts list; (* [Ir.funcs_list] order *)
+}
+
+let scan prims alias (f : Ir.func) =
+  let locks, structs =
+    Ir.fold_insts
+      (fun ((locks, structs) as acc) (i : Ir.inst) ->
+        match i.idesc with
+        | Ilock p -> (mutex_objs prims alias f.name p @ locks, structs)
+        | Imake_struct _ -> (locks, i.ipp :: structs)
+        | _ -> acc)
+      ([], []) f
+  in
+  (List.sort_uniq compare locks, structs)
+
+(* Per-function fan-outs run about 32 chunks of consecutive functions
+   (one function per task below 64): the chunk size depends on the
+   function count alone, so counters and results are the same for
+   jobs=1 and jobs=N. *)
+let grain funcs = max 1 (List.length funcs / 32)
+
+(* Scan and walk every function once over [pool]; results come back in
+   function order.  Pressure defers the walk, never the scan: the call
+   summary needs every function's locks. *)
+let walk ?(pool = Pool.sequential) prims alias (prog : Ir.program) : walk =
+  let funcs = Ir.funcs_list prog in
+  let one f =
+    let f_locks, f_structs = scan prims alias f in
+    let f_walk =
+      if Goengine.Supervise.pressure () <> None then Deferred
+      else
+        match walk_func prims alias f with
+        | events -> Walked events
+        | exception e -> Raised e
+    in
+    { f_func = f; f_locks; f_structs; f_walk }
+  in
+  {
+    w_prims = prims;
+    w_alias = alias;
+    w_funcs = Pool.map ~pool ~grain:(grain funcs) one funcs;
+  }
+
+(* False when pressure deferred some function: such a walk is not kept. *)
+let complete w =
+  List.for_all
+    (fun ff -> match ff.f_walk with Deferred -> false | _ -> true)
+    w.w_funcs
+
+(* Run [check] on each function's events inside the checker's own
+   per-function boundary, in function order.  A deferred function is
+   walked now, unless the boundary finds the pressure still on. *)
+let per_func ?metrics ~checker w (check : Ir.func -> event list -> 'a list) :
+    'a list list =
+  List.map
+    (fun ff ->
+      let f = ff.f_func in
+      guarded ?metrics ~checker f (fun () ->
+          match ff.f_walk with
+          | Walked events -> check f events
+          | Raised e -> raise e
+          | Deferred -> check f (walk_func w.w_prims w.w_alias f)))
+    w.w_funcs
 
 (* ------------------------------------------ 1. missing unlock ------- *)
 
-(* Each checker walks functions independently; [pool] fans the walks out
-   across domains.  Per-function results are merged back *in function
-   order*, so the bug list is identical for jobs=1 and jobs=N. *)
-let check_missing_unlock ?(pool = Pool.sequential) ?metrics prims alias
-    (prog : Ir.program) : Report.trad_bug list =
+let missing_unlock ?metrics w : Report.trad_bug list =
   List.concat
-  @@ Pool.map ~pool
-    (fun (f : Ir.func) ->
-      guarded ?metrics ~checker:"trad.missing-unlock" f @@ fun () ->
-      let bugs = ref [] in
-      let reported = Hashtbl.create 4 in
-      walk_paths f
-        ~transfer:(lock_transfer prims alias f.name)
-        ~visit:(fun _ _ -> ())
-        ~at_exit:(fun ls term ->
-          (* a panic exit aborts the goroutine anyway; returns should not
-             hold locks *)
-          match (term, ls) with
-          | Ir.Treturn _, _ :: _ ->
-              List.iter
-                (fun o ->
-                  if not (Hashtbl.mem reported o) then begin
-                    Hashtbl.add reported o ();
-                    bugs :=
-                      {
-                        Report.tkind = Report.Forget_unlock;
-                        tfunc = f.name;
-                        tloc = f.floc;
-                        tdetail =
-                          Printf.sprintf "%s still held at return" (Alias.obj_str o);
-                      }
-                      :: !bugs
-                  end)
-                ls
-          | _ -> ());
-      List.rev !bugs)
-    (Ir.funcs_list prog)
+  @@ per_func ?metrics ~checker:"trad.missing-unlock" w (fun f events ->
+         let bugs = ref [] in
+         let reported = ref [] in
+         List.iter
+           (function
+             | Return ls ->
+                 List.iter
+                   (fun o ->
+                     if not (List.mem o !reported) then begin
+                       reported := o :: !reported;
+                       bugs :=
+                         {
+                           Report.tkind = Report.Forget_unlock;
+                           tfunc = f.name;
+                           tloc = f.floc;
+                           tdetail =
+                             Printf.sprintf "%s still held at return"
+                               (Alias.obj_str o);
+                         }
+                         :: !bugs
+                     end)
+                   ls
+             | Lock _ | Call _ | Access _ -> ())
+           events;
+         List.rev !bugs)
 
 (* ------------------------------------------ 2. double lock ---------- *)
 
 (* Summary: mutexes a function may lock (itself or transitively) without
-   first unlocking them. *)
-let locks_summary prims alias cg (prog : Ir.program) :
-    (string, Alias.obj list) Hashtbl.t =
+   first unlocking them — the least fixpoint of "own locks plus every
+   unambiguous direct callee's summary".  A worklist revisits only the
+   callers of a function whose summary grew. *)
+let locks_summary cg w : (string, Alias.obj list) Hashtbl.t =
   let summary = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ir.func) ->
-      let acc = ref [] in
-      Ir.iter_insts
-        (fun i ->
-          match i.idesc with
-          | Ilock p ->
-              acc := mutex_objs prims alias f.name p @ !acc
-          | _ -> ())
-        f;
-      Hashtbl.replace summary f.name (List.sort_uniq compare !acc))
-    (Ir.funcs_list prog);
-  (* propagate through calls to a fixpoint *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let get name = Option.value (Hashtbl.find_opt summary name) ~default:[] in
+  let follows (e : Callgraph.edge) =
+    e.kind = Callgraph.Ecall && not e.ambiguous
+  in
+  let pending = Queue.create () in
+  let queued = Hashtbl.create 16 in
+  let push_callers name =
     List.iter
-      (fun (f : Ir.func) ->
-        let cur = Option.value (Hashtbl.find_opt summary f.name) ~default:[] in
-        let extra =
-          List.concat_map
-            (fun (e : Callgraph.edge) ->
-              if e.kind = Callgraph.Ecall && not e.ambiguous then
-                Option.value (Hashtbl.find_opt summary e.callee) ~default:[]
-              else [])
-            (Callgraph.callees cg f.name)
-        in
-        let next = List.sort_uniq compare (extra @ cur) in
-        if List.length next <> List.length cur then begin
-          Hashtbl.replace summary f.name next;
-          changed := true
+      (fun (e : Callgraph.edge) ->
+        if follows e && not (Hashtbl.mem queued e.caller) then begin
+          Hashtbl.replace queued e.caller ();
+          Queue.add e.caller pending
         end)
-      (Ir.funcs_list prog)
+      (Callgraph.callers cg name)
+  in
+  (* a function absent from the table has an empty summary *)
+  List.iter
+    (fun ff ->
+      if ff.f_locks <> [] then
+        Hashtbl.replace summary ff.f_func.name ff.f_locks)
+    w.w_funcs;
+  List.iter
+    (fun ff -> if ff.f_locks <> [] then push_callers ff.f_func.name)
+    w.w_funcs;
+  while not (Queue.is_empty pending) do
+    let name = Queue.pop pending in
+    Hashtbl.remove queued name;
+    let cur = get name in
+    let next =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun (e : Callgraph.edge) -> if follows e then get e.callee else [])
+           (Callgraph.callees cg name)
+        @ cur)
+    in
+    if List.length next <> List.length cur then begin
+      Hashtbl.replace summary name next;
+      push_callers name
+    end
   done;
   summary
 
-let check_double_lock ?(pool = Pool.sequential) ?metrics prims alias cg
-    (prog : Ir.program) : Report.trad_bug list =
+let double_lock ?metrics cg w : Report.trad_bug list =
   (* the call summary is a shared fixpoint: computed once, sequentially *)
-  let summary = locks_summary prims alias cg prog in
+  let summary = locks_summary cg w in
   List.concat
-  @@ Pool.map ~pool
-    (fun (f : Ir.func) ->
-      guarded ?metrics ~checker:"trad.double-lock" f @@ fun () ->
-      let bugs = ref [] in
-      let reported = Hashtbl.create 4 in
-      let report loc detail key =
-        if not (Hashtbl.mem reported key) then begin
-          Hashtbl.add reported key ();
-          bugs :=
-            { Report.tkind = Report.Double_lock; tfunc = f.name; tloc = loc; tdetail = detail }
-            :: !bugs
-        end
-      in
-      walk_paths f
-        ~transfer:(lock_transfer prims alias f.name)
-        ~visit:(fun i ls ->
-          match i.idesc with
-          | Ilock p ->
-              List.iter
-                (fun o ->
-                  if List.mem o ls then
-                    report i.iloc
-                      (Printf.sprintf "re-acquires %s already held" (Alias.obj_str o))
-                      ("direct", o, i.ipp))
-                (mutex_objs prims alias f.name p)
-          | Icall (_, g, _) when ls <> [] -> (
-              match Hashtbl.find_opt summary g with
-              | Some glocks ->
-                  List.iter
-                    (fun o ->
-                      if List.mem o ls then
-                        report i.iloc
-                          (Printf.sprintf "calls %s which locks %s already held" g
-                             (Alias.obj_str o))
-                          ("call", o, i.ipp))
-                    glocks
-              | None -> ())
-          | _ -> ())
-        ~at_exit:(fun _ _ -> ());
-      List.rev !bugs)
-    (Ir.funcs_list prog)
+  @@ per_func ?metrics ~checker:"trad.double-lock" w (fun f events ->
+         let bugs = ref [] in
+         let reported = ref [] in
+         let report (i : Ir.inst) kind o detail =
+           let key = (kind, o, i.ipp) in
+           if not (List.mem key !reported) then begin
+             reported := key :: !reported;
+             bugs :=
+               {
+                 Report.tkind = Report.Double_lock;
+                 tfunc = f.name;
+                 tloc = i.iloc;
+                 tdetail = detail;
+               }
+               :: !bugs
+           end
+         in
+         List.iter
+           (function
+             | Lock (i, objs, ls) ->
+                 List.iter
+                   (fun o ->
+                     if List.mem o ls then
+                       report i "direct" o
+                         (Printf.sprintf "re-acquires %s already held"
+                            (Alias.obj_str o)))
+                   objs
+             | Call (i, g, ls) -> (
+                 match Hashtbl.find_opt summary g with
+                 | Some glocks ->
+                     List.iter
+                       (fun o ->
+                         if List.mem o ls then
+                           report i "call" o
+                             (Printf.sprintf
+                                "calls %s which locks %s already held" g
+                                (Alias.obj_str o)))
+                       glocks
+                 | None -> ())
+             | Access _ | Return _ -> ())
+           events;
+         List.rev !bugs)
 
 (* --------------------------------- 3. conflicting lock order -------- *)
 
-let check_conflicting_order ?(pool = Pool.sequential) ?metrics prims alias
-    (prog : Ir.program) : Report.trad_bug list =
-  (* collect lock-order edges (m1 held while acquiring m2), one list per
+let lock_order ?metrics w : Report.trad_bug list =
+  (* lock-order edges (m1 held while acquiring m2), one list per
      function, in walk order *)
-  let per_func =
-    Pool.map ~pool
-      (fun (f : Ir.func) ->
-        guarded ?metrics ~checker:"trad.lock-order" f @@ fun () ->
-        let found = ref [] in
-        walk_paths f
-          ~transfer:(lock_transfer prims alias f.name)
-          ~visit:(fun i ls ->
-            match i.idesc with
-            | Ilock p ->
-                List.iter
+  let found =
+    per_func ?metrics ~checker:"trad.lock-order" w (fun f events ->
+        List.concat_map
+          (function
+            | Lock (i, objs, ls) ->
+                List.concat_map
                   (fun m2 ->
-                    List.iter
+                    List.filter_map
                       (fun m1 ->
-                        if m1 <> m2 then
-                          found := ((m1, m2), (f.name, i.iloc)) :: !found)
+                        if m1 <> m2 then Some ((m1, m2), (f.name, i.iloc))
+                        else None)
                       ls)
-                  (mutex_objs prims alias f.name p)
-            | _ -> ())
-          ~at_exit:(fun _ _ -> ());
-        List.rev !found)
-      (Ir.funcs_list prog)
+                  objs
+            | _ -> [])
+          events)
   in
-  (* merge in function order: the hash tables see the same insertion
-     sequence as a sequential walk, so the report below is identical *)
+  (* merged in function order, so the hash tables see one fixed
+     insertion sequence and the report below is deterministic *)
   let edges = Hashtbl.create 16 in
   let edge_loc = Hashtbl.create 16 in
   List.iter
     (List.iter (fun (e, at) ->
          Hashtbl.replace edges e ();
          if not (Hashtbl.mem edge_loc e) then Hashtbl.replace edge_loc e at))
-    per_func;
+    found;
   (* 2-cycles (the common conflicting-order deadlock) *)
   let bugs = ref [] in
   Hashtbl.iter
@@ -293,64 +406,50 @@ type access = {
   a_is_write : bool;
 }
 
-let check_field_race ?(pool = Pool.sequential) ?metrics prims alias
-    (prog : Ir.program) : Report.trad_bug list =
+let field_race ?metrics w : Report.trad_bug list =
   (* function allocating each struct object: accesses there are treated as
      construction/initialisation, not racy sharing *)
   let alloc_func : (Ir.pp, string) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (f : Ir.func) ->
-      Ir.iter_insts
-        (fun i ->
-          match i.idesc with
-          | Imake_struct (_, _) -> Hashtbl.replace alloc_func i.ipp f.name
-          | _ -> ())
-        f)
-    (Ir.funcs_list prog);
+    (fun ff ->
+      List.iter (fun pp -> Hashtbl.replace alloc_func pp ff.f_func.name) ff.f_structs)
+    w.w_funcs;
   let is_constructor_access f = function
     | Alias.Astruct pp -> Hashtbl.find_opt alloc_func pp = Some f
     | _ -> false
   in
   (* per-function access lists in walk order, merged below *)
-  let per_func =
-    Pool.map ~pool
-      (fun (f : Ir.func) ->
-        guarded ?metrics ~checker:"trad.field-race" f @@ fun () ->
-        let found = ref [] in
-        let record fn loc ls base fld is_write =
-          List.iter
-            (fun obj ->
-              match obj with
-              | Alias.Astruct _ | Alias.Aext _
-                when not (is_constructor_access fn obj) ->
-                  found :=
-                    ( (obj, fld),
-                      { a_func = fn; a_loc = loc; a_lockset = ls; a_is_write = is_write } )
-                    :: !found
-              | _ -> ())
-            base
-        in
-        walk_paths f
-          ~transfer:(lock_transfer prims alias f.name)
-          ~visit:(fun i ls ->
-            match i.idesc with
-            | Ifield_load (_, b, fld) when fld <> "$done" && fld <> "$elem" ->
-                record f.name i.iloc ls (place_objs alias f.name (Ir.Pvar b)) fld false
-            | Ifield_store (b, fld, _) when fld <> "$done" && fld <> "$elem" ->
-                record f.name i.iloc ls (place_objs alias f.name (Ir.Pvar b)) fld true
-            | _ -> ())
-          ~at_exit:(fun _ _ -> ());
-        List.rev !found)
-      (Ir.funcs_list prog)
+  let found =
+    per_func ?metrics ~checker:"trad.field-race" w (fun f events ->
+        List.concat_map
+          (function
+            | Access (i, fld, is_write, base, ls) ->
+                List.filter_map
+                  (fun obj ->
+                    match obj with
+                    | Alias.Astruct _ | Alias.Aext _
+                      when not (is_constructor_access f.name obj) ->
+                        Some
+                          ( (obj, fld),
+                            {
+                              a_func = f.name;
+                              a_loc = i.iloc;
+                              a_lockset = ls;
+                              a_is_write = is_write;
+                            } )
+                    | _ -> None)
+                  base
+            | _ -> [])
+          events)
   in
   (* accesses.(struct obj, field) -> access list; merging in function
-     order reproduces the sequential insertion sequence exactly *)
+     order fixes the insertion sequence *)
   let accesses : (Alias.obj * string, access list) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (List.iter (fun (key, a) ->
          let cur = Option.value (Hashtbl.find_opt accesses key) ~default:[] in
          Hashtbl.replace accesses key (a :: cur)))
-    per_func;
+    found;
   (* a field is suspicious when most accesses hold a common lock but some
      access does not, with at least one write and 2+ functions involved *)
   let bugs = ref [] in
@@ -384,12 +483,28 @@ let check_field_race ?(pool = Pool.sequential) ?metrics prims alias
     accesses;
   List.rev !bugs
 
+(* ------------------------------------ standalone checkers ----------- *)
+
+(* Each derives the walk, then runs the same fold as the engine pass. *)
+let check_missing_unlock ?pool ?metrics prims alias prog =
+  missing_unlock ?metrics (walk ?pool prims alias prog)
+
+let check_double_lock ?pool ?metrics prims alias cg prog =
+  double_lock ?metrics cg (walk ?pool prims alias prog)
+
+let check_conflicting_order ?pool ?metrics prims alias prog =
+  lock_order ?metrics (walk ?pool prims alias prog)
+
+let check_field_race ?pool ?metrics prims alias prog =
+  field_race ?metrics (walk ?pool prims alias prog)
+
 (* ------------------------------------ 5. Fatal in child ------------- *)
 
 let check_fatal_in_child ?(pool = Pool.sequential) ?metrics (prog : Ir.program)
     : Report.trad_bug list =
+  let funcs = Ir.funcs_list prog in
   List.concat
-  @@ Pool.map ~pool
+  @@ Pool.map ~pool ~grain:(grain funcs)
     (fun (f : Ir.func) ->
       guarded ?metrics ~checker:"trad.fatal-child" f @@ fun () ->
       let bugs = ref [] in
@@ -409,4 +524,4 @@ let check_fatal_in_child ?(pool = Pool.sequential) ?metrics (prog : Ir.program)
             | _ -> ())
           f;
       List.rev !bugs)
-    (Ir.funcs_list prog)
+    funcs

@@ -21,8 +21,8 @@ module J = Goobs.Journal
 (* ------------------------------------------------------- artifacts --- *)
 
 (* Values that passes above the engine derive from one record and share
-   (the traditional checkers' primitive map).  Cached on the record
-   itself, so they live exactly as long as it does. *)
+   (the primitive map, the traditional checkers' lockset walk).  Cached
+   on the record itself, so they live exactly as long as it does. *)
 type derived = ..
 
 type artifacts = {
@@ -41,7 +41,13 @@ type artifacts = {
          an edit that changes a file's content hash but not its
          compiled form (a trailing comment) still hits the pass
          cache. *)
-  a_derived : derived Memo.t;
+  a_derive : string -> (unit -> derived * bool) -> derived;
+      (* [a_derive name compute]: the record's [name] value, computed
+         at most once (concurrent askers wait on the promise) and
+         accounted as a whole-program stage: "stage.<name>.runs", its
+         wall time and trace span.  [compute] returns [false] beside a
+         value that must not be kept (one cut short by pressure); the
+         next asker recomputes. *)
 }
 
 (* ---------------------------------------------------------- passes --- *)
@@ -601,7 +607,14 @@ let build_artifacts (t : t) ~name sources : artifacts =
     a_alias;
     a_callgraph;
     a_content;
-    a_derived = Memo.create ();
+    a_derive =
+      (let derived = Memo.create () in
+       fun name compute ->
+         match
+           Memo.find_or_compute derived name (fun () ->
+               stage_counted t name compute)
+         with
+         | `Hit v | `Computed v -> v);
   }
 
 (* Look up (or create) the artifact record for a source set.  Stages are

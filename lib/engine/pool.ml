@@ -133,15 +133,17 @@ module Trace = Goobs.Trace
 
 (* Scheduler metrics go to the process-wide registry; values depend on
    the schedule (steals especially), so determinism checks must ignore
-   the "pool." and "sched." namespaces. *)
-let m_tasks = lazy (M.counter M.default "pool.tasks")
-let m_steals = lazy (M.counter M.default "pool.steals")
-let m_batches = lazy (M.counter M.default "pool.batches")
-let m_items = lazy (M.counter M.default "pool.items")
-let m_spawned = lazy (M.counter M.default "sched.tasks_spawned")
-let m_stolen = lazy (M.counter M.default "sched.tasks_stolen")
-let m_yields = lazy (M.counter M.default "sched.yields")
-let g_depth = lazy (M.gauge M.default "sched.queue_depth")
+   the "pool." and "sched." namespaces.  Looked up on each use, not
+   cached in a [lazy]: workers on several domains bump them at once,
+   and forcing one lazy from two domains raises [Lazy.Undefined]. *)
+let m_tasks () = M.counter M.default "pool.tasks"
+let m_steals () = M.counter M.default "pool.steals"
+let m_batches () = M.counter M.default "pool.batches"
+let m_items () = M.counter M.default "pool.items"
+let m_spawned () = M.counter M.default "sched.tasks_spawned"
+let m_stolen () = M.counter M.default "sched.tasks_stolen"
+let m_yields () = M.counter M.default "sched.yields"
+let g_depth () = M.gauge M.default "sched.queue_depth"
 
 (* A task's identity across suspensions: the open-span stack it carries
    between execution slices (see "Span handoff" above). *)
@@ -214,7 +216,7 @@ let enqueue ds rn =
   | Some ses ->
       Ws_deque.push ses.ses_deques.(ds.d_slot) rn;
       let d = 1 + Atomic.fetch_and_add ses.ses_pending 1 in
-      M.set_gauge (Lazy.force g_depth) (float_of_int d)
+      M.set_gauge (g_depth ()) (float_of_int d)
 
 (* Park the suspending task's context.  MUST run before the continuation
    becomes reachable from any deque or promise: the instant it is
@@ -272,7 +274,7 @@ let rec run_fresh (task : task) (body : unit -> unit) : status =
               Some
                 (fun (k : (a, status) Effect.Deep.continuation) ->
                   let ds = Domain.DLS.get sched_key in
-                  M.incr (Lazy.force m_spawned);
+                  M.incr (m_spawned ());
                   (* the child inherits the forking task's open spans:
                      its own spans parent under the span that was open
                      at the fork point, wherever the child ends up
@@ -285,7 +287,7 @@ let rec run_fresh (task : task) (body : unit -> unit) : status =
               Some
                 (fun (k : (a, status) Effect.Deep.continuation) ->
                   let ds = Domain.DLS.get sched_key in
-                  M.incr (Lazy.force m_yields);
+                  M.incr (m_yields ());
                   save_task_ctx ds task;
                   enqueue ds
                     {
@@ -389,8 +391,8 @@ let next_task ses slot ds =
             else
               match Ws_deque.steal ses.ses_deques.((slot + k) mod n) with
               | Some _ as r ->
-                  M.incr (Lazy.force m_steals);
-                  M.incr (Lazy.force m_stolen);
+                  M.incr (m_steals ());
+                  M.incr (m_stolen ());
                   r
               | None -> try_steal (k + 1)
           in
@@ -411,7 +413,7 @@ let participate (ses : session) (slot : int) =
           match next_task ses slot ds with
           | Some rn ->
               let d = Atomic.fetch_and_add ses.ses_pending (-1) - 1 in
-              M.set_gauge (Lazy.force g_depth) (float_of_int (max 0 d));
+              M.set_gauge (g_depth ()) (float_of_int (max 0 d));
               exec ds rn;
               go 0
           | None ->
@@ -547,8 +549,8 @@ let with_scheduler ~pool (f : unit -> 'a) : 'a =
             ses_pending = Atomic.make 0;
           }
         in
-        M.incr (Lazy.force m_batches);
-        M.incr (Lazy.force m_spawned);
+        M.incr (m_batches ());
+        M.incr (m_spawned ());
         (* schedule-dependent by nature (a --jobs 1 run opens no
            session at all): determinism diffs over journals exclude the
            pool.* events, like the metrics diff excludes sched.* *)
@@ -598,12 +600,12 @@ let inline_threshold = 2
    state are identical whether or not something failed earlier). *)
 let scheduled_map f (items : 'a array) : 'b list =
   let n = Array.length items in
-  M.add (Lazy.force m_items) n;
+  M.add (m_items ()) n;
   let ivs =
     Array.mapi
       (fun i x ->
         fork (fun () ->
-            M.incr (Lazy.force m_tasks);
+            M.incr (m_tasks ());
             Trace.with_span ~name:"pool.task" (fun () ->
                 (* a "pool" fault models a worker crashing mid-task: it
                    is captured like any task exception and re-raised in

@@ -112,6 +112,7 @@ type func = {
 
 type program = {
   funcs : (string, func) Hashtbl.t;
+  order : func list; (* every function of [funcs], sorted by name *)
   main : string option;
   source : Minigo.Ast.program;
 }
@@ -141,10 +142,10 @@ let find_inst (f : func) (p : pp) : inst option =
     (fun acc i -> match acc with Some _ -> acc | None -> if i.ipp = p then Some i else None)
     None f
 
-(* Program-wide instruction lookup, including select terminators. *)
-let funcs_list (prog : program) : func list =
-  Hashtbl.fold (fun _ f acc -> f :: acc) prog.funcs []
-  |> List.sort (fun a b -> String.compare a.name b.name)
+(* Every function, sorted by name: the one deterministic iteration
+   order all analyses share, computed once when the program is
+   assembled. *)
+let funcs_list (prog : program) : func list = prog.order
 
 let find_func (prog : program) name = Hashtbl.find_opt prog.funcs name
 

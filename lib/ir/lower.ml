@@ -1153,8 +1153,12 @@ let assemble (prog : A.program) (files : lowered_file list) : Ir.program =
         lf.lf_funcs;
       off := !off + lf.lf_pp_count)
     files;
+  let order =
+    Hashtbl.fold (fun _ f acc -> f :: acc) funcs []
+    |> List.sort (fun (a : Ir.func) b -> String.compare a.name b.name)
+  in
   let main = if Hashtbl.mem funcs "main" then Some "main" else None in
-  { Ir.funcs; main; source = prog }
+  { Ir.funcs; order; main; source = prog }
 
 let lower_program (prog : A.program) : Ir.program =
   let sigs = build_sigs prog in

@@ -48,5 +48,6 @@ val file_pp_count : lowered_file -> int
 
 val assemble : Minigo.Ast.program -> lowered_file list -> Ir.program
 (** Rebase and merge per-file results, in file order, into one
-    program.  Rebasing deep-copies blocks, so a cached [lowered_file]
-    may appear at different offsets in different programs. *)
+    program, and sort its functions by name once ({!Ir.funcs_list}).
+    Rebasing deep-copies blocks, so a cached [lowered_file] may appear
+    at different offsets in different programs. *)

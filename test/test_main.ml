@@ -19,6 +19,7 @@ let () =
       ("parallel", Suite_parallel.tests);
       ("sched", Suite_sched.tests);
       ("detector", Suite_detector.tests);
+      ("trad", Suite_trad.tests);
       ("nonblocking", Suite_nonblocking.tests);
       ("differential", Suite_differential.tests);
       ("waitgroup", Suite_waitgroup.tests);
