@@ -44,7 +44,6 @@ end)
 type t = {
   pts : (string * string, ObjSet.t) Hashtbl.t; (* (func, var) -> objects *)
   fields : (obj * string, ObjSet.t) Hashtbl.t;
-  prog : Ir.program;
   mutable changed : bool;
   chan_elem : (Ir.pp, Minigo.Ast.typ) Hashtbl.t;
   chan_cap : (Ir.pp, int option) Hashtbl.t;
@@ -102,19 +101,6 @@ let is_pointerish (t : Minigo.Ast.typ) =
       true
   | Tint | Tbool | Tstring | Tunit | Ttesting | Terror -> false
 
-(* Seed external objects for parameters of functions nobody calls inside
-   the program (entry points / exported library functions). *)
-let seed_entry_params st called =
-  List.iter
-    (fun (f : Ir.func) ->
-      if not (Hashtbl.mem called f.name) then
-        List.iter
-          (fun (v, ty) ->
-            if is_pointerish ty then
-              add_to st st.pts (f.name, v) (ObjSet.singleton (Aext (f.name, v))))
-          f.params)
-    (Ir.funcs_list st.prog)
-
 let callee_candidates st fname (fv : Ir.var) =
   ObjSet.fold
     (fun o acc -> match o with Afunc g -> g :: acc | _ -> acc)
@@ -158,6 +144,15 @@ type func_summary = {
   fs_warm : Ir.place list; (* places the post-fixpoint warm pass touches *)
 }
 
+(* Constant operands denote no object ([pts_operand] maps them to the
+   empty set), so extraction writes every one as [Onil]: a literal edit
+   then leaves the function's summary unchanged, which is what lets the
+   engine keep a program's alias facts across such an edit. *)
+let canon (o : Ir.operand) : Ir.operand =
+  match o with
+  | Oconst_int _ | Oconst_bool _ | Oconst_str _ -> Onil
+  | Oconst_func _ | Onil | Ovar _ | Oplace _ -> o
+
 let extract_func (f : Ir.func) : func_summary =
   let facts = ref [] in
   let warm = ref [] in
@@ -170,17 +165,17 @@ let extract_func (f : Ir.func) : func_summary =
       | Imake_chan (v, elem, cap) ->
           push (Fmake_chan (v, i.ipp, elem, cap, i.iloc))
       | Imake_struct (v, _) -> push (Fmake_struct (v, i.ipp))
-      | Iassign (v, o) -> push (Fassign (v, o))
+      | Iassign (v, o) -> push (Fassign (v, canon o))
       | Ifield_load (v, b, fld) -> push (Ffield_load (v, b, fld))
-      | Ifield_store (b, fld, o) -> push (Ffield_store (b, fld, o))
-      | Isend (p, o) -> push (Fsend (p, o))
+      | Ifield_store (b, fld, o) -> push (Ffield_store (b, fld, canon o))
+      | Isend (p, o) -> push (Fsend (p, canon o))
       | Irecv (Some v, p, _) -> push (Frecv (v, p))
       | Irecv (None, _, _) | Iclose _ | Ilock _ | Iunlock _ -> ()
       | Iwg_add _ | Iwg_done _ | Iwg_wait _ -> ()
-      | Icall (rets, g, args) -> push (Fcall (rets, g, args))
+      | Icall (rets, g, args) -> push (Fcall (rets, g, List.map canon args))
       | Icall_indirect (rets, fv, args) ->
-          push (Fcall_indirect (rets, fv, args))
-      | Igo (g, args) -> push (Fgo (g, args))
+          push (Fcall_indirect (rets, fv, List.map canon args))
+      | Igo (g, args) -> push (Fgo (g, List.map canon args))
       | Itesting_fatal _ | Ibinop _ | Iunop _ | Isleep _ | Iprint _ | Inop _ ->
           ());
       match i.idesc with
@@ -216,7 +211,7 @@ let extract_func (f : Ir.func) : func_summary =
               (match a.arm_op with
               | Arm_recv (p, Some v) -> push (Frecv (v, p))
               | Arm_recv (p, None) -> push (Ftouch p)
-              | Arm_send (p, o) -> push (Fsend (p, o)));
+              | Arm_send (p, o) -> push (Fsend (p, canon o)));
               match a.arm_op with
               | Arm_recv (p, _) -> wplace p
               | Arm_send (p, o) ->
@@ -229,7 +224,7 @@ let extract_func (f : Ir.func) : func_summary =
     List.rev
       (Array.fold_left
          (fun acc (b : Ir.block) ->
-           match b.term with Treturn os -> os :: acc | _ -> acc)
+           match b.term with Treturn os -> List.map canon os :: acc | _ -> acc)
          [] f.blocks)
   in
   {
@@ -252,6 +247,25 @@ let rebase_fact off (fact : fact) : fact =
 let rebase_summary off (s : func_summary) : func_summary =
   if off = 0 then s
   else { s with fs_facts = List.map (rebase_fact off) s.fs_facts }
+
+(* Seed external objects for parameters of functions nobody calls inside
+   the program (entry points / exported library functions), in name
+   order.  A name summarised twice (declared in two files) seeds from
+   the summary [by_name] holds, the function assembly keeps. *)
+let seed_entry_params st called by_name (summaries : func_summary list) =
+  List.iter
+    (fun s ->
+      if
+        (not (Hashtbl.mem called s.fs_name))
+        && Hashtbl.find by_name s.fs_name == s
+      then
+        List.iter
+          (fun (v, ty) ->
+            if is_pointerish ty then
+              add_to st st.pts (s.fs_name, v)
+                (ObjSet.singleton (Aext (s.fs_name, v))))
+          s.fs_params)
+    summaries
 
 (* One propagation pass over every summary. *)
 let propagate st by_name (summaries : func_summary list) =
@@ -341,8 +355,10 @@ let propagate st by_name (summaries : func_summary list) =
    summary list is re-sorted by function name so the solve visits
    functions in exactly the order the whole-program pass does
    ([Ir.funcs_list] is the name-sorted order fixed at assembly) —
-   per-file callers can hand the summaries over in any order. *)
-let solve (prog : Ir.program) (summaries : func_summary list) : t =
+   per-file callers can hand the summaries over in any order.  The
+   program itself is not read: the summaries carry every function's
+   name, parameters and facts, and the result holds no IR. *)
+let solve (_ : Ir.program) (summaries : func_summary list) : t =
   let summaries =
     List.sort (fun a b -> String.compare a.fs_name b.fs_name) summaries
   in
@@ -352,7 +368,6 @@ let solve (prog : Ir.program) (summaries : func_summary list) : t =
     {
       pts = Hashtbl.create 64;
       fields = Hashtbl.create 64;
-      prog;
       changed = true;
       chan_elem = Hashtbl.create 16;
       chan_cap = Hashtbl.create 16;
@@ -370,7 +385,7 @@ let solve (prog : Ir.program) (summaries : func_summary list) : t =
           | _ -> ())
         s.fs_facts)
     summaries;
-  seed_entry_params st called;
+  seed_entry_params st called by_name summaries;
   let rounds = ref 0 in
   while st.changed && !rounds < 100 do
     st.changed <- false;

@@ -25,7 +25,6 @@ type t = {
   edges : edge list;
   succs : (string, edge list) Hashtbl.t;
   preds : (string, edge list) Hashtbl.t;
-  prog : Ir.program;
 }
 
 let arity (f : Ir.func) = List.length f.params
@@ -128,7 +127,7 @@ let build_from_sites ?alias (prog : Ir.program) (sites : func_sites list) : t
       Hashtbl.replace preds e.callee
         (e :: (Option.value (Hashtbl.find_opt preds e.callee) ~default:[])))
     !edges;
-  { edges = !edges; succs; preds; prog }
+  { edges = !edges; succs; preds }
 
 let build ?alias (prog : Ir.program) : t =
   build_from_sites ?alias prog
@@ -150,24 +149,6 @@ let reachable_from t f =
   go f;
   seen
 
-(* Does the call-subtree rooted at [f] contain an instruction satisfying
-   [pred]?  Used to skip callee bodies during path enumeration (§3.3). *)
-let subtree_contains t prog f pred =
-  let reach = reachable_from t f in
-  Hashtbl.fold
-    (fun g () acc ->
-      acc
-      ||
-      match Ir.find_func prog g with
-      | Some fn ->
-          Ir.fold_insts (fun acc i -> acc || pred i) false fn
-          || Array.exists
-               (fun (b : Ir.block) ->
-                 match b.term with Tselect _ -> true | _ -> false)
-               fn.blocks
-      | None -> false)
-    reach false
-
 (* Lowest common ancestor of a set of functions in the call graph: the
    function with the smallest reachable-set that can reach all of them.
    The paper uses this to define a channel's analysis scope (§3.2). *)
@@ -188,7 +169,10 @@ let ancestors t f =
    program function: one forward walk per surviving candidate, not one
    per function.  The winner is unchanged — smallest reachable set,
    ties to the lexicographically first name, which is the order the old
-   stable sort over the name-sorted function list produced. *)
+   stable sort over the name-sorted function list produced.  Every
+   candidate is a program function: an ancestor is [f0] itself (a
+   function holding an operation) or the caller of an edge, and edges
+   are built from the call sites of program functions. *)
 let lca t (fs : string list) : string option =
   match fs with
   | [] -> None
@@ -205,12 +189,7 @@ let lca t (fs : string list) : string option =
           cand0 rest
       in
       let covering =
-        List.filter_map
-          (fun g ->
-            if Hashtbl.mem t.prog.Ir.funcs g then
-              Some (g, Hashtbl.length (reachable_from t g))
-            else None)
-          cands
+        List.map (fun g -> (g, Hashtbl.length (reachable_from t g))) cands
       in
       (match covering with
       | [] -> None

@@ -77,6 +77,10 @@ type chan_stats = {
   mutable c_sat_restarts : int;
   mutable c_sat_db_reductions : int;
   mutable c_paths_deduped : int;
+  mutable c_enumerated : bool;
+      (* whether the channel's paths were enumerated, false when its
+         verdict was replayed from a known fingerprint; not a counter
+         of the solve, so never snapshotted *)
 }
 
 let new_chan_stats () =
@@ -94,6 +98,7 @@ let new_chan_stats () =
     c_sat_restarts = 0;
     c_sat_db_reductions = 0;
     c_paths_deduped = 0;
+    c_enumerated = false;
   }
 
 (* The per-channel counter snapshot as stored in (and replayed from) the
@@ -225,6 +230,19 @@ let suspicious_groups cfg pset (combo : Pathenum.combination) :
     List.filteri (fun i _ -> i < cfg.max_groups) all
   else all
 
+(* Fingerprints of channels solved cleanly at full bounds, kept so a
+   later version of the program can replay their verdicts.  Built once
+   per run and read-only after. *)
+type fingerprints = (Alias.obj, string) Hashtbl.t
+
+(* A known fingerprint per channel from an earlier version of the
+   program whose alias facts, call graph and primitive map equal this
+   one's, and the test for "this function's IR changed since".  A
+   channel none of whose scope functions changed would enumerate the
+   same paths and so reach the same fingerprint: its verdict is replayed
+   from the solve cache without enumerating. *)
+type reuse = { ru_fps : fingerprints; ru_changed : string -> bool }
+
 (* Detect BMOC bugs for one channel.  Returns the bugs plus a flag saying
    whether the channel blew its [solver_timeout_ms] budget — in which case
    its (partial, schedule-dependent) findings are discarded so the output
@@ -236,12 +254,15 @@ let suspicious_groups cfg pset (combo : Pathenum.combination) :
    CFG walk happens once instead of once per channel.  With the solve
    cache on, the canonical problem is fingerprinted after enumeration
    and feasibility filtering; a hit replays the stored bug list and
-   counter snapshot without touching the solver. *)
-let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
+   counter snapshot without touching the solver.  With [reuse], a
+   channel whose fingerprint is known skips straight to that lookup,
+   and enumerates only if the entry was evicted.  The fingerprint the
+   verdict is keyed by is returned beside it. *)
+let detect_channel ?(cfg = default_config) ?reuse ~(prims : Primitives.t)
     ~(dis : Disentangle.t) ~(cg : Callgraph.t) ~(alias : Alias.t)
     ~(prog : Ir.program) ~(cst : chan_stats)
     ~(enum_memo : Pathenum.combination list Goengine.Memo.t) (c : Alias.obj) :
-    Report.bmoc_bug list * bool =
+    Report.bmoc_bug list * bool * string option =
   let on_stats ~conflicts ~decisions ~propagations ~theory_conflicts ~learnts
       ~restarts ~reductions =
     cst.c_sat_conflicts <- cst.c_sat_conflicts + conflicts;
@@ -284,6 +305,29 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
         Primitives.channels prims @ Primitives.mutexes prims )
     end
   in
+  (* this channel's verdict, with the only channel-dependent fields of
+     each bug rewritten to this channel *)
+  let replay (e : Solve_cache.entry) =
+    stats_restore cst e.Solve_cache.e_stats;
+    List.map
+      (fun (b : Report.bmoc_bug) ->
+        { b with Report.channel = c; chan_loc = Alias.creation_loc alias c })
+      e.Solve_cache.e_bugs
+  in
+  let known =
+    match reuse with
+    | Some ru when cfg.solve_cache && not (List.exists ru.ru_changed scope.funcs)
+      -> (
+        match Hashtbl.find_opt ru.ru_fps c with
+        | Some fp ->
+            Option.map (fun e -> (fp, e)) (Solve_cache.find ?dir:cfg.cache_dir fp)
+        | None -> None)
+    | _ -> None
+  in
+  match known with
+  | Some (fp, e) -> (replay e, false, Some fp)
+  | None ->
+  cst.c_enumerated <- true;
   let combos =
     let key =
       Solve_cache.fingerprint
@@ -490,7 +534,9 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
   with Gosmt.Solver.Timeout -> ([], true)
   in
   match fp with
-  | None -> run_solve ()
+  | None ->
+      let found, timed = run_solve () in
+      (found, timed, None)
   | Some fp ->
       let timed_out = ref false in
       let e, _cached =
@@ -503,23 +549,10 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
             ( { Solve_cache.e_bugs = found; e_stats = stats_snapshot cst },
               not timed ))
       in
-      if !timed_out then ([], true)
-      else begin
-        (* On a replay [cst] was untouched, so restore the original
-           solve's counters; after a fresh compute this restores the
-           snapshot just taken — an identity.  Rewrite the only
-           channel-dependent fields of each bug to this channel. *)
-        stats_restore cst e.Solve_cache.e_stats;
-        ( List.map
-            (fun (b : Report.bmoc_bug) ->
-              {
-                b with
-                Report.channel = c;
-                chan_loc = Alias.creation_loc alias c;
-              })
-            e.Solve_cache.e_bugs,
-          false )
-      end
+      (* On a cache hit [cst] was untouched, so [replay] restores the
+         original solve's counters; after a fresh compute it restores
+         the snapshot just taken — an identity. *)
+      if !timed_out then ([], true, None) else (replay e, false, Some fp)
 
 (* ------------------------------------------- degradation ladder ------ *)
 
@@ -544,8 +577,8 @@ let rung_cfg cfg i =
    successful retry is a *degraded but present* verdict — fewer paths
    explored — which beats no verdict at all).  Without a budget there is
    nothing to ladder off: the clean path is one plain call. *)
-let detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c :
-    Report.bmoc_bug list * bool * int =
+let detect_channel_ladder ~cfg ?reuse ~prims ~dis ~cg ~alias ~prog ~cst
+    ~enum_memo c : Report.bmoc_bug list * bool * int * string option =
   (* Each rung attempt runs as its own scheduled task: under the effects
      scheduler a rung that stalls in the solver suspends at its yield
      points instead of pinning the domain, and the awaiting ladder frame
@@ -555,23 +588,26 @@ let detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c :
      time, no speculation): whether rung [i+1] runs depends on rung
      [i]'s verdict, which keeps solver-call counters and the consumed
      rung count schedule-independent. *)
-  let attempt cfg =
+  let attempt ?reuse cfg =
     Goengine.Pool.await
       (Goengine.Pool.fork (fun () ->
-           detect_channel ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c))
+           detect_channel ~cfg ?reuse ~prims ~dis ~cg ~alias ~prog ~cst
+             ~enum_memo c))
   in
-  let found, timed = attempt cfg in
+  let found, timed, fp = attempt ?reuse cfg in
   if
     (not timed)
     || cfg.path_cfg.Pathenum.solver_timeout_ms = None
     || cfg.retry_rungs <= 0
-  then (found, timed, 0)
+  then (found, timed, 0, fp)
   else
+    (* a verdict at reduced bounds is keyed by the reduced config: its
+       fingerprint is not the channel's *)
     let rec retry i =
-      if i > cfg.retry_rungs then ([], true, cfg.retry_rungs)
+      if i > cfg.retry_rungs then ([], true, cfg.retry_rungs, None)
       else
-        let found, timed = attempt (rung_cfg cfg i) in
-        if timed then retry (i + 1) else (found, false, i)
+        let found, timed, _ = attempt (rung_cfg cfg i) in
+        if timed then retry (i + 1) else (found, false, i, None)
     in
     retry 1
 
@@ -630,11 +666,16 @@ type full = {
   f_stats : stats;
   f_skipped : skipped list;
   f_notes : chan_note list;
+  f_fps : fingerprints;
+      (* every channel solved cleanly at full bounds, by fingerprint *)
+  f_enumerated : int; (* channels whose paths were enumerated *)
+  f_replayed : int; (* channels replayed from a known fingerprint *)
 }
 
 (* What one pool task reports back for its root. *)
 type chan_outcome =
-  | Odone of Report.bmoc_bug list * bool * int (* bugs, timed_out, rungs *)
+  | Odone of Report.bmoc_bug list * bool * int * string option
+      (* bugs, timed_out, rungs, fingerprint *)
   | Ofaulted of string
   | Opressure of string
 
@@ -659,10 +700,12 @@ type chan_outcome =
    engine pass hands over the ones its artifact record already holds,
    which every other detector pass reads too. *)
 let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
-    ?(metrics = M.default) ~(alias : Alias.t) ~(cg : Callgraph.t)
+    ?(metrics = M.default) ?dis ?reuse ~(alias : Alias.t) ~(cg : Callgraph.t)
     ~(prims : Primitives.t) (prog : Ir.program) : full =
   let reg = M.create () in
-  let dis = Disentangle.build prims cg in
+  let dis =
+    match dis with Some d -> d | None -> Disentangle.build prims cg
+  in
   let roots =
     List.filter
       (function Alias.Achan _ -> true | _ -> false)
@@ -681,10 +724,6 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
   (* canonical root order: structural compare is deterministic and
      independent of Hashtbl iteration order (the WaitGroup fold above) *)
   let roots = List.sort_uniq compare roots in
-  (* Warm the scope cache sequentially: [Disentangle.scope_of] memoizes on
-     miss (WaitGroup roots are not precomputed by [build]), and that table
-     must not be written to from several domains at once. *)
-  List.iter (fun c -> ignore (Disentangle.scope_of dis c)) roots;
   (* one enumeration memo per run: channels sharing a (root, scope, Pset)
      — always the case under the ablation scope — walk the CFG once *)
   let enum_memo = Goengine.Memo.create () in
@@ -709,10 +748,11 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
               | Some reason -> Opressure reason
               | None -> (
                   match
-                    detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog
-                      ~cst ~enum_memo c
+                    detect_channel_ladder ~cfg ?reuse ~prims ~dis ~cg ~alias
+                      ~prog ~cst ~enum_memo c
                   with
-                  | found, timed_out, rungs -> Odone (found, timed_out, rungs)
+                  | found, timed_out, rungs, fp ->
+                      Odone (found, timed_out, rungs, fp)
                   | exception e ->
                       stats_restore cst [];
                       Ofaulted (Printexc.to_string e))
@@ -727,8 +767,8 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
                 ("elapsed_ms", Printf.sprintf "%.1f" elapsed_ms);
                 ( "outcome",
                   match outcome with
-                  | Odone (_, true, _) -> "timed_out"
-                  | Odone (_, _, r) when r > 0 -> "recovered"
+                  | Odone (_, true, _, _) -> "timed_out"
+                  | Odone (_, _, r, _) when r > 0 -> "recovered"
                   | Odone _ -> "ok"
                   | Ofaulted _ -> "faulted"
                   | Opressure _ -> "pressure-skipped" );
@@ -740,12 +780,15 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
   let skips = ref [] in
   let notes = ref [] in
   let seen = Hashtbl.create 16 in
+  let fps = Hashtbl.create 64 in
+  let enumerated = ref 0 and replayed = ref 0 in
   let bump name n = if n <> 0 then M.add (M.counter reg ("bmoc." ^ name)) n in
   let health k = M.incr (M.counter reg k) in
   let chan_ms = M.histogram reg "bmoc.channel_solve_ms" in
   List.iter
     (fun (c, outcome, cst, elapsed_ms) ->
       health Goengine.Supervise.h_attempted;
+      if cst.c_enumerated then incr enumerated;
       match outcome with
       | Opressure reason ->
           health Goengine.Supervise.h_skipped;
@@ -768,7 +811,9 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
               cn_note = `Faulted detail;
             }
             :: !notes
-      | Odone (found, timed_out, rungs) ->
+      | Odone (found, timed_out, rungs, fp) ->
+          Option.iter (Hashtbl.replace fps c) fp;
+          if not cst.c_enumerated then incr replayed;
           if timed_out then health Goengine.Supervise.h_skipped
           else health Goengine.Supervise.h_ok;
           if rungs > 0 then health Goengine.Supervise.h_retried;
@@ -842,6 +887,9 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
     f_stats = stats;
     f_skipped = List.rev !skips;
     f_notes = List.rev !notes;
+    f_fps = fps;
+    f_enumerated = !enumerated;
+    f_replayed = !replayed;
   }
 
 (* [detect_with] on facts derived here from [prog] alone, for callers

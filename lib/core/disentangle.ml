@@ -112,38 +112,33 @@ let direct_deps prims cg (all : Alias.obj list) :
     all;
   edges
 
-(* Channels waited on by one select depend on each other (§3.2, rule 2). *)
-let select_partners prims (prog : Ir.program) : (Alias.obj * Alias.obj) list =
-  let pairs = ref [] in
-  List.iter
-    (fun (f : Ir.func) ->
-      Array.iter
-        (fun (b : Ir.block) ->
-          match b.term with
-          | Tselect (arms, _, _) ->
-              let objs_per_arm =
-                List.map
-                  (fun (a : Ir.select_arm) ->
-                    let p =
-                      match a.arm_op with Arm_recv (p, _) | Arm_send (p, _) -> p
-                    in
-                    Primitives.objs prims f.name p)
-                  arms
-              in
-              List.iteri
-                (fun i oi ->
-                  List.iteri
-                    (fun j oj ->
-                      if i < j then
-                        List.iter
-                          (fun a -> List.iter (fun b -> pairs := (a, b) :: !pairs) oj)
-                          oi)
-                    objs_per_arm)
-                objs_per_arm
-          | _ -> ())
-        f.blocks)
-    (Ir.funcs_list prog);
-  !pairs
+(* Channels waited on by one select depend on each other (§3.2, rule 2).
+   Read off the primitive map: every select arm's ops carry the select's
+   program point and the arm index.  The pair order is immaterial, as
+   dependences are sets. *)
+let select_partners (prims : Primitives.t) : (Alias.obj * Alias.obj) list =
+  (* select pp -> (arm, object) *)
+  let arms : (Ir.pp, (int * Alias.obj) list) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun obj ops ->
+      List.iter
+        (fun (o : Primitives.op) ->
+          match o.o_select_arm with
+          | Some idx ->
+              let cur = Option.value (Hashtbl.find_opt arms o.o_pp) ~default:[] in
+              Hashtbl.replace arms o.o_pp ((idx, obj) :: cur)
+          | None -> ())
+        ops)
+    prims.ops;
+  Hashtbl.fold
+    (fun _ members acc ->
+      List.fold_left
+        (fun acc (i, a) ->
+          List.fold_left
+            (fun acc (j, b) -> if i < j then (a, b) :: acc else acc)
+            acc members)
+        acc members)
+    arms []
 
 let build (prims : Primitives.t) (cg : Callgraph.t) : t =
   let all =
@@ -162,7 +157,7 @@ let build (prims : Primitives.t) (cg : Callgraph.t) : t =
       in
       add_dep a b;
       add_dep b a)
-    (select_partners prims prims.prog);
+    (select_partners prims);
   (* transitive closure: one graph walk per object over the direct
      edges (the old association-list fixpoint re-scanned every list on
      every round) *)
@@ -187,13 +182,13 @@ let build (prims : Primitives.t) (cg : Callgraph.t) : t =
     all;
   { prims; cg; all; scopes; deps }
 
+(* Read-only once built: a [t] may be shared by the records of several
+   program versions at once, so an object [build] did not cover (a
+   WaitGroup root) has its scope computed afresh on every call. *)
 let scope_of t obj =
   match Hashtbl.find_opt t.scopes obj with
   | Some s -> s
-  | None ->
-      let s = compute_scope t.prims t.cg obj in
-      Hashtbl.replace t.scopes obj s;
-      s
+  | None -> compute_scope t.prims t.cg obj
 
 (* Externally-created primitives (context done channels, channels arriving
    through entry parameters) have creation sites outside the program, so

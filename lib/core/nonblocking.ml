@@ -94,10 +94,12 @@ let order_feasible (combo : Pathenum.combination) (first : int * Pathenum.event)
   Solver.add s (Solver.lt s (ovar_of fg fe.e_uid) (ovar_of sg se.e_uid));
   match Solver.solve s with Solver.Sat_model _ -> true | Solver.Unsat -> false
 
-let detect ?(cfg = Bmoc.default_config) ~(alias : Alias.t)
+let detect ?(cfg = Bmoc.default_config) ?dis ~(alias : Alias.t)
     ~(cg : Callgraph.t) ~(prims : Primitives.t) (prog : Ir.program) :
     nb_bug list =
-  let dis = Disentangle.build prims cg in
+  let dis =
+    match dis with Some d -> d | None -> Disentangle.build prims cg
+  in
   let bugs = ref [] in
   let seen = Hashtbl.create 16 in
   let report kind obj scope_root first second =

@@ -19,10 +19,12 @@ val nb_str : nb_bug -> string
 
 val detect :
   ?cfg:Bmoc.config ->
+  ?dis:Disentangle.t ->
   alias:Goanalysis.Alias.t ->
   cg:Goanalysis.Callgraph.t ->
   prims:Primitives.t ->
   Goir.Ir.program ->
   nb_bug list
-(** Check every closed channel on the caller's alias facts, call graph
-    and primitive map (the engine pass passes its artifact record's). *)
+(** Check every closed channel on the caller's alias facts, call graph,
+    primitive map and disentangling (the engine pass passes its artifact
+    record's; without [dis] it is built here). *)

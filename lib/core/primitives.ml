@@ -1,6 +1,7 @@
 module Ir = Goir.Ir
 module Alias = Goanalysis.Alias
 module Callgraph = Goanalysis.Callgraph
+module Syncops = Goanalysis.Syncops
 
 (* Primitive and operation discovery (Algorithm 1, lines 2–5).
 
@@ -24,7 +25,6 @@ type prim_kind = Pchan | Pmutex | Pwaitgroup
 type t = {
   ops : (Alias.obj, op list) Hashtbl.t;
   kinds : (Alias.obj, prim_kind) Hashtbl.t;
-  prog : Ir.program;
   alias : Alias.t;
 }
 
@@ -38,69 +38,55 @@ let note_kind t obj kind =
 (* Objects a place may refer to, from the alias analysis. *)
 let objs t fname place = Alias.ObjSet.elements (Alias.objects_of_place t.alias fname place)
 
-let collect (prog : Ir.program) (alias : Alias.t) : t =
-  let t = { ops = Hashtbl.create 64; kinds = Hashtbl.create 64; prog; alias } in
-  List.iter
-    (fun (f : Ir.func) ->
-      Ir.iter_insts
-        (fun (i : Ir.inst) ->
-          let record kind prim_kind place =
+let kinds_of : Syncops.kind -> Report.op_kind * prim_kind = function
+  | Send -> (Report.Ksend, Pchan)
+  | Recv -> (Report.Krecv, Pchan)
+  | Close -> (Report.Kclose, Pchan)
+  | Lock -> (Report.Klock, Pmutex)
+  | Unlock -> (Report.Kunlock, Pmutex)
+  | Wg_add -> (Report.Kwg_add, Pwaitgroup)
+  | Wg_done -> (Report.Kwg_done, Pwaitgroup)
+  | Wg_wait -> (Report.Kwg_wait, Pwaitgroup)
+
+(* The map from per-function sync facts (one entry per program
+   function, in any order).  Functions are visited in name order, the
+   [Ir.funcs_list] order; a name listed twice (declared in two files)
+   keeps its last entry, as assembly keeps the last declaration. *)
+let of_ops (alias : Alias.t) (funcs : Syncops.func_ops list) : t =
+  let t = { ops = Hashtbl.create 64; kinds = Hashtbl.create 64; alias } in
+  let rec visit = function
+    | [] -> ()
+    | (a : Syncops.func_ops) :: (b :: _ as rest) when a.so_name = b.so_name ->
+        visit rest
+    | (fo : Syncops.func_ops) :: rest ->
+        List.iter
+          (fun (s : Syncops.op) ->
+            let kind, prim_kind = kinds_of s.s_kind in
             List.iter
               (fun obj ->
                 note_kind t obj prim_kind;
                 add_op t
                   {
                     o_obj = obj;
-                    o_func = f.name;
-                    o_pp = i.ipp;
-                    o_loc = i.iloc;
+                    o_func = fo.so_name;
+                    o_pp = s.s_pp;
+                    o_loc = s.s_loc;
                     o_kind = kind;
-                    o_deferred = i.ideferred;
-                    o_select_arm = None;
+                    o_deferred = s.s_deferred;
+                    o_select_arm = s.s_arm;
                   })
-              (objs t f.name place)
-          in
-          match i.idesc with
-          | Isend (p, _) -> record Report.Ksend Pchan p
-          | Irecv (_, p, _) -> record Report.Krecv Pchan p
-          | Iclose p -> record Report.Kclose Pchan p
-          | Ilock p -> record Report.Klock Pmutex p
-          | Iunlock p -> record Report.Kunlock Pmutex p
-          | Iwg_add (p, _) -> record Report.Kwg_add Pwaitgroup p
-          | Iwg_done p -> record Report.Kwg_done Pwaitgroup p
-          | Iwg_wait p -> record Report.Kwg_wait Pwaitgroup p
-          | _ -> ())
-        f;
-      Array.iter
-        (fun (b : Ir.block) ->
-          match b.term with
-          | Tselect (arms, _, sel_pp) ->
-              List.iteri
-                (fun idx (a : Ir.select_arm) ->
-                  let place, kind =
-                    match a.arm_op with
-                    | Arm_recv (p, _) -> (p, Report.Krecv)
-                    | Arm_send (p, _) -> (p, Report.Ksend)
-                  in
-                  List.iter
-                    (fun obj ->
-                      note_kind t obj Pchan;
-                      add_op t
-                        {
-                          o_obj = obj;
-                          o_func = f.name;
-                          o_pp = sel_pp;
-                          o_loc = b.term_loc;
-                          o_kind = kind;
-                          o_deferred = false;
-                          o_select_arm = Some idx;
-                        })
-                    (objs t f.name place))
-                arms
-          | _ -> ())
-        f.blocks)
-    (Ir.funcs_list prog);
+              (objs t fo.so_name s.s_place))
+          fo.so_ops;
+        visit rest
+  in
+  visit
+    (List.stable_sort
+       (fun (a : Syncops.func_ops) b -> String.compare a.so_name b.so_name)
+       funcs);
   t
+
+let collect (prog : Ir.program) (alias : Alias.t) : t =
+  of_ops alias (List.map Syncops.extract_func (Ir.funcs_list prog))
 
 let ops_of t obj = Option.value (Hashtbl.find_opt t.ops obj) ~default:[]
 

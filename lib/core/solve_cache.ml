@@ -58,10 +58,8 @@ let reset_memory () = Goengine.Memo.reset mem
 (* A long-lived server bounds the memory tier; evictions are counted in
    the process registry (like hit/miss — a warm run's counters already
    differ from a cold run's).  [mb <= 0] removes the bound. *)
-let c_evict = lazy (M.counter M.default "bmoc.solve_cache_evictions")
-
 let set_memory_budget_mb mb =
-  let on_evict n = M.add (Lazy.force c_evict) n in
+  let on_evict n = M.add (M.counter M.default "bmoc.solve_cache_evictions") n in
   Goengine.Memo.set_budget ~on_evict mem ~bytes:(mb * 1024 * 1024)
 
 let memory_bytes () = Goengine.Memo.used_bytes mem
@@ -85,16 +83,11 @@ let preload ~dir fps =
 
 (* -------------------------------------------------------- frontend --- *)
 
-let c_hit = lazy (M.counter M.default "bmoc.solve_cache_hit")
-let c_miss = lazy (M.counter M.default "bmoc.solve_cache_miss")
-let c_disk_hit = lazy (M.counter M.default "bmoc.solve_cache_disk_hit")
-let c_store = lazy (M.counter M.default "bmoc.solve_cache_store")
+(* Counters are looked up per use, never cached in a top-level [lazy]:
+   lookups run inside BMOC's per-channel pool tasks, and two domains
+   forcing one lazy at once raise [CamlinternalLazy.Undefined]. *)
+let bump name = M.incr (M.counter M.default ("bmoc.solve_cache_" ^ name))
 
-(* Serve [fp] from the memory tier, then the disk tier, then by running
-   [compute].  [compute] returns [(entry, store)]; [store = false] marks
-   a result that must not be cached (a budget-truncated solve) — it is
-   returned to this caller but the slot is released.  Returns the entry
-   plus [true] when it came from a cache tier. *)
 (* One journal event per lookup outcome — a miss's store outcome rides
    on the miss event as a "stored" flag rather than a second event, so
    the hot solve path journals once.  The memory tier's exactly-once
@@ -112,44 +105,74 @@ let journal_solve ~event ?from ?stored fp =
         | Some b -> [ ("stored", Goobs.Journal.B b) ]
         | None -> []))
 
+(* A lookup served by a cache tier: counted and journaled the same way
+   whether it came through [find_or_compute] or [find]. *)
+let note_hit ~from_disk fp =
+  bump "hit";
+  if from_disk then bump "disk_hit";
+  journal_solve ~event:"solve.hit" ~from:(if from_disk then "disk" else "mem") fp
+
+let read_disk dir fp =
+  Option.bind (Option.map Goengine.Store.at dir) (fun s ->
+      Trace.with_span ~name:"bmoc.cache.lookup" (fun () ->
+          Goengine.Store.read s ~kind:"solve" ~key:fp))
+
+(* Serve [fp] from the memory tier, then the disk tier, then by running
+   [compute].  [compute] returns [(entry, store)]; [store = false] marks
+   a result that must not be cached (a budget-truncated solve) — it is
+   returned to this caller but the slot is released.  Returns the entry
+   plus [true] when it came from a cache tier. *)
 let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
     entry * bool =
   let from_disk = ref false in
   let stored = ref false in
   match
     Goengine.Memo.find_or_compute mem fp (fun () ->
-        let disk = Option.map Goengine.Store.at dir in
-        match
-          Option.bind disk (fun s ->
-              Trace.with_span ~name:"bmoc.cache.lookup" (fun () ->
-                  Goengine.Store.read s ~kind:"solve" ~key:fp))
-        with
+        match read_disk dir fp with
         | Some (e, _) ->
             from_disk := true;
             (e, true)
         | None ->
             let e, store = compute () in
             if store then begin
-              M.incr (Lazy.force c_store);
+              bump "store";
               stored := true;
               Option.iter
-                (fun s ->
+                (fun d ->
                   Trace.with_span ~name:"bmoc.cache.store" (fun () ->
-                      ignore (Goengine.Store.write s ~kind:"solve" ~key:fp e)))
-                disk
+                      ignore
+                        (Goengine.Store.write (Goengine.Store.at d) ~kind:"solve"
+                           ~key:fp e)))
+                dir
             end;
             (e, store))
   with
   | `Hit e ->
-      M.incr (Lazy.force c_hit);
-      journal_solve ~event:"solve.hit" ~from:"mem" fp;
+      note_hit ~from_disk:false fp;
       (e, true)
   | `Computed e when !from_disk ->
-      M.incr (Lazy.force c_hit);
-      M.incr (Lazy.force c_disk_hit);
-      journal_solve ~event:"solve.hit" ~from:"disk" fp;
+      note_hit ~from_disk:true fp;
       (e, true)
   | `Computed e ->
-      M.incr (Lazy.force c_miss);
+      bump "miss";
       journal_solve ~event:"solve.miss" ~stored:!stored fp;
       (e, false)
+
+(* [fp] from the memory tier, then the disk tier, never computed: [None]
+   (and nothing counted) when neither tier holds it.  A hit is counted
+   and journaled as a [find_or_compute] hit, so a caller that already
+   knows a channel's fingerprint replays its verdict with the same
+   counters as one that re-derived it. *)
+let find ?dir (fp : string) : entry option =
+  let exception Absent in
+  match
+    Goengine.Memo.find_or_compute mem fp (fun () ->
+        match read_disk dir fp with Some (e, _) -> (e, true) | None -> raise Absent)
+  with
+  | `Hit e ->
+      note_hit ~from_disk:false fp;
+      Some e
+  | `Computed e ->
+      note_hit ~from_disk:true fp;
+      Some e
+  | exception Absent -> None

@@ -89,15 +89,21 @@ let release objs (ls : lockset) : lockset =
     ls objs
 
 (* What the walk of one function saw, in walk order.  Each lockset is
-   the one held just before the instruction. *)
+   the one held just before the instruction.  An event names its
+   instruction by program point and location only, so a walk kept for a
+   later program version holds no IR of this one. *)
+type site = { s_pp : Ir.pp; s_loc : Minigo.Loc.t }
+
 type event =
-  | Lock of Ir.inst * Alias.obj list * lockset
+  | Lock of site * Alias.obj list * lockset
       (* a lock site, its mutex objects *)
-  | Call of Ir.inst * string * lockset
+  | Call of site * string * lockset
       (* a direct call made while a lock is held *)
-  | Access of Ir.inst * string * bool * Alias.obj list * lockset
+  | Access of site * string * bool * Alias.obj list * lockset
       (* a field load ([false]) or store ([true]): field, base objects *)
   | Return of lockset (* a return that still holds a lock *)
+
+let site (i : Ir.inst) = { s_pp = i.ipp; s_loc = i.iloc }
 
 let walk_func prims alias (f : Ir.func) : event list =
   let events = ref [] in
@@ -105,18 +111,19 @@ let walk_func prims alias (f : Ir.func) : event list =
   let access i b fld is_write ls =
     (* channel bookkeeping fields are not program state *)
     if fld <> "$done" && fld <> "$elem" then
-      emit (Access (i, fld, is_write, place_objs alias f.name (Ir.Pvar b), ls))
+      emit
+        (Access (site i, fld, is_write, place_objs alias f.name (Ir.Pvar b), ls))
   in
   walk_paths f
     ~step:(fun i ls ->
       match i.idesc with
       | Ilock p ->
           let objs = mutex_objs prims alias f.name p in
-          emit (Lock (i, objs, ls));
+          emit (Lock (site i, objs, ls));
           objs @ ls
       | Iunlock p -> release (mutex_objs prims alias f.name p) ls
       | Icall (_, g, _) when ls <> [] ->
-          emit (Call (i, g, ls));
+          emit (Call (site i, g, ls));
           ls
       | Ifield_load (_, b, fld) ->
           access i b fld false ls;
@@ -154,6 +161,7 @@ type walk = {
   w_prims : Primitives.t;
   w_alias : Alias.t;
   w_funcs : func_facts list; (* [Ir.funcs_list] order *)
+  w_walked : int; (* functions walked here, not taken from [prev] *)
 }
 
 let scan prims alias (f : Ir.func) =
@@ -176,25 +184,51 @@ let grain funcs = max 1 (List.length funcs / 32)
 
 (* Scan and walk every function once over [pool]; results come back in
    function order.  Pressure defers the walk, never the scan: the call
-   summary needs every function's locks. *)
-let walk ?(pool = Pool.sequential) prims alias (prog : Ir.program) : walk =
+   summary needs every function's locks.
+
+   [prev] is the walk of an earlier version of the program whose alias
+   facts and primitive map equal this one's, with the functions whose IR
+   changed since: every other function's facts are taken over (with this
+   program's function), as a walk of an equal function over equal facts
+   yields equal events.  A function whose earlier walk raised is walked
+   again. *)
+let walk ?(pool = Pool.sequential) ?prev prims alias (prog : Ir.program) :
+    walk =
   let funcs = Ir.funcs_list prog in
-  let one f =
-    let f_locks, f_structs = scan prims alias f in
-    let f_walk =
-      if Goengine.Supervise.pressure () <> None then Deferred
-      else
-        match walk_func prims alias f with
-        | events -> Walked events
-        | exception e -> Raised e
-    in
-    { f_func = f; f_locks; f_structs; f_walk }
+  let kept =
+    match prev with
+    | None -> fun _ -> None
+    | Some (w, changed) ->
+        let tbl = Hashtbl.create (List.length w.w_funcs) in
+        List.iter
+          (fun ff ->
+            match ff.f_walk with
+            | Walked _ -> Hashtbl.replace tbl ff.f_func.Ir.name ff
+            | Raised _ | Deferred -> ())
+          w.w_funcs;
+        fun (f : Ir.func) ->
+          if changed f.name then None else Hashtbl.find_opt tbl f.name
   in
-  {
-    w_prims = prims;
-    w_alias = alias;
-    w_funcs = Pool.map ~pool ~grain:(grain funcs) one funcs;
-  }
+  let walked = Atomic.make 0 in
+  let one f =
+    match kept f with
+    | Some ff -> { ff with f_func = f }
+    | None ->
+        Atomic.incr walked;
+        let f_locks, f_structs = scan prims alias f in
+        let f_walk =
+          if Goengine.Supervise.pressure () <> None then Deferred
+          else
+            match walk_func prims alias f with
+            | events -> Walked events
+            | exception e -> Raised e
+        in
+        { f_func = f; f_locks; f_structs; f_walk }
+  in
+  let w_funcs = Pool.map ~pool ~grain:(grain funcs) one funcs in
+  { w_prims = prims; w_alias = alias; w_funcs; w_walked = Atomic.get walked }
+
+let walked w = w.w_walked
 
 (* False when pressure deferred some function: such a walk is not kept. *)
 let complete w =
@@ -304,15 +338,15 @@ let double_lock ?metrics cg w : Report.trad_bug list =
   @@ per_func ?metrics ~checker:"trad.double-lock" w (fun f events ->
          let bugs = ref [] in
          let reported = ref [] in
-         let report (i : Ir.inst) kind o detail =
-           let key = (kind, o, i.ipp) in
+         let report (i : site) kind o detail =
+           let key = (kind, o, i.s_pp) in
            if not (List.mem key !reported) then begin
              reported := key :: !reported;
              bugs :=
                {
                  Report.tkind = Report.Double_lock;
                  tfunc = f.name;
-                 tloc = i.iloc;
+                 tloc = i.s_loc;
                  tdetail = detail;
                }
                :: !bugs
@@ -358,7 +392,7 @@ let lock_order ?metrics w : Report.trad_bug list =
                   (fun m2 ->
                     List.filter_map
                       (fun m1 ->
-                        if m1 <> m2 then Some ((m1, m2), (f.name, i.iloc))
+                        if m1 <> m2 then Some ((m1, m2), (f.name, i.s_loc))
                         else None)
                       ls)
                   objs
@@ -433,7 +467,7 @@ let field_race ?metrics w : Report.trad_bug list =
                           ( (obj, fld),
                             {
                               a_func = f.name;
-                              a_loc = i.iloc;
+                              a_loc = i.s_loc;
                               a_lockset = ls;
                               a_is_write = is_write;
                             } )

@@ -21,6 +21,7 @@ type walk
 
 val walk :
   ?pool:Goengine.Pool.t ->
+  ?prev:walk * (string -> bool) ->
   Primitives.t ->
   Goanalysis.Alias.t ->
   Goir.Ir.program ->
@@ -33,7 +34,17 @@ val walk :
     the exception, which each checker replays inside its own boundary.
     Under watchdog pressure the walk stops at function boundaries: the
     remaining functions are deferred, and a checker walks a deferred
-    function itself if its boundary finds the pressure gone. *)
+    function itself if its boundary finds the pressure gone.
+
+    [prev] is a complete walk of an earlier version of the program and
+    the test for "this function's IR changed since".  The caller
+    guarantees the earlier version's alias facts and primitive map equal
+    these; every unchanged function that walked cleanly there keeps its
+    facts, and only the rest are scanned and walked. *)
+
+val walked : walk -> int
+(** Functions this walk scanned and walked itself (not taken from
+    [prev]). *)
 
 val complete : walk -> bool
 (** False when pressure deferred some function. *)

@@ -187,6 +187,18 @@ let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
           Mutex.unlock t.mu;
           raise e)
 
+(* The completed value under [key], if any: never claims, computes or
+   waits. *)
+let find_done t key =
+  Mutex.lock t.mu;
+  let r =
+    match Hashtbl.find_opt t.tbl key with
+    | Some (Done c) -> Some c.v
+    | Some Computing | None -> None
+  in
+  Mutex.unlock t.mu;
+  r
+
 (* Seed [key] from [load] when absent, with the same at-most-once claim
    and budget charge as a computation; [load] returning [None] leaves the
    key absent.  True when an entry was loaded. *)

@@ -64,8 +64,6 @@ let at dir =
 
 let path t ~kind ~key = Filename.concat t.dir ("gcatch-" ^ key ^ "." ^ kind)
 
-let c_read_error = lazy (M.counter M.default "store.read_error")
-let c_write_error = lazy (M.counter M.default "store.write_error")
 
 (* A vanished directory (as opposed to a bad entry) is what retires a
    handle; [mkdir] reinstates it when the parent still exists. *)
@@ -73,8 +71,10 @@ let usable dir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
   try Sys.is_directory dir with Sys_error _ -> false
 
+(* [counter] is looked up per use: a top-level lazy forced from two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
 let failed t counter =
-  M.incr (Lazy.force counter);
+  M.incr (M.counter M.default counter);
   if (not (usable t.dir)) && Atomic.compare_and_set t.live true false then
     Goobs.Log.warn
       ~kv:[ ("dir", t.dir) ]
@@ -173,7 +173,7 @@ let read ?(site = "cache") t ~kind ~key : ('a * string) option =
           None
       | Some (Error _) -> None
       | exception _ ->
-          failed t c_read_error;
+          failed t "store.read_error";
           None
     in
     Pool.yield ();
@@ -211,7 +211,7 @@ let write ?(site = "cache") t ~kind ~key v : (string, string) result =
       | vd -> Ok vd
       | exception e ->
           (try Sys.remove tmp with Sys_error _ -> ());
-          failed t c_write_error;
+          failed t "store.write_error";
           Error (Printexc.to_string e)
     in
     Pool.yield ();

@@ -20,6 +20,7 @@ let () =
       ("sched", Suite_sched.tests);
       ("detector", Suite_detector.tests);
       ("trad", Suite_trad.tests);
+      ("cutoff", Suite_cutoff.tests);
       ("nonblocking", Suite_nonblocking.tests);
       ("differential", Suite_differential.tests);
       ("waitgroup", Suite_waitgroup.tests);
