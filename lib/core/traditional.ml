@@ -24,20 +24,23 @@ type lockset = Alias.obj list
 (* Per-function fault boundary shared by every checker: a function whose
    walk raises — or that would start under watchdog pressure — simply
    contributes no bugs, counted in the health ledger; its siblings are
-   unaffected.  [metrics] counters are atomic, so pool workers account
+   unaffected.  [guarded ?metrics ~checker] resolves the health counters
+   once per pass; the unit name is built only for a function that
+   degrades.  [metrics] counters are atomic, so pool workers account
    directly.  Without a registry the check runs bare. *)
-let guarded ?metrics ~checker (f : Ir.func) (work : unit -> 'a list) : 'a list
-    =
+let guarded ?metrics ~checker : Ir.func -> (unit -> 'a list) -> 'a list =
   match metrics with
-  | None -> work ()
+  | None -> fun _ work -> work ()
   | Some reg -> (
-      match
-        Goengine.Supervise.checked ~metrics:reg
-          ~unit_name:(checker ^ " func " ^ f.Ir.name)
-          work
-      with
-      | Ok bugs -> bugs
-      | Error (`Degraded _ | `Skipped _) -> [])
+      let b = Goengine.Supervise.boundary reg in
+      fun (f : Ir.func) work ->
+        match
+          Goengine.Supervise.checked_at b
+            ~unit_name:(fun () -> checker ^ " func " ^ f.Ir.name)
+            work
+        with
+        | Ok bugs -> bugs
+        | Error (`Degraded _ | `Skipped _) -> [])
 
 let place_objs alias fname p =
   Alias.ObjSet.elements (Alias.objects_of_place alias fname p)
@@ -241,10 +244,11 @@ let complete w =
    walked now, unless the boundary finds the pressure still on. *)
 let per_func ?metrics ~checker w (check : Ir.func -> event list -> 'a list) :
     'a list list =
+  let guarded = guarded ?metrics ~checker in
   List.map
     (fun ff ->
       let f = ff.f_func in
-      guarded ?metrics ~checker f (fun () ->
+      guarded f (fun () ->
           match ff.f_walk with
           | Walked events -> check f events
           | Raised e -> raise e
@@ -537,10 +541,11 @@ let check_field_race ?pool ?metrics prims alias prog =
 let check_fatal_in_child ?(pool = Pool.sequential) ?metrics (prog : Ir.program)
     : Report.trad_bug list =
   let funcs = Ir.funcs_list prog in
+  let guarded = guarded ?metrics ~checker:"trad.fatal-child" in
   List.concat
   @@ Pool.map ~pool ~grain:(grain funcs)
     (fun (f : Ir.func) ->
-      guarded ?metrics ~checker:"trad.fatal-child" f @@ fun () ->
+      guarded f @@ fun () ->
       let bugs = ref [] in
       if f.is_goroutine_body then
         Ir.iter_insts

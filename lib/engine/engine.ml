@@ -36,11 +36,20 @@ type file_facts = {
 }
 
 (* One file of a compiled source set, as a later version compares it:
-   its lowered-stage key, lowered form and facts. *)
+   its lowered-stage key, lowered form and facts.  The lowered form is
+   what the record's IR was assembled from. *)
 type file_version = {
   fv_key : string;
   fv_lowered : Goir.Lower.lowered_file;
   fv_facts : file_facts;
+}
+
+(* The whole-program tables the per-file typecheck and lower stages
+   read, built from the signature items of one fingerprint. *)
+type sig_tables = {
+  st_fp : string;
+  st_env : Minigo.Typecheck.env;
+  st_lower : Goir.Lower.sigs;
 }
 
 type artifacts = {
@@ -91,6 +100,9 @@ type artifacts = {
          so that records never chain *)
   a_digest_keys : unit -> string list;
       (* this record's entries in the engine's digest table *)
+  a_sig_tables : unit -> sig_tables option;
+      (* the signature tables, once this record built or took them
+         over; never builds them *)
 }
 
 and prior = {
@@ -277,11 +289,10 @@ let stats_str (t : t) =
 
 (* ------------------------------------------------- frontend stages --- *)
 
+(* The source set's key: hashes every byte of the sources, so [analyse]
+   computes it once and hands it down. *)
 let key_of ~name sources =
   Digest.to_hex (Digest.string (String.concat "\x00" (name :: sources)))
-
-let cached (t : t) ~name sources =
-  locked t (fun () -> Hashtbl.mem t.cache (key_of ~name sources))
 
 (* ------------------------------------------- per-file disk tier ------ *)
 
@@ -457,23 +468,29 @@ let frontend_grain n = if n <= 8 then n else max 2 (n / 32)
    whole-program inputs (type environment, lowering signatures) that a
    fully cache-warm run never needs — build them on first use only.
    The builders never yield, so a task computing one cannot suspend
-   while holding the lock. *)
+   while holding the lock.  Returns the getter and a peek that never
+   builds. *)
 let once f =
   let mu = Mutex.create () in
-  let r = ref None in
-  fun () ->
-    Mutex.lock mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock mu)
-      (fun () ->
-        match !r with
-        | Some v -> v
-        | None ->
-            let v = f () in
-            r := Some v;
-            v)
+  let r = Atomic.make None in
+  let get () =
+    match Atomic.get r with
+    | Some v -> v
+    | None ->
+        Mutex.lock mu;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock mu)
+          (fun () ->
+            match Atomic.get r with
+            | Some v -> v
+            | None ->
+                let v = f () in
+                Atomic.set r (Some v);
+                v)
+  in
+  (get, fun () -> Atomic.get r)
 
-let build_artifacts (t : t) ?pred ~name sources : artifacts =
+let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
   let keyed =
     List.mapi
       (fun i src ->
@@ -507,16 +524,27 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
       (Minigo.Typecheck.signatures_fingerprint
          (List.concat (Lazy.force a_sigs)))
   in
+  let a_pred = Atomic.make pred in
   (* whole-program signature tables, built from the per-file signature
      items on first use only: a run whose passes are all served from
-     the result cache never constructs them *)
-  let env =
+     the result cache never constructs them, and a record whose
+     predecessor holds the tables of the same fingerprint (every body
+     edit) takes those over *)
+  let tables, a_sig_tables =
     once (fun () ->
-        Minigo.Typecheck.env_of_signatures (List.concat (Lazy.force a_sigs)))
-  in
-  let lsigs =
-    once (fun () ->
-        Goir.Lower.sigs_of_signatures (List.concat (Lazy.force a_sigs)))
+        let fp = Lazy.force a_fp in
+        match
+          Option.bind (Atomic.get a_pred) (fun p -> p.a_sig_tables ())
+        with
+        | Some st when st.st_fp = fp -> st
+        | Some _ | None ->
+            M.incr (M.counter t.registry "engine.sig_tables_built");
+            let items = List.concat (Lazy.force a_sigs) in
+            {
+              st_fp = fp;
+              st_env = Minigo.Typecheck.env_of_signatures items;
+              st_lower = Goir.Lower.sigs_of_signatures items;
+            })
   in
   let stage_key tag (_, _, key) =
     Digest.to_hex (Digest.string (key ^ tag ^ Lazy.force a_fp))
@@ -524,7 +552,8 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
   let typed_file ((file, _, _) as fk) =
     file_unit t ~stage:"typecheck" ~memo:t.fc.fc_typed
       ~key:(stage_key "\x00" fk) ~file ~disk:true ~reintern:Minigo.Intern.file
-      (fun () -> Minigo.Typecheck.check_file (env ()) (parse_file fk))
+      (fun () ->
+        Minigo.Typecheck.check_file (tables ()).st_env (parse_file fk))
   in
   let a_typed =
     lazy (stage_span t "typecheck" (fun () -> pmap typed_file keyed))
@@ -532,15 +561,10 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
   let lowered_file ((file, _, _) as fk) =
     file_unit t ~stage:"lower" ~memo:t.fc.fc_lowered ~key:(stage_key "\x01" fk)
       ~file ~disk:true (fun () ->
-        Goir.Lower.lower_file (lsigs ()) (typed_file fk))
+        Goir.Lower.lower_file (tables ()).st_lower (typed_file fk))
   in
   let a_lowered =
     lazy (stage_span t "lower" (fun () -> pmap lowered_file keyed))
-  in
-  let a_ir =
-    lazy
-      (stage_span t "assemble" (fun () ->
-           Goir.Lower.assemble (Lazy.force a_typed) (Lazy.force a_lowered)))
   in
   (* per-file local facts for the global analyses, with file-local
      program points; rebased below by each file's pp offset *)
@@ -560,14 +584,31 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
                    }))
              (List.combine keyed lfs)))
   in
+  (* a file whose lowered key equals the predecessor's file at the same
+     position keeps the predecessor's lowered value: equal content, and
+     the identity that lets assembly share its functions *)
   let a_files =
     lazy
       (let lfs = Lazy.force a_lowered in
        let facts = Lazy.force a_facts in
-       List.map2
-         (fun (fk, lf) ff ->
-           { fv_key = stage_key "\x01" fk; fv_lowered = lf; fv_facts = ff })
-         (List.combine keyed lfs) facts)
+       let mine =
+         List.map2
+           (fun (fk, lf) ff ->
+             { fv_key = stage_key "\x01" fk; fv_lowered = lf; fv_facts = ff })
+           (List.combine keyed lfs) facts
+       in
+       match Atomic.get a_pred with
+       | Some p when Lazy.is_val p.a_files ->
+           let theirs = Lazy.force p.a_files in
+           if List.compare_lengths mine theirs <> 0 then mine
+           else
+             List.map2
+               (fun fv old ->
+                 if fv.fv_key = old.fv_key then
+                   { fv with fv_lowered = old.fv_lowered }
+                 else fv)
+               mine theirs
+       | Some _ | None -> mine)
   in
   (* each file's facts rebased by its pp offset, concatenated *)
   let rebased pick rebase =
@@ -587,7 +628,6 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
      compared by name with the predecessor's to find the ones whose IR
      changed.  No whole-program digest is taken: only edited files are
      looked at. *)
-  let a_pred = Atomic.make pred in
   (* the changed functions when the cutoff holds; read-only once built *)
   let a_cutoff =
     lazy
@@ -636,6 +676,29 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
     | Some changed when not (Faults.active ()) ->
         Option.map (fun p -> (p, changed)) (Atomic.get a_pred)
     | Some _ | None -> None
+  in
+  (* When the cutoff holds and the predecessor assembled its program,
+     the program is reassembled onto it: the functions of unchanged
+     files are the predecessor's, and only the edited files are placed.
+     Otherwise (a cold run, a miss) every file is placed. *)
+  let a_ir =
+    lazy
+      (stage_span t "assemble" (fun () ->
+           let typed = Lazy.force a_typed in
+           let placed = ref 0 in
+           let lowered fvs = List.map (fun fv -> fv.fv_lowered) fvs in
+           let ir =
+             match pred_if_equal () with
+             | Some (p, _) when Lazy.is_val p.a_ir ->
+                 Goir.Lower.assemble
+                   ~prev:(Lazy.force p.a_ir, lowered (Lazy.force p.a_files))
+                   ~placed typed
+                   (lowered (Lazy.force a_files))
+             | Some _ | None ->
+                 Goir.Lower.assemble ~placed typed (Lazy.force a_lowered)
+           in
+           M.add (M.counter t.registry "engine.assemble_files_placed") !placed;
+           ir))
   in
   let taken_over : 'a. (artifacts -> 'a Lazy.t) -> 'a option =
    fun l ->
@@ -715,7 +778,7 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
   in
   let derived = Memo.create () in
   {
-    a_key = key_of ~name sources;
+    a_key = key;
     a_name = name;
     a_sources = sources;
     a_typed;
@@ -755,6 +818,7 @@ let build_artifacts (t : t) ?pred ~name sources : artifacts =
               [ "typecheck:" ^ stage_key "\x00" fk; "lower:" ^ stage_key "\x01" fk ])
             keyed
         else []);
+    a_sig_tables;
   }
 
 (* Drop digest-table entries no live record reads: the table gains a
@@ -776,8 +840,8 @@ let prune_digests_locked (t : t) =
    the use site, exactly once per cached entry (lazy memoizes the
    exception too).  A new record starts from the last record of the
    same name whose analysis completed, its predecessor. *)
-let artifacts (t : t) ~name sources : artifacts =
-  let key = key_of ~name sources in
+let artifacts (t : t) ?key ~name sources : artifacts =
+  let key = match key with Some k -> k | None -> key_of ~name sources in
   locked t (fun () ->
       t.cache_clock <- t.cache_clock + 1;
       match Hashtbl.find_opt t.cache key with
@@ -821,7 +885,7 @@ let artifacts (t : t) ~name sources : artifacts =
                 M.incr (M.counter t.registry "engine.artifact_evictions")
           done;
           if !evicted then prune_digests_locked t;
-          let a = build_artifacts t ?pred ~name sources in
+          let a = build_artifacts t ?pred ~key ~name sources in
           Hashtbl.add t.cache key a;
           Hashtbl.replace t.cache_atime key t.cache_clock;
           a)
@@ -857,8 +921,8 @@ let frontend_diag : exn -> D.t option = function
 
 (* Compile a source set through the frontend stages, capturing frontend
    exceptions as diagnostics instead of letting them escape. *)
-let compile (t : t) ~name sources : (artifacts, D.t) result =
-  let a = artifacts t ~name sources in
+let compile (t : t) ?key ~name sources : (artifacts, D.t) result =
+  let a = artifacts t ?key ~name sources in
   (* forcing [a_content] forces the typed and lowered files, which
      surfaces every frontend error (assembly is a pure merge and cannot
      fail) while leaving [a_ir] unforced: a run whose passes are all
@@ -933,8 +997,8 @@ let stub_of (src : string) : string =
    frontend diagnostic (plus a supervision note) instead of killing the
    whole run.  Returns the artifacts (if any subset survived), the
    frontend diagnostics in discovery order, and the number of files
-   dropped. *)
-let compile_salvaging (t : t) ~name sources :
+   dropped.  [key] is the key of [sources] as given. *)
+let compile_salvaging (t : t) ~key ~name sources :
     artifacts option * D.t list * int =
   let arr = Array.of_list sources in
   let n = Array.length arr in
@@ -944,7 +1008,8 @@ let compile_salvaging (t : t) ~name sources :
   in
   let diags = ref [] in
   let rec go attempts =
-    match compile t ~name (Array.to_list arr) with
+    let key = if dropped () = 0 then Some key else None in
+    match compile t ?key ~name (Array.to_list arr) with
     | Ok a -> Some a
     | Error d ->
         diags := d :: !diags;
@@ -979,7 +1044,8 @@ let compile_salvaging (t : t) ~name sources :
    accounting rather than an aborted run. *)
 let analyse ?only ?extra (t : t) ~name sources : run =
   let t0 = Clock.now_s () in
-  let from_cache = cached t ~name sources in
+  let key = key_of ~name sources in
+  let from_cache = locked t (fun () -> Hashtbl.mem t.cache key) in
   (* run-local health ledger for the units owned by the engine itself
      (source files, pass boundaries are accounted in each pass's
      registry); folded into the engine registry at the end *)
@@ -1020,7 +1086,7 @@ let analyse ?only ?extra (t : t) ~name sources : run =
             r.r_health);
     r
   in
-  match compile_salvaging t ~name sources with
+  match compile_salvaging t ~key ~name sources with
   | None, fdiags, ndropped ->
       let bump k v = M.add (M.counter hreg k) v in
       bump Supervise.h_attempted nfiles;
@@ -1031,7 +1097,7 @@ let analyse ?only ?extra (t : t) ~name sources : run =
       journal_run_end
         {
           r_name = name;
-          r_key = key_of ~name sources;
+          r_key = key;
           r_from_cache = from_cache;
           r_artifacts = None;
           r_diags = fdiags;

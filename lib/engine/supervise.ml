@@ -7,7 +7,7 @@
    pass, a per-function checker walk, a per-channel solve, a cache
    access.  Three pieces:
 
-   - fault boundaries ({!protect}): run a unit, convert any exception
+   - fault boundaries ({!checked}): run a unit, convert any exception
      into a typed outcome plus health counters instead of aborting the
      run — a corpus with one broken file still analyses the rest;
    - global pressure watchdogs: a wall-clock deadline ([--deadline-ms])
@@ -77,8 +77,6 @@ let h_skipped = "health.skipped"
 let h_retried = "health.retried"
 
 let health_keys = [ h_attempted; h_ok; h_degraded; h_skipped; h_retried ]
-
-let count (reg : M.t) key = M.incr (M.counter reg key)
 
 (* The "health.*" slice of a metrics snapshot, with every key present so
    renderers need no defaulting. *)
@@ -205,39 +203,71 @@ let healthz_json ?(reg = M.default) () : bool * string =
 
 (* ------------------------------------------------- fault boundaries --- *)
 
-(* Run one unit of work inside a boundary.  Accounting goes to [metrics]
-   ("health.*" counters); the caller decides what a degraded unit means
-   (drop it, emit a diagnostic, use a fallback).
+(* One health counter of a boundary, resolved on first use and kept:
+   the registry then holds exactly the counters a unit bumped, as it
+   would with a lookup per use.  [M.counter] interns, so two domains
+   resolving it at once get the same counter. *)
+type slot = { s_reg : M.t; s_name : string; s_counter : M.counter option Atomic.t }
+
+let slot reg name = { s_reg = reg; s_name = name; s_counter = Atomic.make None }
+
+let bump s =
+  match Atomic.get s.s_counter with
+  | Some c -> M.incr c
+  | None ->
+      let c = M.counter s.s_reg s.s_name in
+      Atomic.set s.s_counter (Some c);
+      M.incr c
+
+(* A boundary's health counters: a pass that guards many small units
+   (one per function) makes one [boundary] and pays no registry lookup
+   per unit. *)
+type boundary = {
+  b_attempted : slot;
+  b_ok : slot;
+  b_degraded : slot;
+  b_skipped : slot;
+}
+
+let boundary (reg : M.t) =
+  {
+    b_attempted = slot reg h_attempted;
+    b_ok = slot reg h_ok;
+    b_degraded = slot reg h_degraded;
+    b_skipped = slot reg h_skipped;
+  }
+
+(* Run one unit of work inside a boundary, after a pre-flight pressure
+   check: a unit under pressure is not run at all and counted as
+   skipped.  Accounting goes to the boundary's "health.*" counters; the
+   caller decides what a degraded unit means (drop it, emit a
+   diagnostic, use a fallback).  [unit_name] is only built for the log
+   line of a degraded unit.
 
    [Out_of_memory] and [Stack_overflow] are contained too — by the time
    they reach a boundary the blown-up unit has been abandoned and its
    allocations are garbage, which is precisely the partial-failure story
    this layer exists for. *)
-let protect ~(metrics : M.t) ~unit_name (f : unit -> 'a) :
-    ('a, string) result =
-  count metrics h_attempted;
-  match f () with
-  | v ->
-      count metrics h_ok;
-      Ok v
-  | exception e ->
-      let detail = Printexc.to_string e in
-      count metrics h_degraded;
-      Log.warn
-        ~kv:[ ("unit", unit_name); ("exn", detail) ]
-        "unit degraded; analysis continues";
-      Error detail
-
-(* [protect] with a pre-flight pressure check: a unit under pressure is
-   not run at all and counted as skipped. *)
-let checked ~(metrics : M.t) ~unit_name (f : unit -> 'a) :
+let checked_at (b : boundary) ~(unit_name : unit -> string) (f : unit -> 'a) :
     ('a, [ `Degraded of string | `Skipped of string ]) result =
+  bump b.b_attempted;
   match pressure () with
   | Some reason ->
-      count metrics h_attempted;
-      count metrics h_skipped;
+      bump b.b_skipped;
       Error (`Skipped reason)
   | None -> (
-      match protect ~metrics ~unit_name f with
-      | Ok v -> Ok v
-      | Error detail -> Error (`Degraded detail))
+      match f () with
+      | v ->
+          bump b.b_ok;
+          Ok v
+      | exception e ->
+          let detail = Printexc.to_string e in
+          bump b.b_degraded;
+          Log.warn
+            ~kv:[ ("unit", unit_name ()); ("exn", detail) ]
+            "unit degraded; analysis continues";
+          Error (`Degraded detail))
+
+(* [checked_at] for a single unit reporting to [metrics]. *)
+let checked ~(metrics : M.t) ~unit_name f =
+  checked_at (boundary metrics) ~unit_name:(fun () -> unit_name) f

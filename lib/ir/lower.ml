@@ -1143,19 +1143,87 @@ let rebase_func off (f : Ir.func) : Ir.func =
           f.Ir.blocks;
     }
 
-let assemble (prog : A.program) (files : lowered_file list) : Ir.program =
-  let funcs = Hashtbl.create 16 in
-  let off = ref 0 in
+(* Each file's pp offset: the prefix sum of the counts before it. *)
+let offsets (files : lowered_file list) =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (off, acc) lf -> (off + lf.lf_pp_count, off :: acc))
+          (0, []) files))
+
+let func_count files =
+  List.fold_left (fun n lf -> n + List.length lf.lf_funcs) 0 files
+
+(* With [prev = (p, old)], [p] the assembly of [old]: a file that is
+   physically [old]'s file at the same position and offset keeps [p]'s
+   functions, and only the others are rebased.  That takes the place of
+   a fresh assembly when function names are unique in [p] and every
+   rebased file defines the same names, in the same order, as the file
+   it replaces: the table then differs from [p]'s in those functions
+   alone and [p]'s name order still holds.  Otherwise every file is
+   placed as though there were no [prev]. *)
+let reassemble (p : Ir.program) old files placed =
+  let offs = offsets files in
+  let moved =
+    List.concat
+      (List.map2
+         (fun (lf, off) (lf0, off0) ->
+           if lf == lf0 && off = off0 then []
+           else if List.map fst lf.lf_funcs = List.map fst lf0.lf_funcs then
+             [ (lf, off) ]
+           else raise Exit)
+         (List.combine files offs)
+         (List.combine old (offsets old)))
+  in
+  let funcs = Hashtbl.copy p.Ir.funcs in
+  let fresh = Hashtbl.create 16 in
   List.iter
-    (fun lf ->
+    (fun (lf, off) ->
       List.iter
-        (fun (name, f) -> Hashtbl.replace funcs name (rebase_func !off f))
-        lf.lf_funcs;
-      off := !off + lf.lf_pp_count)
-    files;
+        (fun (name, f) ->
+          let f = rebase_func off f in
+          Hashtbl.replace funcs name f;
+          Hashtbl.replace fresh name f)
+        lf.lf_funcs)
+    moved;
+  placed := !placed + List.length moved;
   let order =
-    Hashtbl.fold (fun _ f acc -> f :: acc) funcs []
-    |> List.sort (fun (a : Ir.func) b -> String.compare a.name b.name)
+    if Hashtbl.length fresh = 0 then p.Ir.order
+    else
+      List.map
+        (fun (f : Ir.func) ->
+          match Hashtbl.find_opt fresh f.name with Some g -> g | None -> f)
+        p.Ir.order
+  in
+  (funcs, order)
+
+let assemble ?prev ?(placed = ref 0) (prog : A.program)
+    (files : lowered_file list) : Ir.program =
+  let reused =
+    match prev with
+    | Some ((p : Ir.program), old)
+      when List.length old = List.length files
+           && Hashtbl.length p.funcs = func_count old -> (
+        try Some (reassemble p old files placed) with Exit -> None)
+    | Some _ | None -> None
+  in
+  let funcs, order =
+    match reused with
+    | Some r -> r
+    | None ->
+        let funcs = Hashtbl.create 16 in
+        List.iter2
+          (fun lf off ->
+            List.iter
+              (fun (name, f) -> Hashtbl.replace funcs name (rebase_func off f))
+              lf.lf_funcs)
+          files (offsets files);
+        placed := !placed + List.length files;
+        let order =
+          Hashtbl.fold (fun _ f acc -> f :: acc) funcs []
+          |> List.sort (fun (a : Ir.func) b -> String.compare a.name b.name)
+        in
+        (funcs, order)
   in
   let main = if Hashtbl.mem funcs "main" then Some "main" else None in
   { Ir.funcs; order; main; source = prog }

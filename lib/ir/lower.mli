@@ -46,8 +46,27 @@ val file_pp_count : lowered_file -> int
 (** Program points the file consumed; {!assemble} rebases the next
     file by the running sum of these. *)
 
-val assemble : Minigo.Ast.program -> lowered_file list -> Ir.program
+val assemble :
+  ?prev:Ir.program * lowered_file list ->
+  ?placed:int ref ->
+  Minigo.Ast.program ->
+  lowered_file list ->
+  Ir.program
 (** Rebase and merge per-file results, in file order, into one
     program, and sort its functions by name once ({!Ir.funcs_list}).
     Rebasing deep-copies blocks, so a cached [lowered_file] may appear
-    at different offsets in different programs. *)
+    at different offsets in different programs.
+
+    [prev = (p, old)], where [p] is the assembly of [old], lets an edit
+    reuse an earlier program: each file that is physically [old]'s file
+    at the same position and pp offset keeps [p]'s functions, shared
+    rather than copied, and [p]'s name order is re-mapped rather than
+    re-sorted.  This applies when [p]'s function names are unique and
+    every other file defines the same names as the file it replaces;
+    otherwise every file is placed as without [prev].  Either way the
+    result equals a fresh [assemble] of the same files.  The program
+    shares blocks with [p], so nothing may write to a block once it is
+    assembled.
+
+    [placed] is incremented by the number of files whose functions
+    were rebased into the program rather than taken from [p]. *)

@@ -68,7 +68,14 @@ let read_int st =
     | _ -> ()
   in
   go ();
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some n -> n
+  | None ->
+      (* digits never span a newline: the literal starts on this line *)
+      raise
+        (Lex_error
+           ( "integer literal out of range",
+             Loc.make ~file:st.file ~line:st.line ~col:(start - st.bol + 1) ))
 
 let read_string st =
   let loc = cur_loc st in

@@ -1,10 +1,11 @@
 (* Early cutoff on the edit path: a record whose per-file facts and
    program-point counts equal its predecessor's takes over the alias
-   facts, call graph, primitive map and disentangling, re-walks only the
-   functions whose IR changed and re-enumerates only the channels whose
-   scope holds one.  Every version of an edit sequence must analyse to
-   exactly what a fresh engine produces, and the engine counters say
-   what was recomputed. *)
+   facts, call graph, primitive map and disentangling, reassembles its
+   program onto the predecessor's (placing only the edited files),
+   re-walks only the functions whose IR changed and re-enumerates only
+   the channels whose scope holds one.  Every version of an edit
+   sequence must analyse to exactly what a fresh engine produces, and
+   the engine counters say what was recomputed. *)
 
 module E = Goengine.Engine
 module D = Goengine.Diagnostics
@@ -94,9 +95,14 @@ let helper_literal ~v s =
 
 (* Counter deltas a version must show: [Cold] with no predecessor,
    [Cutoff (walked, enumerated)] when the facts compare equal, [Full]
-   when they do not and the record recomputes, and [Same_record] when
-   the sources are a cached record's. *)
-type expect = Cold | Cutoff of int * int | Full | Same_record
+   when they do not and the record recomputes (building the signature
+   tables anew when the signatures changed), and [Same_record] when the
+   sources are a cached record's. *)
+type expect =
+  | Cold
+  | Cutoff of int * int
+  | Full of { sig_tables : int }
+  | Same_record
 
 (* Applied in order, each to the previous version.  Besides the edits a
    user makes every day, each compared input has an edit that only it
@@ -116,24 +122,24 @@ let edits =
       Cutoff (1, 0) );
     ( "a receive becomes a close",
       edit_file 0 (replace_first ~sub:"\t<-done\n" ~by:"\tclose(done)\n"),
-      Full );
+      Full { sig_tables = 0 } );
     ( "a statement with no facts shifts every later file",
       edit_file 0 (fun s -> replace_first ~sub:"\tdone <- 1\n" ~by:"\tdone <- 1\n\tsleep(1)\n" s),
-      Full );
+      Full { sig_tables = 0 } );
     ( "an inserted comment line",
       edit_file 1 (replace_first ~sub:"package f\n" ~by:"package f\n// moved\n"),
-      Full );
+      Full { sig_tables = 0 } );
     ( "an added send",
       edit_file 0 (replace_first ~sub:"\tgo produce(ch)\n" ~by:"\tgo produce(ch)\n\tch <- 2\n"),
-      Full );
+      Full { sig_tables = 0 } );
     ( "a renamed function",
       edit_file 1 (fun s ->
           replace_first ~sub:"func flush(" ~by:"func flush2("
             (replace_first ~sub:"\tflush(c)" ~by:"\tflush2(c)" s)),
-      Full );
+      Full { sig_tables = 1 } );
     ( "a signature change",
       edit_file 1 (replace_first ~sub:"func runCache(x int)" ~by:"func runCache(x int, y int)"),
-      Full );
+      Full { sig_tables = 1 } );
   ]
 
 (* ---- comparison ---- *)
@@ -172,6 +178,8 @@ let counted =
     "engine.lockset_funcs_walked";
     "engine.bmoc_channels_enumerated";
     "engine.bmoc_channels_replayed";
+    "engine.assemble_files_placed";
+    "engine.sig_tables_built";
   ]
 
 let snapshot engine = List.map (fun k -> (k, E.counter_value engine k)) counted
@@ -179,16 +187,30 @@ let snapshot engine = List.map (fun k -> (k, E.counter_value engine k)) counted
 let delta before after =
   List.map2 (fun (k, a) (_, b) -> (k, b - a)) before after
 
+let nfiles = List.length base
+
 let check_expect label expect d nchannels =
   let c k = List.assoc k d in
+  let placed n =
+    Alcotest.(check int) (label ^ ": files placed") n
+      (c "engine.assemble_files_placed")
+  in
+  let tables n =
+    Alcotest.(check int) (label ^ ": signature tables built") n
+      (c "engine.sig_tables_built")
+  in
   match expect with
   | Cold ->
+      placed nfiles;
+      tables 1;
       Alcotest.(check int) (label ^ ": no predecessor") 0
         (c "engine.cutoff_hits" + c "engine.cutoff_misses");
       Alcotest.(check int) (label ^ ": one alias run") 1 (c "stage.alias.runs");
       Alcotest.(check int) (label ^ ": every channel enumerated") nchannels
         (c "engine.bmoc_channels_enumerated")
   | Cutoff (walked, enumerated) ->
+      placed 1;
+      tables 0;
       List.iter
         (fun k -> Alcotest.(check int) (label ^ ": no " ^ k) 0 (c k))
         [
@@ -206,7 +228,9 @@ let check_expect label expect d nchannels =
       Alcotest.(check int) (label ^ ": channels replayed")
         (nchannels - enumerated)
         (c "engine.bmoc_channels_replayed")
-  | Full ->
+  | Full { sig_tables } ->
+      placed nfiles;
+      tables sig_tables;
       Alcotest.(check int) (label ^ ": cutoff missed") 1 (c "engine.cutoff_misses");
       List.iter
         (fun k -> Alcotest.(check int) (label ^ ": one " ^ k) 1 (c k))
@@ -227,14 +251,57 @@ let channels (r : E.run) =
     (List.find (fun (pr : E.pass_run) -> pr.E.pr_pass = "bmoc") r.E.r_passes)
       .E.pr_metrics
 
+let ir_of (r : E.run) =
+  match r.E.r_artifacts with
+  | Some a -> Lazy.force a.E.a_ir
+  | None -> Alcotest.fail "frontend failed"
+
+(* A version's program, reassembled or not, is what lowering the same
+   files from scratch and assembling them produces. *)
+let check_assembly label (ir : Goir.Ir.program) srcs =
+  let fresh =
+    Goir.Lower.lower_program
+      (Minigo.Typecheck.check_program (Minigo.Parser.parse_program ~name:"app" srcs))
+  in
+  let names (p : Goir.Ir.program) =
+    List.map (fun (f : Goir.Ir.func) -> f.name) (Goir.Ir.funcs_list p)
+  in
+  Alcotest.(check (list string)) (label ^ ": same function order") (names fresh)
+    (names ir);
+  Alcotest.(check int) (label ^ ": one table entry per function")
+    (Hashtbl.length fresh.funcs) (Hashtbl.length ir.funcs);
+  List.iter2
+    (fun (f : Goir.Ir.func) (g : Goir.Ir.func) ->
+      Alcotest.(check bool) (label ^ ": " ^ f.name ^ " structurally equal") true
+        (f = g);
+      Alcotest.(check bool) (label ^ ": " ^ f.name ^ " is the table's") true
+        (match Goir.Ir.find_func ir f.name with Some h -> h == f | None -> false))
+    (Goir.Ir.funcs_list ir) (Goir.Ir.funcs_list fresh);
+  Alcotest.(check (option string)) (label ^ ": same main") fresh.main ir.main
+
+(* A deep copy, to show that analysing a later version (which shares
+   this program's blocks) wrote nothing to it. *)
+let deep_copy (fs : Goir.Ir.func list) : Goir.Ir.func list =
+  Marshal.from_string (Marshal.to_string fs []) 0
+
 (* The edit sequence through one engine, each version checked against a
    fresh engine on the same sources; then back to the original. *)
 let run_sequence ~jobs () =
   let engine = Gcatch.Passes.engine ~jobs () in
+  let prev = ref None in
   let check_version label srcs expect =
     let before = snapshot engine in
     let r = analyse engine srcs in
     let d = delta before (snapshot engine) in
+    let ir = ir_of r in
+    check_assembly label ir srcs;
+    (match !prev with
+    | Some (pir, copy) ->
+        Alcotest.(check bool)
+          (label ^ ": the previous version's program is unchanged") true
+          (Goir.Ir.funcs_list pir = copy)
+    | None -> ());
+    prev := Some (ir, deep_copy (Goir.Ir.funcs_list ir));
     let fresh = analyse (Gcatch.Passes.engine ~jobs ()) srcs in
     Alcotest.(check string) (label ^ ": same as a fresh engine") (rendered fresh)
       (rendered r);

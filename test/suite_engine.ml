@@ -46,6 +46,17 @@ let test_type_error_diag () =
   let d = List.hd r.E.r_diags in
   Alcotest.(check string) "pass" "frontend/typecheck" d.D.pass
 
+(* an out-of-range integer literal is a lex diagnostic (the CLI's exit
+   1), not an exception escaping as an internal error *)
+let test_int_literal_out_of_range () =
+  let engine = Gcatch.Passes.engine () in
+  let r =
+    analyse engine "package p\nfunc main() {\n\tx := 999999999999999999999999\n\tprint(x)\n}\n"
+  in
+  Alcotest.(check bool) "frontend failed" true (E.frontend_failed r);
+  Alcotest.(check (list string)) "one lex diagnostic" [ "frontend/lex" ]
+    (passes_of r.E.r_diags)
+
 let test_clean_run () =
   let engine = Gcatch.Passes.engine () in
   let r = analyse engine clean in
@@ -213,6 +224,8 @@ let tests =
   [
     Alcotest.test_case "parse error -> diagnostic" `Quick test_parse_error_diag;
     Alcotest.test_case "type error -> diagnostic" `Quick test_type_error_diag;
+    Alcotest.test_case "out-of-range literal -> lex diagnostic" `Quick
+      test_int_literal_out_of_range;
     Alcotest.test_case "clean run" `Quick test_clean_run;
     Alcotest.test_case "bug payload recovery" `Quick test_bug_diag_payload;
     Alcotest.test_case "cache hit on repeat" `Quick test_cache_hit_on_repeat;

@@ -79,6 +79,16 @@ let test_unterminated_string () =
     (L.Lex_error ("unterminated string literal", Minigo.Loc.make ~file:"t.go" ~line:1 ~col:1))
     (fun () -> ignore (toks {|"abc|}))
 
+(* a literal beyond the native int range is a lex error at the
+   literal, not an escaping [Failure] *)
+let test_int_out_of_range () =
+  Alcotest.check_raises "out-of-range literal"
+    (L.Lex_error
+       ("integer literal out of range", Minigo.Loc.make ~file:"t.go" ~line:1 ~col:6))
+    (fun () -> ignore (toks "x := 999999999999999999999999"));
+  check_toks "max_int still lexes" (string_of_int max_int)
+    [ INT max_int; SEMI; EOF ]
+
 let test_locations () =
   let tis = L.tokenize ~file:"t.go" "a\n  b" in
   match tis with
@@ -125,6 +135,7 @@ let tests =
     Alcotest.test_case "block comments" `Quick test_block_comment;
     Alcotest.test_case "empty input" `Quick test_empty;
     Alcotest.test_case "unterminated string" `Quick test_unterminated_string;
+    Alcotest.test_case "integer literal out of range" `Quick test_int_out_of_range;
     Alcotest.test_case "token locations" `Quick test_locations;
     QCheck_alcotest.to_alcotest prop_idents_roundtrip;
   ]
