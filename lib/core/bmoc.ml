@@ -101,41 +101,64 @@ let new_chan_stats () =
     c_enumerated = false;
   }
 
+(* The per-channel counters in snapshot order: the name each has in the
+   solve cache's snapshot, and the run-registry counter it adds to. *)
+let counter_slots =
+  [|
+    ("combinations", "bmoc.combinations");
+    ("groups_checked", "bmoc.groups_checked");
+    ("solver_calls", "bmoc.solver_calls");
+    ("path_events", "bmoc.total_path_events");
+    ("constraints_hint", "bmoc.constraints_hint");
+    ("sat_conflicts", "bmoc.sat_conflicts");
+    ("sat_decisions", "bmoc.sat_decisions");
+    ("sat_propagations", "bmoc.sat_propagations");
+    ("theory_conflicts", "bmoc.theory_conflicts");
+    ("sat_learnts", "sat.learnt_clauses");
+    ("sat_restarts", "sat.restarts");
+    ("sat_db_reductions", "sat.db_reductions");
+    ("paths_deduped", "bmoc.paths_deduped");
+  |]
+
+(* The counters as an array in [counter_slots] order. *)
+let stats_array (cst : chan_stats) : int array =
+  [|
+    cst.c_combinations;
+    cst.c_groups_checked;
+    cst.c_solver_calls;
+    cst.c_path_events;
+    cst.c_constraints_hint;
+    cst.c_sat_conflicts;
+    cst.c_sat_decisions;
+    cst.c_sat_propagations;
+    cst.c_theory_conflicts;
+    cst.c_sat_learnts;
+    cst.c_sat_restarts;
+    cst.c_sat_db_reductions;
+    cst.c_paths_deduped;
+  |]
+
 (* The per-channel counter snapshot as stored in (and replayed from) the
    solve cache.  Replaying the original run's counters on a hit keeps
    the run-registry metrics byte-identical between warm and cold runs. *)
 let stats_snapshot (cst : chan_stats) : (string * int) list =
-  [
-    ("combinations", cst.c_combinations);
-    ("groups_checked", cst.c_groups_checked);
-    ("solver_calls", cst.c_solver_calls);
-    ("path_events", cst.c_path_events);
-    ("constraints_hint", cst.c_constraints_hint);
-    ("sat_conflicts", cst.c_sat_conflicts);
-    ("sat_decisions", cst.c_sat_decisions);
-    ("sat_propagations", cst.c_sat_propagations);
-    ("theory_conflicts", cst.c_theory_conflicts);
-    ("sat_learnts", cst.c_sat_learnts);
-    ("sat_restarts", cst.c_sat_restarts);
-    ("sat_db_reductions", cst.c_sat_db_reductions);
-    ("paths_deduped", cst.c_paths_deduped);
-  ]
+  Array.to_list (Array.map2 (fun (k, _) v -> (k, v)) counter_slots (stats_array cst))
 
 let stats_restore (cst : chan_stats) (l : (string * int) list) =
-  let g k = Option.value (List.assoc_opt k l) ~default:0 in
-  cst.c_combinations <- g "combinations";
-  cst.c_groups_checked <- g "groups_checked";
-  cst.c_solver_calls <- g "solver_calls";
-  cst.c_path_events <- g "path_events";
-  cst.c_constraints_hint <- g "constraints_hint";
-  cst.c_sat_conflicts <- g "sat_conflicts";
-  cst.c_sat_decisions <- g "sat_decisions";
-  cst.c_sat_propagations <- g "sat_propagations";
-  cst.c_theory_conflicts <- g "theory_conflicts";
-  cst.c_sat_learnts <- g "sat_learnts";
-  cst.c_sat_restarts <- g "sat_restarts";
-  cst.c_sat_db_reductions <- g "sat_db_reductions";
-  cst.c_paths_deduped <- g "paths_deduped"
+  let g i = Option.value (List.assoc_opt (fst counter_slots.(i)) l) ~default:0 in
+  cst.c_combinations <- g 0;
+  cst.c_groups_checked <- g 1;
+  cst.c_solver_calls <- g 2;
+  cst.c_path_events <- g 3;
+  cst.c_constraints_hint <- g 4;
+  cst.c_sat_conflicts <- g 5;
+  cst.c_sat_decisions <- g 6;
+  cst.c_sat_propagations <- g 7;
+  cst.c_theory_conflicts <- g 8;
+  cst.c_sat_learnts <- g 9;
+  cst.c_sat_restarts <- g 10;
+  cst.c_sat_db_reductions <- g 11;
+  cst.c_paths_deduped <- g 12
 
 (* Blocking-capable candidate events for suspicious groups. *)
 let candidates (pset : Alias.obj list) (gi : Pathenum.goroutine_instance) :
@@ -230,18 +253,28 @@ let suspicious_groups cfg pset (combo : Pathenum.combination) :
     List.filteri (fun i _ -> i < cfg.max_groups) all
   else all
 
-(* Fingerprints of channels solved cleanly at full bounds, kept so a
-   later version of the program can replay their verdicts.  Built once
-   per run and read-only after. *)
-type fingerprints = (Alias.obj, string) Hashtbl.t
+(* What one channel's analysis came to, for a channel solved cleanly at
+   full bounds: the fingerprint of its problem, its bugs and its counter
+   snapshot ([counter_slots] order).  Kept per run so a later analysis
+   can replay or take it over; read-only once built. *)
+type outcome = {
+  o_fp : string;
+  o_bugs : Report.bmoc_bug list;
+  o_stats : int array;
+}
 
-(* A known fingerprint per channel from an earlier version of the
-   program whose alias facts, call graph and primitive map equal this
-   one's, and the test for "this function's IR changed since".  A
-   channel none of whose scope functions changed would enumerate the
-   same paths and so reach the same fingerprint: its verdict is replayed
-   from the solve cache without enumerating. *)
-type reuse = { ru_fps : fingerprints; ru_changed : string -> bool }
+type outcomes = (Alias.obj, outcome) Hashtbl.t
+
+(* The outcomes of an earlier run over facts equal to this one's.
+   [Again]: this very program analysed before — each channel replays
+   its verdict from the solve cache by its known fingerprint, and
+   enumerates only if the entry was evicted.  [Carry]: an earlier
+   version of the program whose alias facts, call graph, primitive map
+   and disentangling this one took over, with the functions whose IR
+   changed since — a channel whose scope holds none of them would
+   enumerate the same paths and reach the same verdict, so its outcome
+   is taken over as it is; the others are solved. *)
+type prior = Again of outcomes | Carry of outcomes * string list
 
 (* Detect BMOC bugs for one channel.  Returns the bugs plus a flag saying
    whether the channel blew its [solver_timeout_ms] budget — in which case
@@ -254,11 +287,12 @@ type reuse = { ru_fps : fingerprints; ru_changed : string -> bool }
    CFG walk happens once instead of once per channel.  With the solve
    cache on, the canonical problem is fingerprinted after enumeration
    and feasibility filtering; a hit replays the stored bug list and
-   counter snapshot without touching the solver.  With [reuse], a
-   channel whose fingerprint is known skips straight to that lookup,
-   and enumerates only if the entry was evicted.  The fingerprint the
-   verdict is keyed by is returned beside it. *)
-let detect_channel ?(cfg = default_config) ?reuse ~(prims : Primitives.t)
+   counter snapshot without touching the solver.  With [known], the
+   fingerprint of this channel's problem from an earlier run of this
+   program, the channel skips straight to that lookup, and enumerates
+   only if the entry was evicted.  The fingerprint the verdict is keyed
+   by is returned beside it. *)
+let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
     ~(dis : Disentangle.t) ~(cg : Callgraph.t) ~(alias : Alias.t)
     ~(prog : Ir.program) ~(cst : chan_stats)
     ~(enum_memo : Pathenum.combination list Goengine.Memo.t) (c : Alias.obj) :
@@ -315,14 +349,10 @@ let detect_channel ?(cfg = default_config) ?reuse ~(prims : Primitives.t)
       e.Solve_cache.e_bugs
   in
   let known =
-    match reuse with
-    | Some ru when cfg.solve_cache && not (List.exists ru.ru_changed scope.funcs)
-      -> (
-        match Hashtbl.find_opt ru.ru_fps c with
-        | Some fp ->
-            Option.map (fun e -> (fp, e)) (Solve_cache.find ?dir:cfg.cache_dir fp)
-        | None -> None)
-    | _ -> None
+    match known with
+    | Some fp when cfg.solve_cache ->
+        Option.map (fun e -> (fp, e)) (Solve_cache.find ?dir:cfg.cache_dir fp)
+    | Some _ | None -> None
   in
   match known with
   | Some (fp, e) -> (replay e, false, Some fp)
@@ -577,7 +607,7 @@ let rung_cfg cfg i =
    successful retry is a *degraded but present* verdict — fewer paths
    explored — which beats no verdict at all).  Without a budget there is
    nothing to ladder off: the clean path is one plain call. *)
-let detect_channel_ladder ~cfg ?reuse ~prims ~dis ~cg ~alias ~prog ~cst
+let detect_channel_ladder ~cfg ?known ~prims ~dis ~cg ~alias ~prog ~cst
     ~enum_memo c : Report.bmoc_bug list * bool * int * string option =
   (* Each rung attempt runs as its own scheduled task: under the effects
      scheduler a rung that stalls in the solver suspends at its yield
@@ -588,13 +618,13 @@ let detect_channel_ladder ~cfg ?reuse ~prims ~dis ~cg ~alias ~prog ~cst
      time, no speculation): whether rung [i+1] runs depends on rung
      [i]'s verdict, which keeps solver-call counters and the consumed
      rung count schedule-independent. *)
-  let attempt ?reuse cfg =
+  let attempt ?known cfg =
     Goengine.Pool.await
       (Goengine.Pool.fork (fun () ->
-           detect_channel ~cfg ?reuse ~prims ~dis ~cg ~alias ~prog ~cst
+           detect_channel ~cfg ?known ~prims ~dis ~cg ~alias ~prog ~cst
              ~enum_memo c))
   in
-  let found, timed, fp = attempt ?reuse cfg in
+  let found, timed, fp = attempt ?known cfg in
   if
     (not timed)
     || cfg.path_cfg.Pathenum.solver_timeout_ms = None
@@ -666,10 +696,9 @@ type full = {
   f_stats : stats;
   f_skipped : skipped list;
   f_notes : chan_note list;
-  f_fps : fingerprints;
-      (* every channel solved cleanly at full bounds, by fingerprint *)
+  f_outcomes : outcomes; (* every channel solved cleanly at full bounds *)
   f_enumerated : int; (* channels whose paths were enumerated *)
-  f_replayed : int; (* channels replayed from a known fingerprint *)
+  f_replayed : int; (* channels replayed or taken over without enumerating *)
 }
 
 (* What one pool task reports back for its root. *)
@@ -679,16 +708,21 @@ type chan_outcome =
   | Ofaulted of string
   | Opressure of string
 
+(* A root's result: taken over from the prior run, or analysed here. *)
+type root_result =
+  | Carried of outcome
+  | Ran of chan_outcome * chan_stats * float (* elapsed ms *)
+
 (* Detect BMOC bugs across the whole program, fanning the per-root
    [detect_channel_ladder] calls out over [pool].  Each worker
    accumulates into a private per-channel record (and, inside
    [Constraints.solve], its own scratch SAT solver); the per-channel
-   counts are folded into a run-local metrics registry in canonical root
-   order — sums commute, so jobs=1 and jobs=N produce identical metrics
-   — and the final bug list is sorted by location, so the output is
-   schedule-independent too.  The run registry is merged into [metrics]
-   (default: the process-wide registry) and snapshotted as the returned
-   [stats].
+   counts are summed in canonical root order and added to a run-local
+   metrics registry once per counter — sums commute, so jobs=1 and
+   jobs=N produce identical metrics — and the final bug list is sorted
+   by location, so the output is schedule-independent too.  The run
+   registry is merged into [metrics] (default: the process-wide
+   registry) and snapshotted as the returned [stats].
 
    Every root runs behind its own fault boundary *inside* the pool task:
    an exception while solving one channel becomes a [`Faulted] note (and
@@ -696,34 +730,68 @@ type chan_outcome =
    that would start under watchdog pressure is skipped up front, so a
    tripped deadline flushes everything already gathered.
 
+   With [Carry], a root whose scope holds no changed function and that
+   has an outcome takes it over: no task, no solve-cache lookup, no
+   span and no profile sample — its counters and bugs enter the fold as
+   if it had been solved.  Nothing is carried while the watchdogs report
+   pressure, so every root then meets its boundary.
+
    The alias facts, call graph and primitive map are the caller's: the
    engine pass hands over the ones its artifact record already holds,
    which every other detector pass reads too. *)
 let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
-    ?(metrics = M.default) ?dis ?reuse ~(alias : Alias.t) ~(cg : Callgraph.t)
+    ?(metrics = M.default) ?dis ?prior ~(alias : Alias.t) ~(cg : Callgraph.t)
     ~(prims : Primitives.t) (prog : Ir.program) : full =
   let reg = M.create () in
   let dis =
     match dis with Some d -> d | None -> Disentangle.build prims cg
   in
-  let roots =
-    List.filter
-      (function Alias.Achan _ -> true | _ -> false)
-      (Primitives.channels prims)
-    @ (* with the §6 WaitGroup extension on, WaitGroups are analysed as
-         root primitives of their own, like channels *)
-    (if cfg.path_cfg.model_waitgroup then
-       List.filter
-         (fun obj -> not (Disentangle.rooted_external obj))
-         (Hashtbl.fold
-            (fun obj kind acc ->
-              if kind = Primitives.Pwaitgroup then obj :: acc else acc)
-            prims.kinds [])
-     else [])
-  in
   (* canonical root order: structural compare is deterministic and
-     independent of Hashtbl iteration order (the WaitGroup fold above) *)
-  let roots = List.sort_uniq compare roots in
+     independent of Hashtbl iteration order; the disentangling's
+     primitives are sorted already *)
+  let roots =
+    let chans =
+      List.filter
+        (fun o ->
+          match o with
+          | Alias.Achan _ -> Primitives.kind_of prims o = Some Primitives.Pchan
+          | _ -> false)
+        dis.Disentangle.all
+    in
+    (* with the §6 WaitGroup extension on, WaitGroups are analysed as
+       root primitives of their own, like channels *)
+    if cfg.path_cfg.model_waitgroup then
+      List.sort_uniq compare
+        (chans
+        @ List.filter
+            (fun obj -> not (Disentangle.rooted_external obj))
+            (Hashtbl.fold
+               (fun obj kind acc ->
+                 if kind = Primitives.Pwaitgroup then obj :: acc else acc)
+               prims.kinds []))
+    else chans
+  in
+  (* each root with the outcome it takes over, if any *)
+  let plan =
+    match prior with
+    | Some (Carry (outs, changed)) when Goengine.Supervise.pressure () = None ->
+        let affected =
+          if cfg.disentangle then Disentangle.affected_by dis changed
+          else
+            (* ablation: every scope is the whole program *)
+            fun _ -> changed <> []
+        in
+        List.map
+          (fun c -> (c, if affected c then None else Hashtbl.find_opt outs c))
+          roots
+    | Some (Carry _ | Again _) | None -> List.map (fun c -> (c, None)) roots
+  in
+  let known c =
+    match prior with
+    | Some (Again outs) -> Option.map (fun o -> o.o_fp) (Hashtbl.find_opt outs c)
+    | Some (Carry _) | None -> None
+  in
+  let to_run = List.filter_map (fun (c, o) -> if o = None then Some c else None) plan in
   (* one enumeration memo per run: channels sharing a (root, scope, Pset)
      — always the case under the ablation scope — walk the CFG once *)
   let enum_memo = Goengine.Memo.create () in
@@ -731,12 +799,14 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
      when there are enough of them to keep several domains busy, and on
      small inputs the fork/await overhead was a measured net slowdown.
      Derived from the batch size alone, never the job count. *)
-  let grain = match List.length roots with n when n <= 4 -> n | _ -> 1 in
-  let per_root =
+  let grain = match List.length to_run with n when n <= 4 -> n | _ -> 1 in
+  let ran =
     Pool.map ~pool ~grain
       (fun c ->
         Trace.with_span ~name:"bmoc.channel"
-          ~args:[ ("channel", Alias.obj_str c) ]
+          ?args:
+            (if Trace.enabled () then Some [ ("channel", Alias.obj_str c) ]
+             else None)
           (fun () ->
             let cst = new_chan_stats () in
             let t0 = Clock.now_s () in
@@ -748,8 +818,8 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
               | Some reason -> Opressure reason
               | None -> (
                   match
-                    detect_channel_ladder ~cfg ?reuse ~prims ~dis ~cg ~alias
-                      ~prog ~cst ~enum_memo c
+                    detect_channel_ladder ~cfg ?known:(known c) ~prims ~dis ~cg
+                      ~alias ~prog ~cst ~enum_memo c
                   with
                   | found, timed_out, rungs, fp ->
                       Odone (found, timed_out, rungs, fp)
@@ -758,90 +828,106 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
                       Ofaulted (Printexc.to_string e))
             in
             let elapsed_ms = 1000.0 *. Clock.elapsed_since t0 in
-            Trace.set_args
-              [
-                ("solver_calls", string_of_int cst.c_solver_calls);
-                ("sat_conflicts", string_of_int cst.c_sat_conflicts);
-                ("sat_decisions", string_of_int cst.c_sat_decisions);
-                ("path_events", string_of_int cst.c_path_events);
-                ("elapsed_ms", Printf.sprintf "%.1f" elapsed_ms);
-                ( "outcome",
-                  match outcome with
-                  | Odone (_, true, _, _) -> "timed_out"
-                  | Odone (_, _, r, _) when r > 0 -> "recovered"
-                  | Odone _ -> "ok"
-                  | Ofaulted _ -> "faulted"
-                  | Opressure _ -> "pressure-skipped" );
-              ];
-            (c, outcome, cst, elapsed_ms)))
-      roots
+            if Trace.enabled () then
+              Trace.set_args
+                [
+                  ("solver_calls", string_of_int cst.c_solver_calls);
+                  ("sat_conflicts", string_of_int cst.c_sat_conflicts);
+                  ("sat_decisions", string_of_int cst.c_sat_decisions);
+                  ("path_events", string_of_int cst.c_path_events);
+                  ("elapsed_ms", Printf.sprintf "%.1f" elapsed_ms);
+                  ( "outcome",
+                    match outcome with
+                    | Odone (_, true, _, _) -> "timed_out"
+                    | Odone (_, _, r, _) when r > 0 -> "recovered"
+                    | Odone _ -> "ok"
+                    | Ofaulted _ -> "faulted"
+                    | Opressure _ -> "pressure-skipped" );
+                ];
+            Ran (outcome, cst, elapsed_ms)))
+      to_run
+  in
+  (* the roots in canonical order, each with its result *)
+  let per_root =
+    let ran = ref ran in
+    List.map
+      (fun (c, carried) ->
+        match (carried, !ran) with
+        | Some o, _ -> (c, Carried o)
+        | None, r :: rest ->
+            ran := rest;
+            (c, r)
+        | None, [] -> assert false)
+      plan
   in
   let bugs = ref [] in
   let skips = ref [] in
   let notes = ref [] in
   let seen = Hashtbl.create 16 in
-  let fps = Hashtbl.create 64 in
+  (* the outcomes of this run: the prior run's, with every root that ran
+     here replaced or dropped (so a run that carried everything shares
+     the prior table, read-only) *)
+  let outs =
+    match prior with
+    | Some (Carry (o, _) | Again o) when to_run = [] -> o
+    | Some (Carry (o, _) | Again o) -> Hashtbl.copy o
+    | None -> Hashtbl.create 64
+  in
   let enumerated = ref 0 and replayed = ref 0 in
-  let bump name n = if n <> 0 then M.add (M.counter reg ("bmoc." ^ name)) n in
-  let health k = M.incr (M.counter reg k) in
+  (* per-counter sums, added to the registry once each below *)
+  let totals = Array.make (Array.length counter_slots) 0 in
+  let analysed = ref 0 and timeouts = ref 0 in
+  let attempted = ref 0 and ok = ref 0 and skipped = ref 0 in
+  let degraded = ref 0 and retried = ref 0 in
   let chan_ms = M.histogram reg "bmoc.channel_solve_ms" in
+  let note c n =
+    notes := { cn_obj = c; cn_loc = Alias.creation_loc alias c; cn_note = n } :: !notes
+  in
+  let verdict stats found =
+    incr analysed;
+    Array.iteri (fun i v -> totals.(i) <- totals.(i) + v) stats;
+    List.iter
+      (fun (b : Report.bmoc_bug) ->
+        let key =
+          List.sort compare (List.map (fun o -> o.Report.bo_pp) b.blocked)
+        in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          bugs := b :: !bugs
+        end)
+      found
+  in
   List.iter
-    (fun (c, outcome, cst, elapsed_ms) ->
-      health Goengine.Supervise.h_attempted;
-      if cst.c_enumerated then incr enumerated;
-      match outcome with
-      | Opressure reason ->
-          health Goengine.Supervise.h_skipped;
-          notes :=
-            {
-              cn_obj = c;
-              cn_loc = Alias.creation_loc alias c;
-              cn_note = `Pressure reason;
-            }
-            :: !notes
-      | Ofaulted detail ->
-          health Goengine.Supervise.h_degraded;
+    (fun (c, result) ->
+      incr attempted;
+      match result with
+      | Carried o ->
+          incr replayed;
+          incr ok;
+          verdict o.o_stats o.o_bugs
+      | Ran (Opressure reason, _, _) ->
+          Hashtbl.remove outs c;
+          incr skipped;
+          note c (`Pressure reason)
+      | Ran (Ofaulted detail, cst, _) ->
+          Hashtbl.remove outs c;
+          if cst.c_enumerated then incr enumerated;
+          incr degraded;
           Goobs.Log.warn
             ~kv:[ ("channel", Alias.obj_str c); ("exn", detail) ]
             "channel degraded; analysis continues";
-          notes :=
-            {
-              cn_obj = c;
-              cn_loc = Alias.creation_loc alias c;
-              cn_note = `Faulted detail;
-            }
-            :: !notes
-      | Odone (found, timed_out, rungs, fp) ->
-          Option.iter (Hashtbl.replace fps c) fp;
-          if not cst.c_enumerated then incr replayed;
-          if timed_out then health Goengine.Supervise.h_skipped
-          else health Goengine.Supervise.h_ok;
-          if rungs > 0 then health Goengine.Supervise.h_retried;
-          if rungs > 0 && not timed_out then
-            notes :=
-              {
-                cn_obj = c;
-                cn_loc = Alias.creation_loc alias c;
-                cn_note = `Recovered rungs;
-              }
-              :: !notes;
-          bump "channels_analysed" 1;
-          bump "combinations" cst.c_combinations;
-          bump "groups_checked" cst.c_groups_checked;
-          bump "solver_calls" cst.c_solver_calls;
-          bump "total_path_events" cst.c_path_events;
-          bump "constraints_hint" cst.c_constraints_hint;
-          bump "sat_conflicts" cst.c_sat_conflicts;
-          bump "sat_decisions" cst.c_sat_decisions;
-          bump "sat_propagations" cst.c_sat_propagations;
-          bump "theory_conflicts" cst.c_theory_conflicts;
-          bump "paths_deduped" cst.c_paths_deduped;
-          (* SAT-engine counters live under their own prefix *)
-          let bump_raw name n = if n <> 0 then M.add (M.counter reg name) n in
-          bump_raw "sat.learnt_clauses" cst.c_sat_learnts;
-          bump_raw "sat.restarts" cst.c_sat_restarts;
-          bump_raw "sat.db_reductions" cst.c_sat_db_reductions;
-          if timed_out then bump "solver_timeouts" 1;
+          note c (`Faulted detail)
+      | Ran (Odone (found, timed_out, rungs, fp), cst, elapsed_ms) ->
+          if cst.c_enumerated then incr enumerated else incr replayed;
+          let stats = stats_array cst in
+          (match fp with
+          | Some fp ->
+              Hashtbl.replace outs c { o_fp = fp; o_bugs = found; o_stats = stats }
+          | None -> Hashtbl.remove outs c);
+          if timed_out then incr skipped else incr ok;
+          if rungs > 0 then incr retried;
+          if rungs > 0 && not timed_out then note c (`Recovered rungs);
+          if timed_out then incr timeouts;
           M.observe chan_ms elapsed_ms;
           Goobs.Profile.note_channel
             {
@@ -864,17 +950,18 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
                 sk_ops = cst.c_path_events;
               }
               :: !skips;
-          List.iter
-            (fun (b : Report.bmoc_bug) ->
-              let key =
-                List.sort compare (List.map (fun o -> o.Report.bo_pp) b.blocked)
-              in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                bugs := b :: !bugs
-              end)
-            found)
+          verdict stats found)
     per_root;
+  (* a counter whose sum is zero is not created *)
+  let add name n = if n <> 0 then M.add (M.counter reg name) n in
+  add Goengine.Supervise.h_attempted !attempted;
+  add Goengine.Supervise.h_ok !ok;
+  add Goengine.Supervise.h_skipped !skipped;
+  add Goengine.Supervise.h_degraded !degraded;
+  add Goengine.Supervise.h_retried !retried;
+  add "bmoc.channels_analysed" !analysed;
+  Array.iteri (fun i (_, name) -> add name totals.(i)) counter_slots;
+  add "bmoc.solver_timeouts" !timeouts;
   let bugs =
     List.sort
       (fun a b -> compare (bug_order_key a) (bug_order_key b))
@@ -887,7 +974,7 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
     f_stats = stats;
     f_skipped = List.rev !skips;
     f_notes = List.rev !notes;
-    f_fps = fps;
+    f_outcomes = outs;
     f_enumerated = !enumerated;
     f_replayed = !replayed;
   }

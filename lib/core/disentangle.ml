@@ -25,6 +25,8 @@ type t = {
   cg : Callgraph.t;
   all : Alias.obj list; (* every channel and mutex, sorted *)
   scopes : (Alias.obj, scope) Hashtbl.t;
+  in_scope : (string, Alias.obj list) Hashtbl.t;
+      (* function -> the objects of [scopes] whose scope holds it *)
   (* dependence edges: a depends on b *)
   deps : (Alias.obj, Alias.obj list) Hashtbl.t;
 }
@@ -147,6 +149,15 @@ let build (prims : Primitives.t) (cg : Callgraph.t) : t =
   in
   let scopes = Hashtbl.create 16 in
   List.iter (fun obj -> Hashtbl.replace scopes obj (compute_scope prims cg obj)) all;
+  let in_scope = Hashtbl.create 64 in
+  List.iter
+    (fun obj ->
+      List.iter
+        (fun f ->
+          let cur = Option.value (Hashtbl.find_opt in_scope f) ~default:[] in
+          Hashtbl.replace in_scope f (obj :: cur))
+        (Hashtbl.find scopes obj).funcs)
+    all;
   let direct = direct_deps prims cg all in
   List.iter
     (fun (a, b) ->
@@ -180,7 +191,7 @@ let build (prims : Primitives.t) (cg : Callgraph.t) : t =
       let l = Hashtbl.fold (fun c () acc -> c :: acc) seen [] in
       if l <> [] then Hashtbl.replace deps a l)
     all;
-  { prims; cg; all; scopes; deps }
+  { prims; cg; all; scopes; in_scope; deps }
 
 (* Read-only once built: a [t] may be shared by the records of several
    program versions at once, so an object [build] did not cover (a
@@ -189,6 +200,21 @@ let scope_of t obj =
   match Hashtbl.find_opt t.scopes obj with
   | Some s -> s
   | None -> compute_scope t.prims t.cg obj
+
+(* Which objects a change to [funcs] can affect: those whose scope holds
+   one of them, read off the index for the objects [build] covered and
+   from the scope for the others (a WaitGroup root). *)
+let affected_by t (funcs : string list) : Alias.obj -> bool =
+  let hit = Hashtbl.create 8 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun o -> Hashtbl.replace hit o ())
+        (Option.value (Hashtbl.find_opt t.in_scope f) ~default:[]))
+    funcs;
+  fun obj ->
+    if Hashtbl.mem t.scopes obj then Hashtbl.mem hit obj
+    else List.exists (fun f -> List.mem f funcs) (scope_of t obj).funcs
 
 (* Externally-created primitives (context done channels, channels arriving
    through entry parameters) have creation sites outside the program, so

@@ -61,7 +61,7 @@ let nb_diag (b : Nonblocking.nb_bug) : D.t =
 (* ------------------------------------------------- shared pre-pass --- *)
 
 (* Every detector pass consumes the primitive/operation map, the
-   channel passes share one disentangling, and the four lockset
+   channel passes share one disentangling, and the five traditional
    checkers share one walk of every function.  Alias facts and the call
    graph come from the engine's cached stages; the map, the
    disentangling and the walk are derived once per artifact record
@@ -72,14 +72,21 @@ let nb_diag (b : Nonblocking.nb_bug) : D.t =
    Early cutoff: the map and the disentangling are functions of the
    whole-program facts, so a record whose facts equal its
    predecessor's takes them over ([~carry:true]); the walk takes over
-   every function whose IR did not change, and BMOC every channel none
-   of whose scope functions changed.  Inputs are forced before claiming
-   a slot: a waiter must never park on the whole frontend. *)
+   every function whose IR did not change.  Each detector keeps its
+   per-unit results on the record ([E.a_keep]): BMOC its per-channel
+   outcomes, each traditional checker its per-function results.  A
+   successor takes over every unit no changed function can affect and
+   re-runs the rest.  Inputs are forced before claiming a slot: a
+   waiter must never park on the whole frontend. *)
 type E.derived +=
   | Prims of Primitives.t
   | Dis of Disentangle.t
   | Lockset of Traditional.walk
-  | Fps of Bmoc.fingerprints
+  | Outcomes of Bmoc.outcomes
+  | Trad_bugs of (Report.trad_bug, unit) Traditional.kept
+  | Dlock_kept of (Report.trad_bug, Traditional.summary) Traditional.kept
+  | Order_kept of (Traditional.order_edge, unit) Traditional.kept
+  | Race_kept of (Traditional.race_access, Traditional.ctors) Traditional.kept
 
 let prims_for (a : E.artifacts) : Primitives.t =
   let alias = Lazy.force a.E.a_alias in
@@ -100,13 +107,22 @@ let dis_for (a : E.artifacts) : Disentangle.t =
   | Dis d -> d
   | _ -> assert false
 
-(* A value the predecessor kept under [name], with its changed-function
-   test, while the cutoff holds. *)
+(* A value the predecessor kept under [name], with the predecessor,
+   while the cutoff holds. *)
 let prior_value (a : E.artifacts) name =
   match a.E.a_prior () with
-  | Some p ->
-      Option.map (fun v -> (v, p.E.pr_changed)) (p.E.pr_record.E.a_peek name)
+  | Some p -> Option.map (fun v -> (v, p)) (p.E.pr_record.E.a_peek name)
   | None -> None
+
+(* What a pass kept under [name]: on this record, when it was analysed
+   before, or else on the predecessor.  Nothing while fault injection is
+   armed: injected faults must reach every unit. *)
+let kept_value (a : E.artifacts) name =
+  if Goengine.Faults.active () then None
+  else
+    match a.E.a_peek name with
+    | Some v -> Some (v, None)
+    | None -> Option.map (fun (v, p) -> (v, Some p)) (prior_value a name)
 
 let walk_for pool (a : E.artifacts) : Traditional.walk =
   let ir = Lazy.force a.E.a_ir in
@@ -116,7 +132,7 @@ let walk_for pool (a : E.artifacts) : Traditional.walk =
     a.E.a_derive "lockset" (fun () ->
         let prev =
           match prior_value a "lockset" with
-          | Some (Lockset w, changed) -> Some (w, changed)
+          | Some (Lockset w, p) -> Some (w, p.E.pr_changed)
           | _ -> None
         in
         let w = Traditional.walk ~pool ?prev prims alias ir in
@@ -221,26 +237,23 @@ let bmoc_pass ?(cfg = Bmoc.default_config) () : E.pass =
             ~fpr:(Lazy.force fpr) ~metrics a
             ~cacheable:(fun (_, sk, nt) -> sk = [] && nt = [])
             (fun () ->
-              (* the channels' fingerprints are kept per detector config,
-                 for the next version's replays *)
-              let kept = "bmoc.fps." ^ Lazy.force fpr in
-              let reuse =
-                match (a.E.a_peek kept, prior_value a kept) with
-                | Some (Fps fps), _ when not (Goengine.Faults.active ()) ->
-                    (* this record analysed before: nothing changed *)
-                    Some { Bmoc.ru_fps = fps; ru_changed = (fun _ -> false) }
-                | _, Some (Fps fps, changed) ->
-                    Some { Bmoc.ru_fps = fps; ru_changed = changed }
+              (* the channels' outcomes are kept per detector config *)
+              let kept = "bmoc.outcomes." ^ Lazy.force fpr in
+              let prior =
+                match kept_value a kept with
+                | Some (Outcomes o, None) -> Some (Bmoc.Again o)
+                | Some (Outcomes o, Some p) ->
+                    Some (Bmoc.Carry (o, p.E.pr_changed_funcs))
                 | _ -> None
               in
               let r =
-                Bmoc.detect_with ~cfg ~pool ~metrics ~dis:(dis_for a) ?reuse
+                Bmoc.detect_with ~cfg ~pool ~metrics ~dis:(dis_for a) ?prior
                   ~alias:(Lazy.force a.E.a_alias)
                   ~cg:(Lazy.force a.E.a_callgraph) ~prims:(prims_for a)
                   (Lazy.force a.E.a_ir)
               in
               if not (Goengine.Faults.active ()) then
-                a.E.a_keep kept (Fps r.Bmoc.f_fps);
+                a.E.a_keep kept (Outcomes r.Bmoc.f_outcomes);
               a.E.a_note "engine.bmoc_channels_enumerated" r.Bmoc.f_enumerated;
               a.E.a_note "engine.bmoc_channels_replayed" r.Bmoc.f_replayed;
               (r.Bmoc.f_bugs, r.Bmoc.f_skipped, r.Bmoc.f_notes))
@@ -264,10 +277,31 @@ let trad_pass name doc run : E.pass =
         List.map (trad_diag ~pass:name) bugs);
   }
 
+(* One traditional checker as a fold over the record's walk, taking
+   over the per-function results the checker kept on this record (all
+   of them: the walk is the same) or on the predecessor (all but the
+   functions the walk walked again). *)
+let trad_fold (type a g) pool metrics (a : E.artifacts)
+    (ck : (a, g) Traditional.checker) ~(wrap : (a, g) Traditional.kept -> E.derived)
+    ~(unwrap : E.derived -> (a, g) Traditional.kept option) =
+  let w = walk_for pool a in
+  let name = Traditional.name ck ^ ".funcs" in
+  let prior =
+    match kept_value a name with
+    | Some (v, None) -> Option.map (fun k -> (k, Traditional.unchanged)) (unwrap v)
+    | Some (v, Some _) -> (
+        match (unwrap v, Traditional.delta w) with
+        | Some k, Some d -> Some (k, d)
+        | _ -> None)
+    | None -> None
+  in
+  let bugs, kept, checked = Traditional.run ~metrics ?prior ck w in
+  if not (Goengine.Faults.active ()) then a.E.a_keep name (wrap kept);
+  a.E.a_note "engine.trad_funcs_checked" checked;
+  bugs
+
 let traditional_passes ?cfg () : E.pass list =
   let cache_dir = Option.bind cfg (fun c -> c.Bmoc.cache_dir) in
-  let ir a = Lazy.force a.E.a_ir in
-  let cg a = Lazy.force a.E.a_callgraph in
   (* the traditional checkers take no configuration, so the cache key
      needs no fingerprint beyond the pass name *)
   let trad name doc run =
@@ -276,20 +310,32 @@ let traditional_passes ?cfg () : E.pass list =
           ~cacheable:(fun _ -> true)
           (fun () -> run pool metrics a))
   in
+  let bugs ck pool metrics a =
+    trad_fold pool metrics a ck
+      ~wrap:(fun k -> Trad_bugs k)
+      ~unwrap:(function Trad_bugs k -> Some k | _ -> None)
+  in
   [
     trad "trad.missing-unlock" "lock acquired but not released on some path"
-      (fun pool metrics a ->
-        Traditional.missing_unlock ~metrics (walk_for pool a));
+      (bugs Traditional.missing_unlock);
     trad "trad.double-lock" "same mutex acquired twice without release"
       (fun pool metrics a ->
-        Traditional.double_lock ~metrics (cg a) (walk_for pool a));
+        trad_fold pool metrics a
+          (Traditional.double_lock (Lazy.force a.E.a_callgraph))
+          ~wrap:(fun k -> Dlock_kept k)
+          ~unwrap:(function Dlock_kept k -> Some k | _ -> None));
     trad "trad.lock-order" "conflicting lock acquisition order"
-      (fun pool metrics a -> Traditional.lock_order ~metrics (walk_for pool a));
-    trad "trad.field-race" "struct field accessed without the usual lock"
-      (fun pool metrics a -> Traditional.field_race ~metrics (walk_for pool a));
-    trad "trad.fatal-child" "testing.Fatal called from a child goroutine"
       (fun pool metrics a ->
-        Traditional.check_fatal_in_child ~pool ~metrics (ir a));
+        trad_fold pool metrics a Traditional.lock_order
+          ~wrap:(fun k -> Order_kept k)
+          ~unwrap:(function Order_kept k -> Some k | _ -> None));
+    trad "trad.field-race" "struct field accessed without the usual lock"
+      (fun pool metrics a ->
+        trad_fold pool metrics a Traditional.field_race
+          ~wrap:(fun k -> Race_kept k)
+          ~unwrap:(function Race_kept k -> Some k | _ -> None));
+    trad "trad.fatal-child" "testing.Fatal called from a child goroutine"
+      (bugs Traditional.fatal_child);
   ]
 
 let nonblocking_pass ?(cfg = Bmoc.default_config) () : E.pass =

@@ -108,6 +108,7 @@ type artifacts = {
 and prior = {
   pr_record : artifacts;
   pr_changed : string -> bool; (* has this function's IR changed? *)
+  pr_changed_funcs : string list; (* those functions, sorted *)
 }
 
 (* ---------------------------------------------------------- passes --- *)
@@ -805,7 +806,14 @@ let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
     a_prior =
       (fun () ->
         Option.map
-          (fun (p, changed) -> { pr_record = p; pr_changed = Hashtbl.mem changed })
+          (fun (p, changed) ->
+            {
+              pr_record = p;
+              pr_changed = Hashtbl.mem changed;
+              pr_changed_funcs =
+                List.sort String.compare
+                  (Hashtbl.fold (fun f () acc -> f :: acc) changed []);
+            })
           (pred_if_equal ()));
     a_note = (fun name n -> M.add (M.counter t.registry name) n);
     a_files;

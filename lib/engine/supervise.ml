@@ -211,13 +211,15 @@ type slot = { s_reg : M.t; s_name : string; s_counter : M.counter option Atomic.
 
 let slot reg name = { s_reg = reg; s_name = name; s_counter = Atomic.make None }
 
-let bump s =
+let bump_by s n =
   match Atomic.get s.s_counter with
-  | Some c -> M.incr c
+  | Some c -> M.add c n
   | None ->
       let c = M.counter s.s_reg s.s_name in
       Atomic.set s.s_counter (Some c);
-      M.incr c
+      M.add c n
+
+let bump s = bump_by s 1
 
 (* A boundary's health counters: a pass that guards many small units
    (one per function) makes one [boundary] and pays no registry lookup
@@ -267,6 +269,16 @@ let checked_at (b : boundary) ~(unit_name : unit -> string) (f : unit -> 'a) :
             ~kv:[ ("unit", unit_name ()); ("exn", detail) ]
             "unit degraded; analysis continues";
           Error (`Degraded detail))
+
+(* Credit [n] units that ran cleanly elsewhere (their results were
+   taken over from an earlier run) to the boundary: [n] attempted and
+   [n] ok, as if each had passed through [checked_at].  No counter is
+   touched when [n] is 0. *)
+let credit (b : boundary) n =
+  if n > 0 then begin
+    bump_by b.b_attempted n;
+    bump_by b.b_ok n
+  end
 
 (* [checked_at] for a single unit reporting to [metrics]. *)
 let checked ~(metrics : M.t) ~unit_name f =

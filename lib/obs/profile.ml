@@ -18,12 +18,43 @@ type channel_sample = {
   cs_timed_out : bool;
 }
 
+(* The report's order: slower first, then by channel name. *)
+let report_order a b =
+  compare (b.cs_elapsed_ms, a.cs_channel) (a.cs_elapsed_ms, b.cs_channel)
+
+(* The samples a report reads.  The report lists only the slowest
+   channels, so a store keeps the count of every sample but only the
+   [keep] slowest: a long-lived gcatchd notes one sample per analysed
+   channel per request.  [slowest] is in reverse report order (fastest
+   first), and among equals the earlier sample comes first in report
+   order, as a stable sort of every sample would place it; so for any
+   [top] up to [keep] the report reads the same as over every sample. *)
+type samples = {
+  keep : int;
+  mutable total : int;
+  mutable kept : int;
+  mutable slowest : channel_sample list;
+}
+
+let samples ~keep () = { keep; total = 0; kept = 0; slowest = [] }
+
+let add t s =
+  let rec insert = function
+    | e :: rest when report_order e s > 0 -> e :: insert rest
+    | l -> s :: l
+  in
+  t.total <- t.total + 1;
+  t.slowest <- insert t.slowest;
+  if t.kept < t.keep then t.kept <- t.kept + 1
+  else t.slowest <- List.tl t.slowest
+
+(* The process's store, under [mu]. *)
 let mu = Mutex.create ()
-let samples : channel_sample list ref = ref []
+let store = samples ~keep:64 ()
 
 let note_channel s =
   Mutex.lock mu;
-  samples := s :: !samples;
+  add store s;
   Mutex.unlock mu;
   (* channel lifecycle in the run journal: one event per analysed root.
      The solver statistics are schedule-independent; elapsed time rides
@@ -37,19 +68,25 @@ let note_channel s =
         ("timed_out", Journal.B s.cs_timed_out);
       ]
 
-let channels () =
+(* The kept samples in report order, and the count of all. *)
+let snapshot t =
   Mutex.lock mu;
-  let r = List.rev !samples in
+  let r = (List.rev t.slowest, t.total) in
   Mutex.unlock mu;
   r
 
+let channels () = fst (snapshot store)
+
 let reset () =
   Mutex.lock mu;
-  samples := [];
+  store.total <- 0;
+  store.kept <- 0;
+  store.slowest <- [];
   Mutex.unlock mu
 
-let report ?(top = 10) (reg : Metrics.t) (pass_times : (string * float) list) :
-    string =
+(* [top] at most the store's [keep] (64 for the process's store). *)
+let report ?(top = 10) ?(samples = store) (reg : Metrics.t)
+    (pass_times : (string * float) list) : string =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "== gcatch profile ==";
@@ -73,15 +110,8 @@ let report ?(top = 10) (reg : Metrics.t) (pass_times : (string * float) list) :
           (Metrics.h_count h))
       stage_hists
   end;
-  let cs = channels () in
-  if cs <> [] then begin
-    let slowest =
-      List.sort
-        (fun a b ->
-          compare (b.cs_elapsed_ms, a.cs_channel) (a.cs_elapsed_ms, b.cs_channel))
-        cs
-    in
-    let n = List.length slowest in
+  let slowest, n = snapshot samples in
+  if slowest <> [] then begin
     let shown = if n < top then n else top in
     line "top %d slowest channels (of %d):" shown n;
     List.iteri

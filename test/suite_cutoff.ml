@@ -2,10 +2,11 @@
    program-point counts equal its predecessor's takes over the alias
    facts, call graph, primitive map and disentangling, reassembles its
    program onto the predecessor's (placing only the edited files),
-   re-walks only the functions whose IR changed and re-enumerates only
-   the channels whose scope holds one.  Every version of an edit
-   sequence must analyse to exactly what a fresh engine produces, and
-   the engine counters say what was recomputed. *)
+   re-walks only the functions whose IR changed, re-checks only those in
+   each traditional checker, and re-solves only the channels whose scope
+   holds one, taking every other channel's outcome over.  Every version
+   of an edit sequence must analyse to exactly what a fresh engine
+   produces, and the engine counters say what was recomputed. *)
 
 module E = Goengine.Engine
 module D = Goengine.Diagnostics
@@ -176,21 +177,36 @@ let counted =
     "engine.cutoff_hits";
     "engine.cutoff_misses";
     "engine.lockset_funcs_walked";
+    "engine.trad_funcs_checked";
     "engine.bmoc_channels_enumerated";
     "engine.bmoc_channels_replayed";
     "engine.assemble_files_placed";
     "engine.sig_tables_built";
   ]
 
-let snapshot engine = List.map (fun k -> (k, E.counter_value engine k)) counted
+(* the solve cache counts its lookups in the process registry *)
+let solve_lookups () =
+  let c k = Goobs.Metrics.(value (counter default ("bmoc.solve_cache_" ^ k))) in
+  c "hit" + c "miss"
+
+let snapshot engine =
+  ("solve lookups", solve_lookups ())
+  :: List.map (fun k -> (k, E.counter_value engine k)) counted
 
 let delta before after =
   List.map2 (fun (k, a) (_, b) -> (k, b - a)) before after
 
 let nfiles = List.length base
 
-let check_expect label expect d nchannels =
+(* Five traditional checkers, each checking a function at most once. *)
+let ncheckers = 5
+
+let check_expect label expect d ~nchannels ~nfuncs =
   let c k = List.assoc k d in
+  let checked n =
+    Alcotest.(check int) (label ^ ": functions checked") (ncheckers * n)
+      (c "engine.trad_funcs_checked")
+  in
   let placed n =
     Alcotest.(check int) (label ^ ": files placed") n
       (c "engine.assemble_files_placed")
@@ -207,7 +223,8 @@ let check_expect label expect d nchannels =
         (c "engine.cutoff_hits" + c "engine.cutoff_misses");
       Alcotest.(check int) (label ^ ": one alias run") 1 (c "stage.alias.runs");
       Alcotest.(check int) (label ^ ": every channel enumerated") nchannels
-        (c "engine.bmoc_channels_enumerated")
+        (c "engine.bmoc_channels_enumerated");
+      checked nfuncs
   | Cutoff (walked, enumerated) ->
       placed 1;
       tables 0;
@@ -225,9 +242,14 @@ let check_expect label expect d nchannels =
         (c "engine.lockset_funcs_walked");
       Alcotest.(check int) (label ^ ": channels enumerated") enumerated
         (c "engine.bmoc_channels_enumerated");
-      Alcotest.(check int) (label ^ ": channels replayed")
+      Alcotest.(check int) (label ^ ": channels taken over")
         (nchannels - enumerated)
-        (c "engine.bmoc_channels_replayed")
+        (c "engine.bmoc_channels_replayed");
+      (* a channel taken over makes no solve-cache lookup *)
+      Alcotest.(check int) (label ^ ": solve-cache lookups") enumerated
+        (c "solve lookups");
+      (* each checker re-checks the functions walked again, no other *)
+      checked walked
   | Full { sig_tables } ->
       placed nfiles;
       tables sig_tables;
@@ -236,13 +258,18 @@ let check_expect label expect d nchannels =
         (fun k -> Alcotest.(check int) (label ^ ": one " ^ k) 1 (c k))
         [ "stage.alias.runs"; "stage.callgraph.runs"; "stage.primitives.runs" ];
       Alcotest.(check int) (label ^ ": nothing replayed") 0
-        (c "engine.bmoc_channels_replayed")
+        (c "engine.bmoc_channels_replayed");
+      checked nfuncs
   | Same_record ->
       List.iter
         (fun (k, v) ->
-          if k <> "engine.bmoc_channels_replayed" then
+          (* the record replays its own channels through the solve cache
+             and takes every checker's results over *)
+          if k <> "engine.bmoc_channels_replayed" && k <> "solve lookups" then
             Alcotest.(check int) (label ^ ": no " ^ k) 0 v)
         d;
+      Alcotest.(check int) (label ^ ": a lookup per channel") nchannels
+        (c "solve lookups");
       Alcotest.(check int) (label ^ ": every channel replayed") nchannels
         (c "engine.bmoc_channels_replayed")
 
@@ -279,6 +306,32 @@ let check_assembly label (ir : Goir.Ir.program) srcs =
     (Goir.Ir.funcs_list ir) (Goir.Ir.funcs_list fresh);
   Alcotest.(check (option string)) (label ^ ": same main") fresh.main ir.main
 
+(* The channels a version must re-solve: those whose scope holds a
+   function whose IR differs from the previous version's. *)
+let channels_to_solve (r : E.run) ~(before : Goir.Ir.func list) =
+  let a = Option.get r.E.r_artifacts in
+  let old = Hashtbl.create 64 in
+  List.iter (fun (f : Goir.Ir.func) -> Hashtbl.replace old f.name f) before;
+  let changed =
+    List.filter_map
+      (fun (f : Goir.Ir.func) ->
+        match Hashtbl.find_opt old f.name with
+        | Some g when g = f -> None
+        | _ -> Some f.name)
+      (Goir.Ir.funcs_list (Lazy.force a.E.a_ir))
+  in
+  let dis = Gcatch.Passes.dis_for a in
+  List.filter_map
+    (fun c ->
+      match c with
+      | Goanalysis.Alias.Achan _
+        when List.exists
+               (fun f -> List.mem f changed)
+               (Gcatch.Disentangle.scope_of dis c).funcs ->
+          Some (Goanalysis.Alias.obj_str c)
+      | _ -> None)
+    (Gcatch.Primitives.channels (Gcatch.Passes.prims_for a))
+
 (* A deep copy, to show that analysing a later version (which shares
    this program's blocks) wrote nothing to it. *)
 let deep_copy (fs : Goir.Ir.func list) : Goir.Ir.func list =
@@ -291,8 +344,24 @@ let run_sequence ~jobs () =
   let prev = ref None in
   let check_version label srcs expect =
     let before = snapshot engine in
+    Goobs.Profile.reset ();
     let r = analyse engine srcs in
     let d = delta before (snapshot engine) in
+    (* a profile sample per channel solved here, none per channel taken
+       over *)
+    let solved =
+      List.sort compare
+        (List.map
+           (fun (s : Goobs.Profile.channel_sample) -> s.cs_channel)
+           (Goobs.Profile.channels ()))
+    in
+    (match (expect, !prev) with
+    | Cutoff _, Some (_, copy) ->
+        Alcotest.(check (list string))
+          (label ^ ": the channels whose scope changed are solved, no other")
+          (List.sort compare (channels_to_solve r ~before:copy))
+          solved
+    | _ -> ());
     let ir = ir_of r in
     check_assembly label ir srcs;
     (match !prev with
@@ -311,7 +380,8 @@ let run_sequence ~jobs () =
       && Gcatch.Passes.trad_bugs r.E.r_diags
          = Gcatch.Passes.trad_bugs fresh.E.r_diags
       && Gcatch.Passes.nb_bugs r.E.r_diags = Gcatch.Passes.nb_bugs fresh.E.r_diags);
-    check_expect label expect d (channels r)
+    check_expect label expect d ~nchannels:(channels r)
+      ~nfuncs:(List.length (Goir.Ir.funcs_list ir))
   in
   check_version "original" base Cold;
   ignore
@@ -351,6 +421,117 @@ let test_faults_stand_down () =
   Alcotest.(check string) "same as a fresh engine"
     (rendered (analyse (Gcatch.Passes.engine ()) srcs))
     (rendered r)
+
+let trad_passes =
+  [
+    "trad.missing-unlock";
+    "trad.double-lock";
+    "trad.lock-order";
+    "trad.field-race";
+    "trad.fatal-child";
+  ]
+
+(* A function whose walk raised is never taken over: the successor walks
+   it again and every checker checks it again, so it degrades in each
+   lockset pass exactly as before, beside the edited function. *)
+let test_raised_walk_rechecked () =
+  let engine = Gcatch.Passes.engine () in
+  let a = E.artifacts engine ~name:"app" base in
+  (match Goir.Ir.find_func (Lazy.force a.E.a_ir) "flush" with
+  | Some f -> f.blocks.(f.entry).term <- Goir.Ir.Tjump 9999
+  | None -> Alcotest.fail "no flush");
+  let degraded (r : E.run) =
+    List.map
+      (fun (pr : E.pass_run) ->
+        ( pr.E.pr_pass,
+          Goengine.Supervise.(health_get pr.E.pr_metrics h_degraded) ))
+      r.E.r_passes
+  in
+  let r1 = E.analyse ~only:trad_passes engine ~name:"app" base in
+  let before = snapshot engine in
+  let r2 =
+    E.analyse ~only:trad_passes engine ~name:"app"
+      (edit_file 2 (helper_literal ~v:7) base)
+  in
+  let d = delta before (snapshot engine) in
+  Alcotest.(check int) "cutoff" 1 (List.assoc "engine.cutoff_hits" d);
+  Alcotest.(check int) "the edited function and the raised one walked" 2
+    (List.assoc "engine.lockset_funcs_walked" d);
+  Alcotest.(check int) "both checked by every checker" (2 * ncheckers)
+    (List.assoc "engine.trad_funcs_checked" d);
+  Alcotest.(check (list (pair string int)))
+    "degraded in each lockset pass, as before"
+    [
+      ("trad.missing-unlock", 1);
+      ("trad.double-lock", 1);
+      ("trad.lock-order", 1);
+      ("trad.field-race", 1);
+      ("trad.fatal-child", 0);
+    ]
+    (degraded r2);
+  Alcotest.(check string) "same results as before the edit" (rendered r1)
+    (rendered r2)
+
+(* Nothing is taken over while a watchdog reports pressure: every unit
+   meets its boundary and is skipped there, as on a cold run. *)
+let test_pressure_stands_down () =
+  let ir = Pipeline.compile_ir ~name:"app" base in
+  let alias = Goanalysis.Alias.analyse ir in
+  let cg = Goanalysis.Callgraph.build ~alias ir in
+  let prims = Gcatch.Primitives.collect ir alias in
+  let dis = Gcatch.Disentangle.build prims cg in
+  let module T = Gcatch.Traditional in
+  let module S = Goengine.Supervise in
+  let health reg k = S.health_get (S.health_of (Goobs.Metrics.counters_list reg)) k in
+  let w = T.walk prims alias ir in
+  let nfuncs = List.length (Goir.Ir.funcs_list ir) in
+  let bugs, kept, _ = T.run T.missing_unlock w in
+  Alcotest.(check bool) "reports" true (bugs <> []);
+  let detect ?prior reg =
+    Gcatch.Bmoc.detect_with ~metrics:reg ~dis ?prior ~alias ~cg ~prims ir
+  in
+  let cold = detect (Goobs.Metrics.create ()) in
+  let nchannels = cold.Gcatch.Bmoc.f_stats.channels_analysed in
+  Alcotest.(check bool) "channels" true (nchannels > 0);
+  let carry = Gcatch.Bmoc.Carry (cold.Gcatch.Bmoc.f_outcomes, []) in
+  (* unpressured: everything is taken over, and credited *)
+  let reg = Goobs.Metrics.create () in
+  let again, _, checked = T.run ~metrics:reg ~prior:(kept, T.unchanged) T.missing_unlock w in
+  Alcotest.(check int) "no function checked" 0 checked;
+  Alcotest.(check (list string)) "same reports"
+    (List.map Gcatch.Report.trad_str bugs)
+    (List.map Gcatch.Report.trad_str again);
+  Alcotest.(check int) "every function credited ok" nfuncs (health reg S.h_ok);
+  let reg = Goobs.Metrics.create () in
+  let r = detect ~prior:carry reg in
+  Alcotest.(check int) "every channel taken over" nchannels r.Gcatch.Bmoc.f_replayed;
+  Alcotest.(check int) "every channel ok" nchannels (health reg S.h_ok);
+  Alcotest.(check bool) "same bugs" true
+    (r.Gcatch.Bmoc.f_bugs = cold.Gcatch.Bmoc.f_bugs);
+  List.iter
+    (fun (label, arm, clear) ->
+      Fun.protect ~finally:clear (fun () ->
+          arm ();
+          let reg = Goobs.Metrics.create () in
+          let bugs, _, checked =
+            T.run ~metrics:reg ~prior:(kept, T.unchanged) T.missing_unlock w
+          in
+          Alcotest.(check int) (label ^ ": every function checked") nfuncs checked;
+          Alcotest.(check int) (label ^ ": no reports") 0 (List.length bugs);
+          Alcotest.(check int) (label ^ ": every function skipped") nfuncs
+            (health reg S.h_skipped);
+          let reg = Goobs.Metrics.create () in
+          let r = detect ~prior:carry reg in
+          Alcotest.(check int) (label ^ ": no channel taken over") 0
+            r.Gcatch.Bmoc.f_replayed;
+          Alcotest.(check int) (label ^ ": every channel skipped") nchannels
+            (health reg S.h_skipped);
+          Alcotest.(check int) (label ^ ": no bugs") 0
+            (List.length r.Gcatch.Bmoc.f_bugs)))
+    [
+      ("deadline", (fun () -> S.set_deadline_ms (-1)), S.clear_deadline);
+      ("heap", (fun () -> S.set_max_heap_mb 0), S.clear_max_heap);
+    ]
 
 (* A disentangling is shared by the records of several versions, so
    asking it for an object it did not cover must not write to it. *)
@@ -424,6 +605,10 @@ let tests =
       test_sequence_j4;
     Alcotest.test_case "reuse stands down under fault injection" `Quick
       test_faults_stand_down;
+    Alcotest.test_case "a function whose walk raised is checked again" `Quick
+      test_raised_walk_rechecked;
+    Alcotest.test_case "reuse stands down under pressure" `Quick
+      test_pressure_stands_down;
     Alcotest.test_case "scope_of never writes" `Quick test_scope_of_read_only;
     Alcotest.test_case "digest table bounded across edits" `Quick
       test_digest_table_bounded;

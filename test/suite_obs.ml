@@ -310,6 +310,64 @@ let test_profile_report () =
   Profile.reset ();
   Alcotest.(check int) "reset clears samples" 0 (List.length (Profile.channels ()))
 
+(* A long-lived gcatchd notes a sample per analysed channel per request:
+   fifty analyses of twenty channels leave only the slowest samples
+   kept, and the report (the count of all samples included) reads as
+   one over every sample.  Times are coarse, so many tie, and a channel
+   recurs with a different solver-call count each analysis: ties must
+   keep the order a stable sort of every sample gives them. *)
+let test_profile_bounded () =
+  Profile.reset ();
+  let all = Profile.samples ~keep:max_int () in
+  let noted = ref [] in
+  let rng = Random.State.make [| 7 |] in
+  for analysis = 1 to 50 do
+    for c = 1 to 20 do
+      let s =
+        {
+          Profile.cs_channel = Printf.sprintf "chan@%d" c;
+          cs_elapsed_ms = float_of_int (Random.State.int rng 40) /. 4.0;
+          cs_solver_calls = analysis;
+          cs_sat_conflicts = c;
+          cs_sat_decisions = 0;
+          cs_sat_propagations = 0;
+          cs_path_events = 0;
+          cs_timed_out = false;
+        }
+      in
+      Profile.note_channel s;
+      Profile.add all s;
+      noted := s :: !noted
+    done
+  done;
+  let kept = Profile.channels () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 1000 samples kept" (List.length kept))
+    true
+    (List.length kept <= 64);
+  (* the report's order, slower first then by channel name, as a stable
+     sort of every sample in the order noted *)
+  let sorted =
+    List.stable_sort
+      (fun (a : Profile.channel_sample) (b : Profile.channel_sample) ->
+        compare (b.cs_elapsed_ms, a.cs_channel) (a.cs_elapsed_ms, b.cs_channel))
+      (List.rev !noted)
+  in
+  Alcotest.(check bool) "the slowest samples, in the report's order" true
+    (kept = List.filteri (fun i _ -> i < List.length kept) sorted);
+  let reg = M.create () in
+  List.iter
+    (fun top ->
+      let rep = Profile.report ~top reg [] in
+      Alcotest.(check string)
+        (Printf.sprintf "top %d as over every sample" top)
+        (Profile.report ~top ~samples:all reg [])
+        rep;
+      Alcotest.(check bool) "counts every sample" true
+        (contains ~needle:"(of 1000)" rep))
+    [ 10; 64 ];
+  Profile.reset ()
+
 (* ------------------------------------------------------ determinism --- *)
 
 (* several independent channels so jobs=4 genuinely fans out *)
@@ -692,6 +750,8 @@ let tests =
       test_disabled_tracer_noop;
     Alcotest.test_case "chrome export shape" `Quick test_chrome_export_shape;
     Alcotest.test_case "profile report" `Quick test_profile_report;
+    Alcotest.test_case "profile keeps the slowest samples" `Quick
+      test_profile_bounded;
     Alcotest.test_case "metrics determinism across jobs" `Quick
       test_metrics_determinism_across_jobs;
     Alcotest.test_case "skip diagnostic enriched" `Quick

@@ -238,7 +238,7 @@ let test_walk_under_pressure () =
   let alias = Goanalysis.Alias.analyse ir in
   let prims = Gcatch.Primitives.collect ir alias in
   let nfuncs = List.length (Goir.Ir.funcs_list ir) in
-  let baseline = trad_strs (T.missing_unlock (T.walk prims alias ir)) in
+  let baseline = trad_strs (T.bugs T.missing_unlock (T.walk prims alias ir)) in
   Alcotest.(check bool) "baseline reports" true (baseline <> []);
   List.iter
     (fun (label, arm, clear) ->
@@ -249,7 +249,7 @@ let test_walk_under_pressure () =
             (T.complete w);
           let reg = M.create () in
           Alcotest.(check int) (label ^ ": no reports") 0
-            (List.length (T.missing_unlock ~metrics:reg w));
+            (List.length (T.bugs ~metrics:reg T.missing_unlock w));
           let h = S.health_of (M.counters_list reg) in
           Alcotest.(check int) (label ^ ": every function skipped") nfuncs
             (S.health_get h S.h_skipped);
@@ -266,7 +266,7 @@ let test_walk_under_pressure () =
           Alcotest.(check (list string))
             (label ^ ": deferred functions walked on demand")
             baseline
-            (trad_strs (T.missing_unlock ~metrics:reg w));
+            (trad_strs (T.bugs ~metrics:reg T.missing_unlock w));
           Alcotest.(check int) (label ^ ": all ok") nfuncs
             (S.health_get (S.health_of (M.counters_list reg)) S.h_ok)))
     [
@@ -328,6 +328,55 @@ let test_walk_order_and_chains () =
     ]
     (trad_strs (Gcatch.Passes.trad_bugs r.E.r_diags))
 
+(* ---- take-over ---- *)
+
+(* A checker takes over the results of the functions a later walk did
+   not walk again only while its whole-program table is the same: here
+   [inner] now locks the mutex its caller holds, so [Outer]'s double
+   lock appears though [Outer] itself did not change, and the checker
+   checks every function again. *)
+let summary_src lock =
+  Printf.sprintf
+    {|package p
+type S struct {
+	ma sync.Mutex
+	mb sync.Mutex
+}
+func Outer(s S) {
+	s.ma.Lock()
+	inner(s)
+	s.ma.Unlock()
+}
+func inner(s S) {
+	s.%s.Lock()
+	s.%s.Unlock()
+}
+|}
+    lock lock
+
+let test_changed_table_rechecks () =
+  let facts src =
+    let ir = Pipeline.compile_ir ~name:"summary" [ src ] in
+    let alias = Goanalysis.Alias.analyse ir in
+    let cg = Goanalysis.Callgraph.build ~alias ir in
+    (ir, alias, cg, Gcatch.Primitives.collect ir alias)
+  in
+  let ir1, alias1, cg1, prims1 = facts (summary_src "mb") in
+  let w1 = T.walk prims1 alias1 ir1 in
+  let before, kept, _ = T.run (T.double_lock cg1) w1 in
+  Alcotest.(check (list string)) "no double lock before" [] (trad_strs before);
+  let ir2, alias2, cg2, prims2 = facts (summary_src "ma") in
+  let w2 = T.walk ~prev:(w1, fun f -> f = "inner") prims2 alias2 ir2 in
+  Alcotest.(check int) "only inner walked again" 1 (T.walked w2);
+  let after, _, checked =
+    T.run ~prior:(kept, Option.get (T.delta w2)) (T.double_lock cg2) w2
+  in
+  Alcotest.(check int) "every function checked" 2 checked;
+  Alcotest.(check (list string)) "as a fresh run"
+    (trad_strs (T.bugs (T.double_lock cg2) (T.walk prims2 alias2 ir2)))
+    (trad_strs after);
+  Alcotest.(check bool) "Outer's double lock found" true (after <> [])
+
 let tests =
   [
     Alcotest.test_case "pinned digests jobs 1" `Slow (test_pinned_digests 1);
@@ -340,4 +389,6 @@ let tests =
       test_walk_fault_contained;
     Alcotest.test_case "walk stops at function boundaries under pressure"
       `Quick test_walk_under_pressure;
+    Alcotest.test_case "a changed table checks every function again" `Quick
+      test_changed_table_rechecks;
   ]
