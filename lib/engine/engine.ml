@@ -508,18 +508,44 @@ let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
       ~reintern:Minigo.Intern.file (fun () ->
         M.incr (M.counter t.registry "stage.lex.runs");
         Faults.trigger ~site:"frontend" ~key:file ();
-        Minigo.Parser.parse_tokens ~file (Minigo.Lexer.tokenize ~file src))
+        Minigo.Parser.parse_file ~file src)
   in
   (* a file's declaration signatures: the only cross-file input the
      downstream per-file stages read.  Keyed on content alone (no
      program fingerprint — signatures depend only on the file's own
      text), so a warm run reads 49 tiny entries plus parses the one
      edited file instead of re-parsing the world. *)
-  let sig_file ((file, _, key) as fk) =
+  let sig_file ?tree ((file, _, key) as fk) =
     file_unit t ~stage:"sig" ~memo:t.fc.fc_sigs ~key ~file ~disk:true
-      (fun () -> Minigo.Typecheck.file_signatures (parse_file fk))
+      (fun () ->
+        Minigo.Typecheck.file_signatures
+          (match tree with Some a -> a | None -> parse_file fk))
   in
-  let a_sigs = lazy (stage_span t "sig" (fun () -> pmap sig_file keyed)) in
+  (* The files whose signatures are in neither tier parse first, in a
+     fan-out of their own, so parsing has a wall span apart from the
+     signature stage; their signature units take the trees directly.
+     A file that only turns out to need parsing inside the signature
+     fan-out (an unreadable disk entry) still parses there. *)
+  let sig_stored (_, _, key) =
+    Memo.find_done t.fc.fc_sigs key <> None
+    || Option.fold t.store ~none:false ~some:(fun s ->
+           Sys.file_exists (Store.path s ~kind:"sig" ~key))
+  in
+  let a_sigs =
+    lazy
+      (let todo = List.filter (fun fk -> not (sig_stored fk)) keyed in
+       let trees = Hashtbl.create 16 in
+       if todo <> [] then
+         stage_span t "parse" (fun () ->
+             List.iter2
+               (fun (_, _, key) a -> Hashtbl.replace trees key a)
+               todo (pmap parse_file todo));
+       stage_span t "sig" (fun () ->
+           pmap
+             (fun ((_, _, key) as fk) ->
+               sig_file ?tree:(Hashtbl.find_opt trees key) fk)
+             keyed))
+  in
   let a_fp =
     lazy
       (Minigo.Typecheck.signatures_fingerprint
@@ -696,7 +722,10 @@ let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
                    ~placed typed
                    (lowered (Lazy.force a_files))
              | Some _ | None ->
-                 Goir.Lower.assemble ~placed typed (Lazy.force a_lowered)
+                 (* rebasing copies every function: spread the files
+                    over the pool *)
+                 Goir.Lower.assemble ~placed ~map:pmap typed
+                   (Lazy.force a_lowered)
            in
            M.add (M.counter t.registry "engine.assemble_files_placed") !placed;
            ir))

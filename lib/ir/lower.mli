@@ -26,6 +26,11 @@ type sigs
 
 val build_sigs : Minigo.Ast.program -> sigs
 
+val sig_funcs : sigs -> string list
+(** The functions the table holds signatures for, sorted by name.
+    Lowering never adds to it: a file's lifted literals are kept in the
+    file's own overlay. *)
+
 val sigs_of_signatures : Minigo.Typecheck.sig_item list -> sigs
 (** Build the table from per-file signature items;
     [sigs_of_signatures (List.concat_map Minigo.Typecheck.file_signatures p)]
@@ -46,9 +51,16 @@ val file_pp_count : lowered_file -> int
 (** Program points the file consumed; {!assemble} rebases the next
     file by the running sum of these. *)
 
+type placement
+(** One file's functions rebased to their place in the program. *)
+
 val assemble :
   ?prev:Ir.program * lowered_file list ->
   ?placed:int ref ->
+  ?map:
+    ((lowered_file * int -> placement) ->
+    (lowered_file * int) list ->
+    placement list) ->
   Minigo.Ast.program ->
   lowered_file list ->
   Ir.program
@@ -69,4 +81,8 @@ val assemble :
     assembled.
 
     [placed] is incremented by the number of files whose functions
-    were rebased into the program rather than taken from [p]. *)
+    were rebased into the program rather than taken from [p].
+
+    [map] (default [List.map]) places the files when every file is
+    placed, one (file, offset) pair per call; the results are used in
+    list order, so a parallel map gives the same program. *)

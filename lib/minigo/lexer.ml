@@ -3,7 +3,13 @@
    Implements Go's automatic semicolon insertion rule: a semicolon is
    inserted at the end of a line when the last token of the line can end a
    statement (identifier, literal, ')', '}', ']', '++', '--', and the
-   keywords break/continue/return/true/false/nil). *)
+   keywords break/continue/return/true/false/nil).
+
+   The scanner reads the source through [get], which returns '\000' past
+   the end of the input, so no character is boxed; a '\000' inside the
+   input is told apart by its position.  The parser pulls one token at a
+   time with [next] and asks for a [Loc.t] only when it needs one: the
+   current token's position stays two ints until then. *)
 
 exception Lex_error of string * Loc.t
 
@@ -11,33 +17,48 @@ type token_info = { tok : Token.t; loc : Loc.t }
 
 type state = {
   src : string;
+  len : int;
   file : string;
   mutable pos : int;
   mutable line : int;
   mutable bol : int; (* offset of beginning of current line *)
-  mutable last_significant : Token.t option;
-      (* last token emitted on this line, for semicolon insertion *)
+  mutable semi_ok : bool;
+      (* the last token emitted on this line can end a statement *)
+  mutable tok_line : int; (* position of the token [next] returned last; *)
+  mutable tok_col : int; (* 0 once [EOF] has been returned *)
+  mutable ended : bool; (* [EOF] has been returned *)
 }
 
-let make ~file src =
-  { src; file; pos = 0; line = 1; bol = 0; last_significant = None }
+let create ~file src =
+  {
+    src;
+    len = String.length src;
+    file;
+    pos = 0;
+    line = 1;
+    bol = 0;
+    semi_ok = false;
+    tok_line = 1;
+    tok_col = 1;
+    ended = false;
+  }
 
-let cur_loc st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
+let[@inline] get st i = if i < st.len then String.unsafe_get st.src i else '\000'
+let[@inline] at_end st = st.pos >= st.len
+let loc st = Loc.make ~file:st.file ~line:st.tok_line ~col:st.tok_col
+let line st = st.tok_line
+let col st = st.tok_col
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let newline st =
+let[@inline] newline st =
   st.line <- st.line + 1;
   st.bol <- st.pos
 
-let is_digit c = c >= '0' && c <= '9'
-let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_alnum c = is_digit c || is_alpha c
+let[@inline] is_digit c = c >= '0' && c <= '9'
+
+let[@inline] is_alpha c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+
+let[@inline] is_alnum c = is_digit c || is_alpha c
 
 (* Does [tok] allow a statement to end before a newline? *)
 let ends_statement : Token.t -> bool = function
@@ -48,175 +69,193 @@ let ends_statement : Token.t -> bool = function
 
 let read_ident st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_alnum c ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
+  while is_alnum (get st st.pos) do
+    st.pos <- st.pos + 1
+  done;
   String.sub st.src start (st.pos - start)
 
+(* A decimal literal, accumulated in place; one that does not fit a
+   native int is an error at the literal (digits never span a newline,
+   so it starts on this line). *)
 let read_int st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_digit c ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
-  | Some n -> n
-  | None ->
-      (* digits never span a newline: the literal starts on this line *)
-      raise
-        (Lex_error
-           ( "integer literal out of range",
-             Loc.make ~file:st.file ~line:st.line ~col:(start - st.bol + 1) ))
+  let n = ref 0 and overflow = ref false in
+  while is_digit (get st st.pos) do
+    let d = Char.code (String.unsafe_get st.src st.pos) - 48 in
+    if !n > (max_int - d) / 10 then overflow := true else n := (!n * 10) + d;
+    st.pos <- st.pos + 1
+  done;
+  if !overflow then
+    raise
+      (Lex_error
+         ( "integer literal out of range",
+           Loc.make ~file:st.file ~line:st.line ~col:(start - st.bol + 1) ));
+  !n
 
 let read_string st =
-  let loc = cur_loc st in
-  advance st (* opening quote *);
+  st.pos <- st.pos + 1 (* opening quote *);
+  let start = st.pos in
+  (* a literal never spans a newline: the error is at its opening quote *)
+  let fail msg =
+    raise (Lex_error (msg, Loc.make ~file:st.file ~line:st.line ~col:(start - st.bol)))
+  in
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> raise (Lex_error ("unterminated string literal", loc))
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
-        | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
-        | Some '\\' -> advance st; Buffer.add_char buf '\\'; go ()
-        | Some '"' -> advance st; Buffer.add_char buf '"'; go ()
-        | Some c -> advance st; Buffer.add_char buf c; go ()
-        | None -> raise (Lex_error ("unterminated escape", loc)))
-    | Some '\n' -> raise (Lex_error ("newline in string literal", loc))
-    | Some c ->
-        advance st;
+    match get st st.pos with
+    | '"' -> st.pos <- st.pos + 1
+    | '\\' ->
+        st.pos <- st.pos + 1;
+        if at_end st then fail "unterminated escape";
+        let c = String.unsafe_get st.src st.pos in
+        st.pos <- st.pos + 1;
+        Buffer.add_char buf (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
+        go ()
+    | '\n' -> fail "newline in string literal"
+    | '\000' when at_end st -> fail "unterminated string literal"
+    | c ->
+        st.pos <- st.pos + 1;
         Buffer.add_char buf c;
         go ()
   in
   go ();
   Buffer.contents buf
 
-let rec skip_line_comment st =
-  match peek st with
-  | Some '\n' | None -> ()
-  | Some _ ->
-      advance st;
-      skip_line_comment st
+let skip_line_comment st =
+  while get st st.pos <> '\n' && not (at_end st) do
+    st.pos <- st.pos + 1
+  done
 
 let skip_block_comment st =
-  let loc = cur_loc st in
-  advance st;
-  advance st;
+  let line = st.line and col = st.pos - st.bol + 1 in
+  st.pos <- st.pos + 2;
   let rec go () =
-    match (peek st, peek2 st) with
-    | Some '*', Some '/' ->
-        advance st;
-        advance st
-    | Some '\n', _ ->
-        advance st;
+    match get st st.pos with
+    | '*' when get st (st.pos + 1) = '/' -> st.pos <- st.pos + 2
+    | '\n' ->
+        st.pos <- st.pos + 1;
         newline st;
         go ()
-    | Some _, _ ->
-        advance st;
+    | '\000' when at_end st ->
+        raise
+          (Lex_error
+             ("unterminated block comment", Loc.make ~file:st.file ~line ~col))
+    | _ ->
+        st.pos <- st.pos + 1;
         go ()
-    | None, _ -> raise (Lex_error ("unterminated block comment", loc))
   in
   go ()
 
-(* Returns the next token, handling semicolon insertion. *)
-let rec next st : token_info =
-  match peek st with
-  | None ->
-      (* insert a final semicolon if needed so "f()" at EOF parses *)
-      let loc = cur_loc st in
-      (match st.last_significant with
-      | Some t when ends_statement t ->
-          st.last_significant <- None;
-          { tok = SEMI; loc }
-      | _ -> { tok = EOF; loc })
-  | Some ' ' | Some '\t' | Some '\r' ->
-      advance st;
+let[@inline] mark st =
+  st.tok_line <- st.line;
+  st.tok_col <- st.pos - st.bol + 1
+
+(* A two-character operator when [expect] follows, else the one-character
+   one. *)
+let[@inline] two st expect (tok_two : Token.t) (tok_one : Token.t) =
+  if get st st.pos = expect then begin
+    st.pos <- st.pos + 1;
+    tok_two
+  end
+  else tok_one
+
+(* Returns the next token, handling semicolon insertion; its position is
+   [line st] and [col st] (or [loc st]). *)
+let rec next st : Token.t =
+  let c = get st st.pos in
+  match c with
+  | ' ' | '\t' | '\r' ->
+      st.pos <- st.pos + 1;
       next st
-  | Some '\n' ->
-      let loc = cur_loc st in
-      advance st;
+  | '\n' ->
+      mark st;
+      st.pos <- st.pos + 1;
       newline st;
-      (match st.last_significant with
-      | Some t when ends_statement t ->
-          st.last_significant <- None;
-          { tok = SEMI; loc }
-      | _ ->
-          st.last_significant <- None;
-          next st)
-  | Some '/' when peek2 st = Some '/' ->
+      if st.semi_ok then begin
+        st.semi_ok <- false;
+        SEMI
+      end
+      else next st
+  | '\000' when at_end st ->
+      (* insert a final semicolon if needed so "f()" at EOF parses *)
+      if st.ended then begin
+        st.tok_line <- 0;
+        st.tok_col <- 0;
+        EOF
+      end
+      else begin
+        mark st;
+        if st.semi_ok then begin
+          st.semi_ok <- false;
+          SEMI
+        end
+        else begin
+          st.ended <- true;
+          EOF
+        end
+      end
+  | '/' when get st (st.pos + 1) = '/' ->
       skip_line_comment st;
       next st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when get st (st.pos + 1) = '*' ->
       skip_block_comment st;
       next st
-  | Some c ->
-      let loc = cur_loc st in
-      let emit tok =
-        st.last_significant <- Some tok;
-        { tok; loc }
+  | _ ->
+      mark st;
+      let tok : Token.t =
+        if is_digit c then INT (read_int st)
+        else if is_alpha c then
+          let id = read_ident st in
+          match Token.keyword_of_string id with Some kw -> kw | None -> IDENT id
+        else if c = '"' then STRING (read_string st)
+        else begin
+          st.pos <- st.pos + 1;
+          match c with
+          | '(' -> LPAREN
+          | ')' -> RPAREN
+          | '{' -> LBRACE
+          | '}' -> RBRACE
+          | '[' -> LBRACKET
+          | ']' -> RBRACKET
+          | ',' -> COMMA
+          | ';' -> SEMI
+          | '.' -> DOT
+          | ':' -> two st '=' DEFINE COLON
+          | '=' -> two st '=' EQ ASSIGN
+          | '+' -> two st '+' PLUSPLUS PLUS
+          | '-' -> two st '-' MINUSMINUS MINUS
+          | '*' -> STAR
+          | '/' -> SLASH
+          | '%' -> PERCENT
+          | '!' -> two st '=' NEQ NOT
+          | '<' -> (
+              match get st st.pos with
+              | '-' -> st.pos <- st.pos + 1; ARROW
+              | '=' -> st.pos <- st.pos + 1; LE
+              | _ -> LT)
+          | '>' -> two st '=' GE GT
+          | '&' -> two st '&' AND AMP
+          | '|' ->
+              if get st st.pos = '|' then begin
+                st.pos <- st.pos + 1;
+                OR
+              end
+              else raise (Lex_error ("unexpected '|'", loc st))
+          | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, loc st))
+        end
       in
-      if is_digit c then emit (INT (read_int st))
-      else if is_alpha c then
-        let id = read_ident st in
-        match Token.keyword_of_string id with
-        | Some kw -> emit kw
-        | None -> emit (IDENT id)
-      else if c = '"' then emit (STRING (read_string st))
-      else begin
-        advance st;
-        let two expect tok_two tok_one =
-          if peek st = Some expect then (advance st; emit tok_two)
-          else emit tok_one
-        in
-        match c with
-        | '(' -> emit LPAREN
-        | ')' -> emit RPAREN
-        | '{' -> emit LBRACE
-        | '}' -> emit RBRACE
-        | '[' -> emit LBRACKET
-        | ']' -> emit RBRACKET
-        | ',' -> emit COMMA
-        | ';' -> emit SEMI
-        | '.' -> emit DOT
-        | ':' -> two '=' DEFINE COLON
-        | '=' -> two '=' EQ ASSIGN
-        | '+' -> two '+' PLUSPLUS PLUS
-        | '-' -> two '-' MINUSMINUS MINUS
-        | '*' -> emit STAR
-        | '/' -> emit SLASH
-        | '%' -> emit PERCENT
-        | '!' -> two '=' NEQ NOT
-        | '<' -> (
-            match peek st with
-            | Some '-' -> advance st; emit ARROW
-            | Some '=' -> advance st; emit LE
-            | _ -> emit LT)
-        | '>' -> two '=' GE GT
-        | '&' -> two '&' AND AMP
-        | '|' ->
-            if peek st = Some '|' then (advance st; emit OR)
-            else raise (Lex_error ("unexpected '|'", loc))
-        | c ->
-            raise (Lex_error (Printf.sprintf "unexpected character %C" c, loc))
-      end
+      st.semi_ok <- ends_statement tok;
+      tok
+
+(* Lex the rest of the input, for the errors it raises: a lex error
+   anywhere in a file takes precedence over a parse error before it. *)
+let rec drain st = match next st with EOF -> () | _ -> drain st
 
 (* Tokenize the whole input. *)
 let tokenize ~file src =
-  let st = make ~file src in
+  let st = create ~file src in
   let rec go acc =
-    let ti = next st in
-    match ti.tok with EOF -> List.rev (ti :: acc) | _ -> go (ti :: acc)
+    let tok = next st in
+    let ti = { tok; loc = loc st } in
+    match tok with EOF -> List.rev (ti :: acc) | _ -> go (ti :: acc)
   in
   go []

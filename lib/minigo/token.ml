@@ -156,4 +156,12 @@ let to_string = function
   | MINUSMINUS -> "--"
   | EOF -> "<eof>"
 
-let equal (a : t) (b : t) = a = b
+(* Constant tokens are immediates, so most comparisons end at [==]
+   without calling the polymorphic equality. *)
+let equal (a : t) (b : t) =
+  a == b
+  ||
+  match (a, b) with
+  | INT x, INT y -> x = y
+  | STRING x, STRING y | IDENT x, IDENT y -> String.equal x y
+  | _ -> false

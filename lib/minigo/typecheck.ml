@@ -9,8 +9,14 @@
 
 exception Type_error of string * Loc.t
 
+module StrMap = Map.Make (String)
+
+(* [vars] is a persistent map behind a ref: a scope takes a snapshot in
+   O(1) ([clone_env]) where a table would be copied whole, and records
+   copied with [{ env with ... }] still share the scope, as they would
+   share a table. *)
 type env = {
-  vars : (string, Ast.typ) Hashtbl.t;
+  vars : Ast.typ StrMap.t ref;
   funcs : (string, Ast.typ list * Ast.typ list) Hashtbl.t;
   structs : (string, (string * Ast.typ) list) Hashtbl.t;
   results : Ast.typ list; (* result types of the enclosing function *)
@@ -18,10 +24,12 @@ type env = {
 
 let err loc fmt = Printf.ksprintf (fun m -> raise (Type_error (m, loc))) fmt
 
-let clone_env env = { env with vars = Hashtbl.copy env.vars }
+let clone_env env = { env with vars = ref !(env.vars) }
+let find_var env x = StrMap.find_opt x !(env.vars)
+let set_var env x t = env.vars := StrMap.add x t !(env.vars)
 
 let lookup_var env loc x =
-  match Hashtbl.find_opt env.vars x with
+  match find_var env x with
   | Some t -> t
   | None -> err loc "unbound variable %s" x
 
@@ -30,7 +38,7 @@ let lookup_func env loc f =
   | Some sg -> Some sg
   | None -> (
       (* variables holding function values are callable too *)
-      match Hashtbl.find_opt env.vars f with
+      match find_var env f with
       | Some (Tfunc (a, r)) -> Some (a, r)
       | _ -> err loc "unknown function %s" f)
 
@@ -69,7 +77,7 @@ let rec type_of_expr env (e : Ast.expr) : Ast.typ =
   | Str _ -> Tstring
   | Nil -> Tany
   | Ident x -> (
-      match Hashtbl.find_opt env.vars x with
+      match find_var env x with
       | Some t -> t
       | None -> (
           (* a top-level function used as a value *)
@@ -141,7 +149,7 @@ let rec type_of_expr env (e : Ast.expr) : Ast.typ =
           Tstruct name)
   | FuncLit (params, rets, body) ->
       let inner = clone_env env in
-      List.iter (fun (p : Ast.param) -> Hashtbl.replace inner.vars p.pname p.ptyp) params;
+      List.iter (fun (p : Ast.param) -> set_var inner p.pname p.ptyp) params;
       check_block { inner with results = rets } body;
       Tfunc (List.map (fun (p : Ast.param) -> p.ptyp) params, rets)
   | Len e' -> (
@@ -220,7 +228,7 @@ and bind_results env loc names (ts : Ast.typ list) =
     err loc "assignment mismatch: %d variables but %d values" (List.length names)
       (List.length ts);
   List.iter2
-    (fun n t -> if n <> "_" then Hashtbl.replace env.vars n t)
+    (fun n t -> if n <> "_" then set_var env n t)
     names ts
 
 and check_stmt env (s : Ast.stmt) : unit =
@@ -238,20 +246,20 @@ and check_stmt env (s : Ast.stmt) : unit =
         | None, Some e -> type_of_expr env e
         | None, None -> err s.sloc "var %s needs a type or initialiser" x
       in
-      Hashtbl.replace env.vars x ty
+      set_var env x ty
   | Define (names, e) -> (
       match (names, e.e) with
       | [ x; ok ], Recv ch -> (
           (* x, ok := <-ch *)
           match type_of_expr env ch with
           | Tchan t ->
-              if x <> "_" then Hashtbl.replace env.vars x t;
-              if ok <> "_" then Hashtbl.replace env.vars ok Tbool
+              if x <> "_" then set_var env x t;
+              if ok <> "_" then set_var env ok Tbool
           | t -> err s.sloc "receive from non-channel %s" (Ast.typ_to_string t))
       | _, Call c -> bind_results env s.sloc names (types_of_call env s.sloc c)
       | [ x ], _ ->
           let t = type_of_expr env e in
-          if x <> "_" then Hashtbl.replace env.vars x t
+          if x <> "_" then set_var env x t
       | _, _ -> err s.sloc "multi-value define requires a call or channel receive")
   | Assign (lv, e) -> (
       let te = type_of_expr env e in
@@ -297,7 +305,7 @@ and check_stmt env (s : Ast.stmt) : unit =
               (Ast.typ_to_string p.ptyp) (Ast.typ_to_string ta))
         params args;
       let inner = clone_env env in
-      List.iter (fun (p : Ast.param) -> Hashtbl.replace inner.vars p.pname p.ptyp) params;
+      List.iter (fun (p : Ast.param) -> set_var inner p.pname p.ptyp) params;
       check_block { inner with results = [] } body
   | If (cond, then_b, else_b) ->
       let tc = type_of_expr env cond in
@@ -321,12 +329,12 @@ and check_stmt env (s : Ast.stmt) : unit =
           Option.iter (check_stmt env') post
       | ForRangeInt (x, e) -> (
           match type_of_expr env' e with
-          | Tint -> Hashtbl.replace env'.vars x Tint
-          | Tchan t -> Hashtbl.replace env'.vars x t (* drain loop *)
+          | Tint -> set_var env' x Tint
+          | Tchan t -> set_var env' x t (* drain loop *)
           | t -> err s.sloc "cannot range over %s" (Ast.typ_to_string t))
       | ForRangeChan (bind, e) -> (
           match type_of_expr env' e with
-          | Tchan t -> Option.iter (fun x -> Hashtbl.replace env'.vars x t) bind
+          | Tchan t -> Option.iter (fun x -> set_var env' x t) bind
           | t -> err s.sloc "range requires a channel, got %s" (Ast.typ_to_string t)));
       check_block env' body)
   | Select (cases, dflt) ->
@@ -338,9 +346,9 @@ and check_stmt env (s : Ast.stmt) : unit =
               | Tchan t ->
                   let env' = clone_env env in
                   (match bind with
-                  | Some x when x <> "_" -> Hashtbl.replace env'.vars x t
+                  | Some x when x <> "_" -> set_var env' x t
                   | _ -> ());
-                  if ok then Hashtbl.replace env'.vars "ok" Tbool;
+                  if ok then set_var env' "ok" Tbool;
                   check_block env' body
               | t -> err s.sloc "select receive on non-channel %s" (Ast.typ_to_string t))
           | Ast.CaseSend (ch, v, body) -> (
@@ -392,7 +400,7 @@ let rec normalise_block env (b : Ast.block) : Ast.block =
 
 and normalise_stmt env (s : Ast.stmt) : Ast.stmt =
   (* Track bindings loosely while rewriting; full checking happens after. *)
-  let bind x t = if x <> "_" then Hashtbl.replace env.vars x t in
+  let bind x t = if x <> "_" then set_var env x t in
   let try_type e = try Some (type_of_expr env e) with Type_error _ -> None in
   let desc =
     match s.s with
@@ -401,12 +409,12 @@ and normalise_stmt env (s : Ast.stmt) : Ast.stmt =
         | Some (Tchan _) ->
             let env' = clone_env env in
             (match try_type e with
-            | Some (Tchan t) -> Hashtbl.replace env'.vars x t
+            | Some (Tchan t) -> set_var env' x t
             | _ -> ());
             Ast.For (ForRangeChan (Some x, e), normalise_block env' body)
         | _ ->
             let env' = clone_env env in
-            Hashtbl.replace env'.vars x Tint;
+            set_var env' x Tint;
             Ast.For (ForRangeInt (x, e), normalise_block env' body))
     | For (kind, body) ->
         let env' = clone_env env in
@@ -423,7 +431,7 @@ and normalise_stmt env (s : Ast.stmt) : Ast.stmt =
     | BlockStmt b -> Ast.BlockStmt (normalise_block env b)
     | GoFuncLit (params, body, args) ->
         let env' = clone_env env in
-        List.iter (fun (p : Ast.param) -> Hashtbl.replace env'.vars p.pname p.ptyp) params;
+        List.iter (fun (p : Ast.param) -> set_var env' p.pname p.ptyp) params;
         Ast.GoFuncLit (params, normalise_block env' body, args)
     | Select (cases, dflt) ->
         let cases =
@@ -433,9 +441,9 @@ and normalise_stmt env (s : Ast.stmt) : Ast.stmt =
               | Ast.CaseRecv (bnd, ok, ch, body) ->
                   let env' = clone_env env in
                   (match (bnd, try_type ch) with
-                  | Some x, Some (Tchan t) -> Hashtbl.replace env'.vars x t
+                  | Some x, Some (Tchan t) -> set_var env' x t
                   | _ -> ());
-                  if ok then Hashtbl.replace env'.vars "ok" Tbool;
+                  if ok then set_var env' "ok" Tbool;
                   Ast.CaseRecv (bnd, ok, ch, normalise_block env' body)
               | Ast.CaseSend (ch, v, body) ->
                   Ast.CaseSend (ch, v, normalise_block env body))
@@ -464,7 +472,7 @@ and normalise_stmt env (s : Ast.stmt) : Ast.stmt =
   in
   { s with s = desc }
 
-and bind_via env x t = if x <> "_" then Hashtbl.replace env.vars x t
+and bind_via env x t = if x <> "_" then set_var env x t
 and try_type_in env e = try Some (type_of_expr env e) with Type_error _ -> None
 
 (* One declaration's signature — the only part of a file other files'
@@ -491,7 +499,7 @@ let file_signatures (f : Ast.file) : sig_item list =
 let env_of_signatures (sigs : sig_item list) : env =
   let env =
     {
-      vars = Hashtbl.create 16;
+      vars = ref StrMap.empty;
       funcs = Hashtbl.create 16;
       structs = Hashtbl.create 16;
       results = [];
@@ -520,7 +528,7 @@ let check_program (prog : Ast.program) : Ast.program =
               | Ast.Dfunc fd ->
                   let fenv = clone_env env in
                   List.iter
-                    (fun (p : Ast.param) -> Hashtbl.replace fenv.vars p.pname p.ptyp)
+                    (fun (p : Ast.param) -> set_var fenv p.pname p.ptyp)
                     fd.params;
                   Ast.Dfunc { fd with body = normalise_block fenv fd.body }
               | Ast.Dstruct _ -> d)
@@ -538,7 +546,7 @@ let check_program (prog : Ast.program) : Ast.program =
           | Ast.Dfunc fd ->
               let fenv = clone_env env in
               List.iter
-                (fun (p : Ast.param) -> Hashtbl.replace fenv.vars p.pname p.ptyp)
+                (fun (p : Ast.param) -> set_var fenv p.pname p.ptyp)
                 fd.params;
               check_block { fenv with results = fd.results } fd.body
           | Ast.Dstruct _ -> ())
@@ -561,7 +569,7 @@ let check_file (env : env) (file : Ast.file) : Ast.file =
   let per_func fd k =
     let fenv = clone_env env in
     List.iter
-      (fun (p : Ast.param) -> Hashtbl.replace fenv.vars p.pname p.ptyp)
+      (fun (p : Ast.param) -> set_var fenv p.pname p.ptyp)
       fd.Ast.params;
     k fenv
   in

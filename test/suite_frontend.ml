@@ -73,6 +73,27 @@ let test_signature_edit_reparses_one_file () =
   Alcotest.(check int) "all files re-typechecked" 6
     (counter e "stage.typecheck.runs")
 
+(* parsing has its own wall span apart from the signature stage, so the
+   --profile frontend section reports it; a warm rerun parses nothing
+   and adds no span *)
+let test_profile_reports_parse () =
+  let module M = Goobs.Metrics in
+  let reg = M.create () in
+  let e = Gcatch.Passes.engine ~registry:reg () in
+  let _ = E.analyse e ~name:"prof" srcs in
+  let spans () = M.h_count (M.histogram reg "stage.parse.ms") in
+  Alcotest.(check int) "one parse span" 1 (spans ());
+  let report = E.frontend_report e in
+  let has needle =
+    let n = String.length needle and h = String.length report in
+    let rec go i = i + n <= h && (String.sub report i n = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "parse line printed" true (has "  stage parse ");
+  let _ = E.analyse e ~name:"prof" srcs in
+  Alcotest.(check int) "warm rerun: no parse span" 1 (spans ());
+  Alcotest.(check int) "one parse per file" 3 (counter e "stage.parse.runs")
+
 let test_signature_fingerprint () =
   let fp srcs =
     Minigo.Typecheck.signature_fingerprint
@@ -199,6 +220,8 @@ let tests =
       test_one_file_edit_recompiles_one_file;
     Alcotest.test_case "signature edit re-parses one file" `Quick
       test_signature_edit_reparses_one_file;
+    Alcotest.test_case "profile reports parse" `Quick
+      test_profile_reports_parse;
     Alcotest.test_case "signature fingerprint" `Quick
       test_signature_fingerprint;
     Alcotest.test_case "intern round-trip" `Quick test_intern_round_trip;

@@ -98,6 +98,38 @@ let test_locations () =
       Alcotest.(check string) "file" "t.go" (Minigo.Loc.file b.loc)
   | _ -> Alcotest.fail "unexpected token stream"
 
+let test_unterminated_comment () =
+  Alcotest.check_raises "unterminated block comment"
+    (L.Lex_error
+       ("unterminated block comment", Minigo.Loc.make ~file:"t.go" ~line:2 ~col:3))
+    (fun () -> ignore (toks "x\n  /* a\n b *"))
+
+(* the scanner's end-of-input sentinel is '\000'; a NUL inside the input
+   is still an ordinary character *)
+let test_nul_in_input () =
+  Alcotest.check_raises "NUL outside a literal"
+    (L.Lex_error
+       ("unexpected character '\\000'", Minigo.Loc.make ~file:"t.go" ~line:1 ~col:3))
+    (fun () -> ignore (toks "x \000 y"));
+  check_toks "NUL inside a string" "\"a\000b\"" [ STRING "a\000b"; SEMI; EOF ]
+
+(* pulling tokens one at a time gives what [tokenize] gives, positions
+   included, and EOF repeats once reached *)
+let test_streaming_matches_tokenize () =
+  let src = "package p\nfunc f() {\n\tx := \"s\\n\" // c\n\t/* b\n */ y++\n}" in
+  let st = L.create ~file:"t.go" src in
+  let rec pull acc =
+    let tok = L.next st in
+    let ti = { L.tok; loc = L.loc st } in
+    Alcotest.(check int) "line" (Minigo.Loc.line ti.loc) (L.line st);
+    if tok = EOF then List.rev (ti :: acc) else pull (ti :: acc)
+  in
+  let streamed = pull [] in
+  Alcotest.(check bool) "same tokens and locations" true
+    (streamed = L.tokenize ~file:"t.go" src);
+  Alcotest.(check bool) "EOF repeats" true (L.next st = EOF);
+  Alcotest.(check int) "no position past EOF" 0 (L.line st)
+
 (* property: lexing a comma-joined list of random identifiers yields the
    identifiers in order *)
 let prop_idents_roundtrip =
@@ -137,5 +169,10 @@ let tests =
     Alcotest.test_case "unterminated string" `Quick test_unterminated_string;
     Alcotest.test_case "integer literal out of range" `Quick test_int_out_of_range;
     Alcotest.test_case "token locations" `Quick test_locations;
+    Alcotest.test_case "unterminated block comment" `Quick
+      test_unterminated_comment;
+    Alcotest.test_case "NUL in input" `Quick test_nul_in_input;
+    Alcotest.test_case "streaming = tokenize" `Quick
+      test_streaming_matches_tokenize;
     QCheck_alcotest.to_alcotest prop_idents_roundtrip;
   ]

@@ -249,6 +249,106 @@ let test_roundtrip_corpus () =
       List.iter (fun src -> roundtrip_stable src) app.sources)
     [ Option.get (Gocorpus.Apps.find "bbolt"); Option.get (Gocorpus.Apps.find "grpc") ]
 
+(* ------------------------------------------ streaming vs token list *)
+
+module L = Minigo.Lexer
+module P = Minigo.Parser
+
+(* The streaming parser and the token-list parser on one file: the same
+   tree, or the same exception. *)
+let both ~file src =
+  let run f =
+    match f () with
+    | a -> Ok a
+    | exception ((P.Parse_error _ | L.Lex_error _) as e) -> Error e
+  in
+  ( run (fun () -> P.parse_file ~file src),
+    run (fun () -> P.parse_tokens ~file (L.tokenize ~file src)) )
+
+let check_same ~file src =
+  let streamed, listed = both ~file src in
+  if streamed <> listed then Alcotest.failf "%s: parse_file <> parse_tokens" file
+
+let check_error ~file src expected =
+  let streamed, listed = both ~file src in
+  let show = function
+    | Ok _ -> "a tree"
+    | Error (P.Parse_error (m, loc)) ->
+        "parse error: " ^ m ^ " at " ^ Minigo.Loc.to_string loc
+    | Error (L.Lex_error (m, loc)) ->
+        "lex error: " ^ m ^ " at " ^ Minigo.Loc.to_string loc
+    | Error e -> Printexc.to_string e
+  in
+  Alcotest.(check string) "streamed" (show (Error expected)) (show streamed);
+  Alcotest.(check string) "token list" (show (Error expected)) (show listed)
+
+let at line col = Minigo.Loc.make ~file:"t.go" ~line ~col
+
+(* a lex error anywhere in a file wins over an earlier parse error *)
+let test_lex_error_wins () =
+  check_error ~file:"t.go" "package p\nfunc f( {\n}\nfunc g() {\n\tx := a @ b\n}\n"
+    (L.Lex_error ("unexpected character '@'", at 5 9));
+  (* with nothing malformed after it, the parse error stands *)
+  check_error ~file:"t.go" "package p\nfunc f( {\n}\n"
+    (P.Parse_error ("expected identifier, found '{'", at 2 9))
+
+let test_unterminated_at_eof () =
+  check_error ~file:"t.go" "package p\nfunc f() {\n\ts := \"abc"
+    (L.Lex_error ("unterminated string literal", at 3 7));
+  check_error ~file:"t.go" "package p\nfunc f() {\n\ts := \"abc\\"
+    (L.Lex_error ("unterminated escape", at 3 7));
+  check_error ~file:"t.go" "package p\nfunc f() {}\n/* open\n\n"
+    (L.Lex_error ("unterminated block comment", at 3 1));
+  (* a block still open at the end is a parse error at the end *)
+  check_error ~file:"t.go" "package p\nfunc f() {\n\tx := 1\n"
+    (P.Parse_error ("unexpected end of file inside block", at 4 1))
+
+(* past the last token the parser sees EOF at [Loc.none] *)
+let test_error_after_eof () =
+  let toks =
+    List.filter
+      (fun (ti : L.token_info) -> ti.tok <> Minigo.Token.EOF)
+      (L.tokenize ~file:"t.go" "package p\nfunc f() {")
+  in
+  Alcotest.check_raises "no EOF token"
+    (P.Parse_error ("unexpected end of file inside block", Minigo.Loc.none))
+    (fun () -> ignore (P.parse_tokens ~file:"t.go" toks))
+
+(* every program the suites and the benchmark feed the frontend *)
+let test_streaming_matches_token_list () =
+  List.iter
+    (fun (a : Gocorpus.Apps.app) ->
+      List.iteri
+        (fun i src ->
+          check_same ~file:(Printf.sprintf "%s/file%d.go" a.spec.name i) src)
+        a.sources)
+    (Gocorpus.Apps.all ());
+  List.iter
+    (fun (e : Gocorpus.Bugset.entry) ->
+      check_same ~file:e.bs_name ("package b\n" ^ e.bs_src))
+    Gocorpus.Bugset.entries;
+  let dir =
+    List.find Sys.file_exists [ "smoke"; "test/smoke" ]
+  in
+  let smoke =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".go")
+  in
+  Alcotest.(check bool) "smoke files found" true (List.length smoke >= 2);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      check_same ~file:path (In_channel.with_open_bin path In_channel.input_all))
+    smoke;
+  (* the quick-size benchmark app *)
+  List.iter
+    (fun i ->
+      check_same
+        ~file:(Printf.sprintf "app/file%d.go" i)
+        ("package app\n"
+        ^ Gocorpus.Filler.generate ~seed:(1000 + i) ~target_lines:300))
+    [ 0; 1; 2; 3 ]
+
 let tests =
   [
     Alcotest.test_case "empty function" `Quick test_empty_func;
@@ -270,4 +370,11 @@ let tests =
     Alcotest.test_case "parse error raised" `Quick test_parse_error;
     Alcotest.test_case "round trip figure 1" `Quick test_roundtrip_figure1;
     Alcotest.test_case "round trip corpus apps" `Quick test_roundtrip_corpus;
+    Alcotest.test_case "lex error wins over parse error" `Quick
+      test_lex_error_wins;
+    Alcotest.test_case "unterminated at end of file" `Quick
+      test_unterminated_at_eof;
+    Alcotest.test_case "error after EOF at Loc.none" `Quick test_error_after_eof;
+    Alcotest.test_case "streaming parser = token-list parser" `Quick
+      test_streaming_matches_token_list;
   ]
