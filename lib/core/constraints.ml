@@ -41,6 +41,15 @@ type micro = {
 
 type group_member = { g_gid : int; g_uid : int }
 
+(* One problem's non-group micro-ops on one object, by kind. *)
+type obj_ops = {
+  o_sends : micro list;
+  o_recvs : micro list;
+  o_closes : micro list;
+  o_adds : micro list;
+  o_dones : micro list;
+}
+
 type problem = {
   combo : Pathenum.combination;
   group : group_member list;
@@ -151,9 +160,13 @@ let prepare (p : problem) =
 
    Order variables are memoized per (gid, uid) while the combination is
    unchanged, so the many suspicious groups of one combination intern the
-   same difference atoms and share each other's theory lemmas.  The table
-   is reset when the combination changes because path uids are dense
-   per-path and would otherwise alias distinct events.
+   same difference atoms and share each other's theory lemmas.  Match
+   variables are memoized the same way, per (send, recv) pair of
+   micro-ops keyed by their (gid, uid, arm) ints: the solver's booleans
+   carry no names, so this table is what gives a pair the same atom in
+   every group.  Both tables are reset when the combination changes
+   because path uids are dense per-path and would otherwise alias
+   distinct events.
 
    Program-order chains are deliberately NOT shared across groups: each
    group truncates the paths at a different cutoff, and a chain through a
@@ -163,6 +176,7 @@ type session = {
   mutable ss : Solver.t;
   mutable s_combo : Pathenum.combination option; (* phys-eq tracked *)
   s_ovar : (int * int, Solver.ovar) Hashtbl.t;
+  s_pvar : (int * int * int * int * int * int, E.t) Hashtbl.t;
   mutable s_problems : int;
   mutable s_last_sat : int * int * int;
   mutable s_last_ext : int * int * int;
@@ -174,6 +188,7 @@ let create_session () =
     ss = Solver.create ();
     s_combo = None;
     s_ovar = Hashtbl.create 64;
+    s_pvar = Hashtbl.create 16;
     s_problems = 0;
     s_last_sat = (0, 0, 0);
     s_last_ext = (0, 0, 0);
@@ -205,12 +220,18 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
       session.ss <- Solver.create ();
       session.s_combo <- Some p.combo;
       Hashtbl.reset session.s_ovar;
+      Hashtbl.reset session.s_pvar;
       session.s_last_sat <- (0, 0, 0);
       session.s_last_ext <- (0, 0, 0);
       session.s_last_theory <- 0);
   let s = session.ss in
   session.s_problems <- session.s_problems + 1;
   let g = Solver.new_guard s in
+  (* every formula of this problem lives and dies with [g] *)
+  let add =
+    let guard = Some g in
+    fun f -> Solver.add ?guard s f
+  in
   let finish () =
     Solver.retire_guard s g;
     (* periodically reclaim the clauses of retired groups *)
@@ -238,7 +259,7 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
     match Hashtbl.find_opt ovar (gid, uid) with
     | Some v -> v
     | None ->
-        let v = Solver.new_order_var s (Printf.sprintf "O_g%d_e%d" gid uid) in
+        let v = Solver.new_order_var s in
         Hashtbl.replace ovar (gid, uid) v;
         v
   in
@@ -247,8 +268,7 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
     (fun ((gi : Pathenum.goroutine_instance), evs) ->
       let rec chain = function
         | (a : Pathenum.event) :: (b :: _ as rest) ->
-            Solver.add ~guard:g s
-              (Solver.lt s (ovar_of gi.gi_id a.e_uid) (ovar_of gi.gi_id b.e_uid));
+            add (Solver.lt s (ovar_of gi.gi_id a.e_uid) (ovar_of gi.gi_id b.e_uid));
             chain rest
         | _ -> ()
       in
@@ -259,7 +279,7 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
     (fun ((gi : Pathenum.goroutine_instance), evs) ->
       match (gi.gi_parent, gi.gi_spawn_uid, evs) with
       | Some parent, Some spawn_uid, first :: _ ->
-          Solver.add ~guard:g s
+          add
             (Solver.lt s (ovar_of parent spawn_uid) (ovar_of gi.gi_id first.Pathenum.e_uid))
       | _ -> ())
     truncated;
@@ -271,12 +291,6 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
   in
   let recvs =
     List.filter (fun m -> m.m_kind = Report.Krecv && not m.m_is_mutex) micros
-  in
-  let p_name a b =
-    Printf.sprintf "P_s%d.%d.%s_r%d.%d.%s" a.m_gid a.m_uid
-      (match a.m_arm with Some i -> string_of_int i | None -> "-")
-      b.m_gid b.m_uid
-      (match b.m_arm with Some i -> string_of_int i | None -> "-")
   in
   (* candidate pairs: cross-goroutine, same object, neither in the group *)
   let pairs =
@@ -294,11 +308,22 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
           recvs)
       sends
   in
-  let pvar snd_op rcv = Solver.new_bool s (p_name snd_op rcv) in
+  let pvar snd_op rcv =
+    let arm m = Option.value m.m_arm ~default:(-1) in
+    let k =
+      (snd_op.m_gid, snd_op.m_uid, arm snd_op, rcv.m_gid, rcv.m_uid, arm rcv)
+    in
+    match Hashtbl.find_opt session.s_pvar k with
+    | Some v -> v
+    | None ->
+        let v = Solver.new_bool s in
+        Hashtbl.replace session.s_pvar k v;
+        v
+  in
   (* global invariants *)
   List.iter
     (fun (a, b) ->
-      Solver.add ~guard:g s (E.implies (pvar a b) (Solver.eq s (m_ovar a) (m_ovar b))))
+      add (E.implies (pvar a b) (Solver.eq s (m_ovar a) (m_ovar b))))
     pairs;
   let partners_of_send m =
     List.filter_map (fun (a, b) -> if a == m then Some b else None) pairs
@@ -310,34 +335,44 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
     (fun m ->
       match partners_of_send m with
       | [] | [ _ ] -> ()
-      | ps -> Solver.add ~guard:g s (E.AtMost (1, List.map (fun r -> pvar m r) ps)))
+      | ps -> add (E.AtMost (1, List.map (fun r -> pvar m r) ps)))
     sends;
   List.iter
     (fun m ->
       match partners_of_recv m with
       | [] | [ _ ] -> ()
-      | ps -> Solver.add ~guard:g s (E.AtMost (1, List.map (fun a -> pvar a m) ps)))
+      | ps -> add (E.AtMost (1, List.map (fun a -> pvar a m) ps)))
     recvs;
   (* ---- channel-state cardinalities ---- *)
   (* Φsync only considers operations on primitives within Pset (§3.4);
      ops on out-of-scope primitives — the running example's ctx.Done() —
      are left unconstrained *)
   let primary_obj m = List.find_opt (fun o -> List.mem o p.pset) m.m_objs in
-  let counting_sends obj m =
-    List.filter
-      (fun x -> x != m && x.m_kind = Report.Ksend && List.mem obj x.m_objs)
-      non_group
+  (* the non-group micro-ops on one object, by kind, in micro-op order;
+     computed once per object for the whole problem *)
+  let by_obj = ref [] in
+  let ops_on obj =
+    match List.assoc_opt obj !by_obj with
+    | Some o -> o
+    | None ->
+        let on kind =
+          List.filter (fun x -> x.m_kind = kind && List.mem obj x.m_objs) non_group
+        in
+        let o =
+          {
+            o_sends = on Report.Ksend;
+            o_recvs = on Report.Krecv;
+            o_closes = on Report.Kclose;
+            o_adds = on Report.Kwg_add;
+            o_dones = on Report.Kwg_done;
+          }
+        in
+        by_obj := (obj, o) :: !by_obj;
+        o
   in
-  let counting_recvs obj m =
-    List.filter
-      (fun x -> x != m && x.m_kind = Report.Krecv && List.mem obj x.m_objs)
-      non_group
-  in
-  let closes obj =
-    List.filter
-      (fun x -> x.m_kind = Report.Kclose && List.mem obj x.m_objs)
-      non_group
-  in
+  let counting_sends obj m = List.filter (fun x -> x != m) (ops_on obj).o_sends in
+  let counting_recvs obj m = List.filter (fun x -> x != m) (ops_on obj).o_recvs in
+  let closes obj = (ops_on obj).o_closes in
   let before x m = Solver.lt s (m_ovar x) (m_ovar m) in
   (* #sends_before(m) - #recvs_before(m) <= bound *)
   let cb_at_most m obj bound =
@@ -368,16 +403,8 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
      of its happens-before atom; counter(wait) = Σ w·[add before] -
      #[done before].  A weight of Some (-1) marks a non-constant Add,
      which makes the whole WaitGroup unmodelable. *)
-  let wg_adds obj =
-    List.filter
-      (fun x -> x.m_kind = Report.Kwg_add && List.mem obj x.m_objs)
-      non_group
-  in
-  let wg_dones obj =
-    List.filter
-      (fun x -> x.m_kind = Report.Kwg_done && List.mem obj x.m_objs)
-      non_group
-  in
+  let wg_adds obj = (ops_on obj).o_adds in
+  let wg_dones obj = (ops_on obj).o_dones in
   let wg_unmodelable obj =
     List.exists (fun x -> x.m_wg_weight = Some (-1)) (wg_adds obj)
   in
@@ -464,7 +491,7 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
         E.True
     | (Report.Kselect | Report.Klock), _ -> E.True
   in
-  List.iter (fun m -> if not m.m_in_group then Solver.add ~guard:g s (proceed m)) micros;
+  List.iter (fun m -> if not m.m_in_group then add (proceed m)) micros;
   (* ---- ΦB ---- *)
   let group_micros = List.filter (fun m -> m.m_in_group) micros in
   if group_micros = [] then Cannot_block
@@ -502,7 +529,7 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
     in
     (* all micro-ops of one group event must block together (a select
        blocks iff every arm blocks) *)
-    List.iter (fun m -> Solver.add ~guard:g s (blocks m)) group_micros;
+    List.iter (fun m -> add (blocks m)) group_micros;
     (* ΦB's Φorder: every non-group event precedes every group op *)
     List.iter
       (fun ((gi : Pathenum.goroutine_instance), evs) ->
@@ -514,9 +541,8 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
             if not e_in_group then
               List.iter
                 (fun (gm : group_member) ->
-                  Solver.add ~guard:g s
-                    (Solver.lt s (ovar_of gi.gi_id e.e_uid)
-                       (ovar_of gm.g_gid gm.g_uid)))
+                  add
+                    (Solver.lt s (ovar_of gi.gi_id e.e_uid) (ovar_of gm.g_gid gm.g_uid)))
                 p.group)
           evs)
       truncated;

@@ -69,7 +69,7 @@ let order_feasible (combo : Pathenum.combination) (first : int * Pathenum.event)
     match Hashtbl.find_opt ovar (gid, uid) with
     | Some v -> v
     | None ->
-        let v = Solver.new_order_var s (Printf.sprintf "g%d_e%d" gid uid) in
+        let v = Solver.new_order_var s in
         Hashtbl.replace ovar (gid, uid) v;
         v
   in

@@ -563,66 +563,74 @@ let has_blocking_op (combo : combination) : bool =
    Events are hash-consed into small integer ids so comparing two
    combinations costs an int-list compare, not a deep structural walk.
    Returns the survivors (original order, original indices) and the
-   number of combinations dropped. *)
+   number of combinations dropped.  Both tables are sized by the number
+   of combinations: most channels have only a handful, and a lone one
+   has nothing to be a duplicate of. *)
 let dedup_combinations (combos : (int * combination) list) :
     (int * combination) list * int =
-  let intern : (Ir.pp * edesc, int) Hashtbl.t = Hashtbl.create 256 in
-  let next = ref 0 in
-  let id_of pp desc =
-    let k = (pp, desc) in
-    match Hashtbl.find_opt intern k with
-    | Some i -> i
-    | None ->
-        let i = !next in
-        incr next;
-        Hashtbl.add intern k i;
-        i
-  in
-  let key_of (combo : combination) =
-    (* per goroutine: projected event ids, plus where its spawn event
-       sits in the parent's projected sequence *)
-    let projected =
-      List.map
-        (fun gi ->
-          List.filter
-            (fun e -> match e.e_desc with Branch _ -> false | _ -> true)
-            gi.gi_path.p_events)
-        combo
+  let n = List.length combos in
+  if n <= 1 then (combos, 0)
+  else begin
+    let intern : (Ir.pp * edesc, int) Hashtbl.t =
+      Hashtbl.create (min 256 (8 * n))
     in
-    let proj_arr = Array.of_list projected in
-    List.map2
-      (fun gi evs ->
-        let spawn_idx =
-          match (gi.gi_parent, gi.gi_spawn_uid) with
-          | Some p, Some u when p < Array.length proj_arr ->
-              let rec find i = function
-                | [] -> -1
-                | e :: _ when e.e_uid = u -> i
-                | _ :: rest -> find (i + 1) rest
-              in
-              Some (find 0 proj_arr.(p))
-          | _ -> None
-        in
-        ( gi.gi_func,
-          gi.gi_parent,
-          spawn_idx,
-          List.map (fun e -> id_of e.e_pp e.e_desc) evs ))
-      combo projected
-  in
-  let seen = Hashtbl.create 64 in
-  let dropped = ref 0 in
-  let kept =
-    List.filter
-      (fun (_, combo) ->
-        let k = key_of combo in
-        if Hashtbl.mem seen k then begin
-          incr dropped;
-          false
-        end
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      combos
-  in
-  (kept, !dropped)
+    let next = ref 0 in
+    let id_of pp desc =
+      let k = (pp, desc) in
+      match Hashtbl.find_opt intern k with
+      | Some i -> i
+      | None ->
+          let i = !next in
+          incr next;
+          Hashtbl.add intern k i;
+          i
+    in
+    let key_of (combo : combination) =
+      (* per goroutine: projected event ids, plus where its spawn event
+         sits in the parent's projected sequence *)
+      let projected =
+        List.map
+          (fun gi ->
+            List.filter
+              (fun e -> match e.e_desc with Branch _ -> false | _ -> true)
+              gi.gi_path.p_events)
+          combo
+      in
+      let proj_arr = Array.of_list projected in
+      List.map2
+        (fun gi evs ->
+          let spawn_idx =
+            match (gi.gi_parent, gi.gi_spawn_uid) with
+            | Some p, Some u when p < Array.length proj_arr ->
+                let rec find i = function
+                  | [] -> -1
+                  | e :: _ when e.e_uid = u -> i
+                  | _ :: rest -> find (i + 1) rest
+                in
+                Some (find 0 proj_arr.(p))
+            | _ -> None
+          in
+          ( gi.gi_func,
+            gi.gi_parent,
+            spawn_idx,
+            List.map (fun e -> id_of e.e_pp e.e_desc) evs ))
+        combo projected
+    in
+    let seen = Hashtbl.create (min 64 n) in
+    let dropped = ref 0 in
+    let kept =
+      List.filter
+        (fun (_, combo) ->
+          let k = key_of combo in
+          if Hashtbl.mem seen k then begin
+            incr dropped;
+            false
+          end
+          else begin
+            Hashtbl.add seen k ();
+            true
+          end)
+        combos
+    in
+    (kept, !dropped)
+  end

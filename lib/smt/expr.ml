@@ -49,17 +49,17 @@ let rec to_string = function
 (* ------------------------------------------------------------- CNF *)
 
 (* Tseitin transformation.  [fresh ()] allocates a new SAT variable;
-   [lit_of_atom] maps an atom id to a SAT literal.  Produces clauses of
-   SAT literals (see {!Sat} for the encoding) and the literal representing
-   the whole formula. *)
+   [lit_of_atom] maps an atom id to a SAT literal; [emit] receives each
+   clause of SAT literals (see {!Sat} for the encoding) the moment it is
+   produced.  Returns the literal representing the whole formula. *)
 
 type cnf_ctx = {
   fresh : unit -> int; (* fresh SAT variable *)
   lit_of_atom : int -> int; (* positive literal for an atom *)
-  mutable out : int list list;
+  emit : int list -> unit; (* consume one clause *)
 }
 
-let emit ctx c = ctx.out <- c :: ctx.out
+let emit ctx c = ctx.emit c
 
 let lit_true ctx =
   (* a dedicated always-true variable *)

@@ -41,11 +41,12 @@ val nnf_not : t -> t
     their exact complements. *)
 
 (** CNF emission context: [fresh] allocates SAT variables, [lit_of_atom]
-    maps atom ids to positive SAT literals, [out] accumulates clauses. *)
+    maps atom ids to positive SAT literals, [emit] receives each clause
+    in the order the translation produces it. *)
 type cnf_ctx = {
   fresh : unit -> int;
   lit_of_atom : int -> int;
-  mutable out : int list list;
+  emit : int list -> unit;
 }
 
 val lit_of : cnf_ctx -> t -> int

@@ -47,12 +47,15 @@ type t = {
   mutable n_clauses : int;
   mutable n_learnts : int;
   mutable watches : clause list array; (* indexed by literal *)
+  mutable lit_stamp : int array;       (* indexed by literal; see [add_clause] *)
+  mutable stamp : int;
   mutable assign : lbool array;        (* indexed by var *)
   mutable level : int array;
   mutable reason : clause option array;
   mutable trail : int array;           (* literals, in assignment order *)
   mutable trail_size : int;
-  mutable trail_lim : int list;        (* decision-level boundaries *)
+  mutable trail_lim : int array;       (* decision-level boundaries *)
+  mutable n_levels : int;              (* depth of the [trail_lim] stack *)
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
@@ -80,12 +83,15 @@ let create () =
     n_clauses = 0;
     n_learnts = 0;
     watches = Array.make 16 [];
+    lit_stamp = Array.make 16 0;
+    stamp = 0;
     assign = Array.make 8 LUndef;
     level = Array.make 8 0;
     reason = Array.make 8 None;
     trail = Array.make 8 0;
     trail_size = 0;
-    trail_lim = [];
+    trail_lim = Array.make 8 0;
+    n_levels = 0;
     qhead = 0;
     activity = Array.make 8 0.0;
     var_inc = 1.0;
@@ -114,7 +120,8 @@ let ensure_capacity s n =
   let wcap = Array.length s.watches in
   if (2 * n) + 1 >= wcap then begin
     let nwcap = max ((2 * n) + 2) (2 * wcap) in
-    s.watches <- Array.append s.watches (Array.make (nwcap - wcap) [])
+    s.watches <- Array.append s.watches (Array.make (nwcap - wcap) []);
+    s.lit_stamp <- Array.append s.lit_stamp (Array.make (nwcap - wcap) 0)
   end
 
 let new_var s =
@@ -128,7 +135,15 @@ let value_lit s l =
   | LTrue -> if is_pos l then LTrue else LFalse
   | LFalse -> if is_pos l then LFalse else LTrue
 
-let decision_level s = List.length s.trail_lim
+let decision_level s = s.n_levels
+
+(* Open a new decision level starting at the current end of the trail. *)
+let new_level s =
+  if s.n_levels = Array.length s.trail_lim then
+    s.trail_lim <-
+      Array.append s.trail_lim (Array.make (Array.length s.trail_lim) 0);
+  s.trail_lim.(s.n_levels) <- s.trail_size;
+  s.n_levels <- s.n_levels + 1
 
 let enqueue s l reason =
   let v = var_of_lit l in
@@ -277,22 +292,56 @@ let analyze s (confl : clause) =
   (Array.of_list (!asserting :: !learnt), !btlevel)
 
 (* Undo all assignments above decision level [lvl].  [trail_lim] is a
-   stack whose head is the trail index where the most recent decision
-   level begins. *)
+   stack whose top, [trail_lim.(n_levels - 1)], is the trail index where
+   the most recent decision level begins. *)
 let cancel_until s lvl =
-  while decision_level s > lvl do
-    match s.trail_lim with
-    | [] -> assert false
-    | b :: rest ->
-        for i = s.trail_size - 1 downto b do
-          let v = var_of_lit s.trail.(i) in
-          s.assign.(v) <- LUndef;
-          s.reason.(v) <- None
-        done;
-        s.trail_size <- b;
-        s.trail_lim <- rest
-  done;
+  if s.n_levels > lvl then begin
+    let b = s.trail_lim.(lvl) in
+    for i = s.trail_size - 1 downto b do
+      let v = var_of_lit s.trail.(i) in
+      s.assign.(v) <- LUndef;
+      s.reason.(v) <- None
+    done;
+    s.trail_size <- b;
+    s.n_levels <- lvl
+  end;
   if s.qhead > s.trail_size then s.qhead <- s.trail_size
+
+(* Clause simplification for [add_clause]: drop false literals and
+   duplicates, and detect a clause that is already satisfied or a
+   tautology.  A literal kept by one call carries that call's stamp, so a
+   second occurrence is a duplicate and a stamped complement makes the
+   clause a tautology.  Returns the number of surviving literals, or -1
+   for a satisfied clause. *)
+let rec count_survivors s stamp kept = function
+  | [] -> kept
+  | l :: rest -> (
+      match value_lit s l with
+      | LTrue -> -1
+      | LFalse -> count_survivors s stamp kept rest
+      | LUndef ->
+          if s.lit_stamp.(l) = stamp then count_survivors s stamp kept rest
+          else if s.lit_stamp.(neg l) = stamp then -1
+          else begin
+            s.lit_stamp.(l) <- stamp;
+            count_survivors s stamp (kept + 1) rest
+          end)
+
+(* Copy the survivors counted above into [a], in their original order:
+   the first occurrence of each unassigned literal. *)
+let rec fill_survivors s stamp a i = function
+  | [] -> ()
+  | l :: rest ->
+      if value_lit s l = LUndef && s.lit_stamp.(l) <> stamp then begin
+        s.lit_stamp.(l) <- stamp;
+        a.(i) <- l;
+        fill_survivors s stamp a (i + 1) rest
+      end
+      else fill_survivors s stamp a i rest
+
+let next_stamp s =
+  s.stamp <- s.stamp + 1;
+  s.stamp
 
 (* Add a clause; returns false if the solver becomes trivially unsat.
    May be called between solve invocations (at level 0). *)
@@ -300,52 +349,36 @@ let add_clause s (lits : int list) =
   if not s.ok then false
   else begin
     cancel_until s 0;
-    (* simplify: drop false lits, detect satisfied/duplicate *)
-    let tbl = Hashtbl.create 8 in
-    let sat = ref false in
-    let lits =
-      List.filter
-        (fun l ->
-          match value_lit s l with
-          | LTrue ->
-              sat := true;
-              false
-          | LFalse -> false
-          | LUndef ->
-              if Hashtbl.mem tbl l then false
-              else if Hashtbl.mem tbl (neg l) then begin
-                sat := true;
-                false
-              end
-              else begin
-                Hashtbl.add tbl l ();
-                true
-              end)
-        lits
-    in
-    if !sat then true
-    else
-      match lits with
-      | [] ->
-          s.ok <- false;
-          false
-      | [ l ] ->
-          enqueue s l None;
-          (try
-             propagate s;
-             true
-           with Conflict _ ->
-             s.ok <- false;
-             false)
-      | _ ->
-          let c =
-            { lits = Array.of_list lits; activity = 0.0; learnt = false;
-              deleted = false }
-          in
-          s.clauses <- c :: s.clauses;
-          s.n_clauses <- s.n_clauses + 1;
-          watch_clause s c;
-          true
+    let kept = count_survivors s (next_stamp s) 0 lits in
+    if kept < 0 then true
+    else if kept = 0 then begin
+      s.ok <- false;
+      false
+    end
+    else if kept = 1 then begin
+      enqueue s (List.find (fun l -> value_lit s l = LUndef) lits) None;
+      try
+        propagate s;
+        true
+      with Conflict _ ->
+        s.ok <- false;
+        false
+    end
+    else begin
+      let lits =
+        if kept = List.length lits then Array.of_list lits
+        else begin
+          let a = Array.make kept 0 in
+          fill_survivors s (next_stamp s) a 0 lits;
+          a
+        end
+      in
+      let c = { lits; activity = 0.0; learnt = false; deleted = false } in
+      s.clauses <- c :: s.clauses;
+      s.n_clauses <- s.n_clauses + 1;
+      watch_clause s c;
+      true
+    end
   end
 
 (* A clause is locked while it is the reason for its asserting literal's
@@ -463,9 +496,8 @@ let solve ?(should_stop = default_should_stop) ?(poll_every = 256)
     s.qhead <- 0;
     let assumptions = Array.of_list assumptions in
     let n_assumps = Array.length assumptions in
-    let dvars = Option.map Array.of_list decision_vars in
     let pick () =
-      match dvars with
+      match decision_vars with
       | None -> pick_branch_var s
       | Some vs ->
           let best = ref 0 in
@@ -549,7 +581,7 @@ let solve ?(should_stop = default_should_stop) ?(poll_every = 256)
             | LTrue ->
                 (* already implied: open an empty level so assumption
                    indices keep matching decision levels *)
-                s.trail_lim <- s.trail_size :: s.trail_lim;
+                new_level s;
                 loop ()
             | LFalse ->
                 (* the instance forces the negation of an assumption:
@@ -558,7 +590,7 @@ let solve ?(should_stop = default_should_stop) ?(poll_every = 256)
                 Unsat
             | LUndef ->
                 s.decisions <- s.decisions + 1;
-                s.trail_lim <- s.trail_size :: s.trail_lim;
+                new_level s;
                 enqueue s p None;
                 loop ()
           end
@@ -567,7 +599,7 @@ let solve ?(should_stop = default_should_stop) ?(poll_every = 256)
             if v = 0 then Sat
             else begin
               s.decisions <- s.decisions + 1;
-              s.trail_lim <- s.trail_size :: s.trail_lim;
+              new_level s;
               (* phase saving would go here; default to false first *)
               enqueue s (lit_of_var v false) None;
               loop ()
@@ -586,5 +618,6 @@ let stats s = (s.conflicts, s.decisions, s.propagations)
    restarts performed, and learnt-database reductions. *)
 let stats_ext s = (s.learnt_total, s.restarts, s.db_reductions)
 
+let n_vars s = s.nvars
 let n_clauses s = s.n_clauses
 let n_learnts s = s.n_learnts

@@ -34,7 +34,7 @@ val solve :
   ?should_stop:(unit -> bool) ->
   ?poll_every:int ->
   ?assumptions:int list ->
-  ?decision_vars:int list ->
+  ?decision_vars:int array ->
   t ->
   result
 (** [should_stop] is polled every [poll_every] conflicts (default 256,
@@ -49,10 +49,11 @@ val solve :
     queries on the same clause database.
 
     [decision_vars], when given, restricts free branching to that set of
-    variables; the caller asserts that the clause database is
-    effectively satisfied once those variables (plus propagation) are
-    assigned — used by incremental sessions where clauses of inactive
-    (unassumed) groups are satisfied by their selector polarity. *)
+    variables (ties in activity go to the earliest in the array); the
+    caller asserts that the clause database is effectively satisfied
+    once those variables (plus propagation) are assigned — used by
+    incremental sessions where clauses of inactive (unassumed) groups
+    are satisfied by their selector polarity. *)
 
 val simplify : t -> unit
 (** Backtrack to level 0, propagate top-level facts, and permanently
@@ -67,6 +68,9 @@ val stats : t -> int * int * int
 
 val stats_ext : t -> int * int * int
 (** (learnt clauses created, restarts performed, learnt-DB reductions). *)
+
+val n_vars : t -> int
+(** Variables allocated so far (the highest 1-based index). *)
 
 val n_clauses : t -> int
 val n_learnts : t -> int

@@ -32,7 +32,7 @@
 type ovar = int (* order variable index, dense from 0 *)
 
 type atom_info =
-  | Abool of string
+  | Abool (* a fresh boolean: never shared *)
   | Adiff of Diff_logic.atom (* x - y <= c *)
 
 type guard = {
@@ -48,10 +48,13 @@ type t = {
   mutable natoms : int;
   mutable atom_sat_var : int array; (* atom id -> SAT var *)
   mutable atom_refs : int array; (* atom id -> active formula references *)
-  atom_cache : (atom_info, int) Hashtbl.t;
+  atom_cache : (Diff_logic.atom, int) Hashtbl.t;
+  mutable atom_stamp : int array; (* atom id -> last [solve] that took it *)
+  mutable var_stamp : int array; (* SAT var -> last [solve] that took it *)
+  mutable ovar_stamp : int array; (* order var -> last model that mapped it *)
+  mutable ovar_dense : int array; (* order var -> its index in that model *)
+  mutable stamp : int;
   mutable novars : int;
-  mutable ovar_names : string list; (* reverse order *)
-  mutable bool_names : (string, int) Hashtbl.t;
   mutable pending : (guard option * Expr.t) list;
   mutable perm_vars : int list; (* decision vars of unguarded formulas *)
   mutable perm_atoms : int list; (* atom ids of unguarded formulas *)
@@ -61,7 +64,7 @@ type t = {
 
 type model = {
   order_of : ovar -> int;
-  bool_of : string -> bool;
+  bool_of : Expr.t -> bool;
 }
 
 type result = Sat_model of model | Unsat
@@ -69,14 +72,17 @@ type result = Sat_model of model | Unsat
 let create () =
   {
     sat = Sat.create ();
-    atoms = Array.make 16 (Abool "");
+    atoms = Array.make 16 Abool;
     natoms = 0;
     atom_sat_var = Array.make 16 0;
     atom_refs = Array.make 16 0;
     atom_cache = Hashtbl.create 64;
+    atom_stamp = Array.make 16 0;
+    var_stamp = Array.make 16 0;
+    ovar_stamp = Array.make 16 0;
+    ovar_dense = Array.make 16 0;
+    stamp = 0;
     novars = 0;
-    ovar_names = [];
-    bool_names = Hashtbl.create 16;
     pending = [];
     perm_vars = [];
     perm_atoms = [];
@@ -84,41 +90,39 @@ let create () =
     theory_conflicts = 0;
   }
 
-let new_order_var t name : ovar =
+let new_order_var t : ovar =
   let v = t.novars in
   t.novars <- t.novars + 1;
-  t.ovar_names <- name :: t.ovar_names;
   v
 
-let intern_atom t info : int =
-  match Hashtbl.find_opt t.atom_cache info with
-  | Some id -> id
-  | None ->
-      let id = t.natoms in
-      t.natoms <- t.natoms + 1;
-      if id >= Array.length t.atoms then begin
-        let grow a d = Array.append a (Array.make (Array.length a) d) in
-        t.atoms <- grow t.atoms (Abool "");
-        t.atom_sat_var <- grow t.atom_sat_var 0;
-        t.atom_refs <- grow t.atom_refs 0
-      end;
-      t.atoms.(id) <- info;
-      t.atom_sat_var.(id) <- Sat.new_var t.sat;
-      t.atom_refs.(id) <- 0;
-      Hashtbl.add t.atom_cache info id;
-      id
+let new_atom t info : int =
+  let id = t.natoms in
+  t.natoms <- t.natoms + 1;
+  if id >= Array.length t.atoms then begin
+    let grow a d = Array.append a (Array.make (Array.length a) d) in
+    t.atoms <- grow t.atoms Abool;
+    t.atom_sat_var <- grow t.atom_sat_var 0;
+    t.atom_refs <- grow t.atom_refs 0;
+    t.atom_stamp <- grow t.atom_stamp 0
+  end;
+  t.atoms.(id) <- info;
+  t.atom_sat_var.(id) <- Sat.new_var t.sat;
+  t.atom_refs.(id) <- 0;
+  id
 
-let new_bool t name : Expr.t =
-  match Hashtbl.find_opt t.bool_names name with
+(* Booleans carry no name: each call is a new atom, and a caller that
+   needs the same boolean twice keeps the [Expr.t] it got. *)
+let new_bool t : Expr.t = Expr.Atom (new_atom t Abool)
+
+(* x - y <= c; difference atoms are interned *)
+let le_c t x y c : Expr.t =
+  let a = { Diff_logic.ax = x; ay = y; ac = c } in
+  match Hashtbl.find_opt t.atom_cache a with
   | Some id -> Expr.Atom id
   | None ->
-      let id = intern_atom t (Abool name) in
-      Hashtbl.replace t.bool_names name id;
+      let id = new_atom t (Adiff a) in
+      Hashtbl.add t.atom_cache a id;
       Expr.Atom id
-
-(* x - y <= c *)
-let le_c t x y c : Expr.t =
-  Expr.Atom (intern_atom t (Adiff { Diff_logic.ax = x; ay = y; ac = c }))
 
 let lt t x y = le_c t x y (-1) (* x < y *)
 let le t x y = le_c t x y 0
@@ -130,56 +134,64 @@ let new_guard t : guard =
 
 let add ?guard t (f : Expr.t) = t.pending <- (guard, f) :: t.pending
 
-let rec collect_atoms acc (f : Expr.t) =
+(* Reference every atom occurrence of a flushed formula from its group
+   (or from the unguarded set) and cons the atoms' SAT variables onto
+   [vars], in occurrence order (so the last occurrence ends up first). *)
+let rec note_atoms t g vars (f : Expr.t) =
   match f with
-  | Expr.True | Expr.False -> acc
-  | Expr.Atom i -> i :: acc
-  | Expr.Not g -> collect_atoms acc g
-  | Expr.And fs | Expr.Or fs -> List.fold_left collect_atoms acc fs
+  | Expr.True | Expr.False -> vars
+  | Expr.Atom id ->
+      t.atom_refs.(id) <- t.atom_refs.(id) + 1;
+      (match g with
+      | Some g -> g.g_atoms <- id :: g.g_atoms
+      | None -> t.perm_atoms <- id :: t.perm_atoms);
+      t.atom_sat_var.(id) :: vars
+  | Expr.Not h -> note_atoms t g vars h
+  | Expr.And fs | Expr.Or fs -> note_list t g vars fs
   | Expr.Implies (a, b) | Expr.Iff (a, b) ->
-      collect_atoms (collect_atoms acc a) b
+      note_atoms t g (note_atoms t g vars a) b
   | Expr.AtMost (_, fs) | Expr.AtLeast (_, fs) | Expr.Exactly (_, fs) ->
-      List.fold_left collect_atoms acc fs
+      note_list t g vars fs
+
+and note_list t g vars = function
+  | [] -> vars
+  | f :: fs -> note_list t g (note_atoms t g vars f) fs
 
 let flush_pending t =
   match t.pending with
   | [] -> ()
   | fs ->
       t.pending <- [];
+      (* one CNF context for the whole flush: [vars] collects the current
+         formula's variables and [guard_lit] is its guard's negated
+         selector (-1 when unguarded), by which each clause is weakened
+         on its way straight into the SAT core *)
+      let vars = ref [] and guard_lit = ref (-1) in
+      let ctx =
+        {
+          Expr.fresh =
+            (fun () ->
+              let v = Sat.new_var t.sat in
+              vars := v :: !vars;
+              v);
+          lit_of_atom = (fun id -> Sat.lit_of_var t.atom_sat_var.(id) true);
+          emit =
+            (fun c ->
+              let c = if !guard_lit < 0 then c else !guard_lit :: c in
+              ignore (Sat.add_clause t.sat c));
+        }
+      in
       List.iter
         (fun (g, f) ->
-          let atoms = collect_atoms [] f in
-          List.iter
-            (fun id ->
-              t.atom_refs.(id) <- t.atom_refs.(id) + 1;
-              match g with
-              | Some g -> g.g_atoms <- id :: g.g_atoms
-              | None -> t.perm_atoms <- id :: t.perm_atoms)
-            atoms;
-          let vars = ref (List.map (fun id -> t.atom_sat_var.(id)) atoms) in
-          let ctx =
-            {
-              Expr.fresh =
-                (fun () ->
-                  let v = Sat.new_var t.sat in
-                  vars := v :: !vars;
-                  v);
-              lit_of_atom = (fun id -> Sat.lit_of_var t.atom_sat_var.(id) true);
-              out = [];
-            }
-          in
+          vars := note_atoms t g [] f;
+          guard_lit :=
+            (match g with
+            | None -> -1
+            | Some g -> Sat.neg (Sat.lit_of_var g.g_var true));
           Expr.assert_formula ctx f;
-          let clauses = List.rev ctx.Expr.out in
           match g with
-          | None ->
-              t.perm_vars <- List.rev_append !vars t.perm_vars;
-              List.iter (fun c -> ignore (Sat.add_clause t.sat c)) clauses
-          | Some g ->
-              g.g_vars <- List.rev_append !vars g.g_vars;
-              let gl = Sat.neg (Sat.lit_of_var g.g_var true) in
-              List.iter
-                (fun c -> ignore (Sat.add_clause t.sat (gl :: c)))
-                clauses)
+          | None -> t.perm_vars <- List.rev_append !vars t.perm_vars
+          | Some g -> g.g_vars <- List.rev_append !vars g.g_vars)
         (List.rev fs)
 
 let retire_guard t g =
@@ -205,6 +217,32 @@ let simplify t =
 
 exception Timeout = Sat.Timeout
 
+let next_stamp t =
+  t.stamp <- t.stamp + 1;
+  t.stamp
+
+(* The distinct entries of [lists] that [keep] accepts, in order of first
+   occurrence, deduplicated with the stamp array [seen] (indexed by
+   entry): one pass counts them, a second fills the array. *)
+let distinct t seen keep lists =
+  let iter f =
+    let stamp = next_stamp t in
+    List.iter
+      (List.iter (fun x ->
+           if keep x && seen.(x) <> stamp then begin
+             seen.(x) <- stamp;
+             f x
+           end))
+      lists
+  in
+  let n = ref 0 in
+  iter (fun _ -> incr n);
+  let a = Array.make !n 0 and i = ref 0 in
+  iter (fun x ->
+      a.(!i) <- x;
+      incr i);
+  a
+
 let solve ?(should_stop = fun () -> false) ?poll_every ?(assumptions = []) t :
     result =
   flush_pending t;
@@ -217,17 +255,24 @@ let solve ?(should_stop = fun () -> false) ?poll_every ?(assumptions = []) t :
   let decision_vars =
     if not t.used_guards then None
     else begin
-      let seen = Hashtbl.create 256 in
-      let acc = ref [] in
-      let take v =
-        if not (Hashtbl.mem seen v) then begin
-          Hashtbl.add seen v ();
-          acc := v :: !acc
-        end
+      let nvars = Sat.n_vars t.sat in
+      if nvars >= Array.length t.var_stamp then
+        t.var_stamp <-
+          Array.append t.var_stamp
+            (Array.make (max (nvars + 1) (Array.length t.var_stamp)) 0);
+      (* last occurrence first: the order VSIDS ties are broken in *)
+      let vs =
+        distinct t t.var_stamp
+          (fun _ -> true)
+          (t.perm_vars :: List.map (fun g -> g.g_vars) assumptions)
       in
-      List.iter take t.perm_vars;
-      List.iter (fun g -> List.iter take g.g_vars) assumptions;
-      Some !acc
+      let n = Array.length vs in
+      for i = 0 to (n / 2) - 1 do
+        let v = vs.(i) in
+        vs.(i) <- vs.(n - 1 - i);
+        vs.(n - 1 - i) <- v
+      done;
+      Some vs
     end
   in
   (* Atoms the theory must check for this query: in a guarded session,
@@ -239,17 +284,13 @@ let solve ?(should_stop = fun () -> false) ?poll_every ?(assumptions = []) t :
   let active_ids =
     if not t.used_guards then None
     else begin
-      let seen = Hashtbl.create 256 in
-      let acc = ref [] in
-      let take id =
-        if t.atom_refs.(id) > 0 && not (Hashtbl.mem seen id) then begin
-          Hashtbl.add seen id ();
-          acc := id :: !acc
-        end
+      let ids =
+        distinct t t.atom_stamp
+          (fun id -> t.atom_refs.(id) > 0)
+          (t.perm_atoms :: List.map (fun g -> g.g_atoms) assumptions)
       in
-      List.iter take t.perm_atoms;
-      List.iter (fun g -> List.iter take g.g_atoms) assumptions;
-      Some (List.sort compare !acc)
+      Array.sort Int.compare ids;
+      Some ids
     end
   in
   let rec loop budget =
@@ -267,56 +308,74 @@ let solve ?(should_stop = fun () -> false) ?poll_every ?(assumptions = []) t :
              compressed to a dense range over just the variables the
              active atoms mention, so the Bellman-Ford pass is sized by
              the live problem, not by the session's lifetime total. *)
-          let asserted = ref [] in
-          let provenance = Hashtbl.create 16 in
-          let vmap = Hashtbl.create 64 in
+          let stamp = next_stamp t in
+          if t.novars > Array.length t.ovar_stamp then begin
+            let n = max t.novars (2 * Array.length t.ovar_stamp) in
+            t.ovar_stamp <- Array.make n 0;
+            t.ovar_dense <- Array.make n 0
+          end;
           let nv = ref 0 in
+          (* an order variable's dense index, allocated on first sight *)
           let mapv v =
-            match Hashtbl.find_opt vmap v with
-            | Some i -> i
-            | None ->
-                let i = !nv in
-                incr nv;
-                Hashtbl.add vmap v i;
-                i
+            if t.ovar_stamp.(v) = stamp then t.ovar_dense.(v)
+            else begin
+              let i = !nv in
+              incr nv;
+              t.ovar_stamp.(v) <- stamp;
+              t.ovar_dense.(v) <- i;
+              i
+            end
           in
-          let consider id =
-            match t.atoms.(id) with
-            | Adiff a ->
-                let v = t.atom_sat_var.(id) in
-                let truth = Sat.model_value t.sat v in
-                let a =
-                  { Diff_logic.ax = mapv a.ax; ay = mapv a.ay; ac = a.ac }
-                in
-                let a' =
-                  if truth then a
-                  else { Diff_logic.ax = a.ay; ay = a.ax; ac = -a.ac - 1 }
-                in
-                asserted := a' :: !asserted;
-                Hashtbl.replace provenance a' (id, truth)
-            | Abool _ -> ()
+          (* [f id a' truth] for each active difference atom [id], where
+             [a'] is what the model asserts of it *)
+          let iter_asserted f =
+            let consider id =
+              match t.atoms.(id) with
+              | Adiff a ->
+                  let v = t.atom_sat_var.(id) in
+                  let truth = Sat.model_value t.sat v in
+                  let a =
+                    { Diff_logic.ax = mapv a.ax; ay = mapv a.ay; ac = a.ac }
+                  in
+                  let a' =
+                    if truth then a
+                    else { Diff_logic.ax = a.ay; ay = a.ax; ac = -a.ac - 1 }
+                  in
+                  f id a' truth
+              | Abool -> ()
+            in
+            match active_ids with
+            | None -> for id = 0 to t.natoms - 1 do consider id done
+            | Some ids -> Array.iter consider ids
           in
-          (match active_ids with
-          | None -> for id = 0 to t.natoms - 1 do consider id done
-          | Some ids -> List.iter consider ids);
+          let asserted = ref [] in
+          iter_asserted (fun _ a' _ -> asserted := a' :: !asserted);
           match Diff_logic.check ~nvars:(max 1 !nv) !asserted with
           | Diff_logic.Consistent vals ->
+              (* a snapshot, so the model outlives the solver's tables *)
+              let orders = Array.make t.novars 0 in
+              for v = 0 to t.novars - 1 do
+                if t.ovar_stamp.(v) = stamp then
+                  orders.(v) <- vals.(t.ovar_dense.(v))
+              done;
               let order_of v =
-                match Hashtbl.find_opt vmap v with
-                | Some i when i < Array.length vals -> vals.(i)
-                | _ -> 0
+                if v >= 0 && v < Array.length orders then orders.(v) else 0
               in
-              let bool_of name =
-                match Hashtbl.find_opt t.bool_names name with
-                | Some id -> Sat.model_value t.sat t.atom_sat_var.(id)
-                | None -> false
+              let bool_of = function
+                | Expr.Atom id -> Sat.model_value t.sat t.atom_sat_var.(id)
+                | _ -> invalid_arg "Solver.bool_of: not an atom"
               in
               Sat_model { order_of; bool_of }
           | Diff_logic.Inconsistent cycle ->
               t.theory_conflicts <- t.theory_conflicts + 1;
               (* block this combination of atom truth values; a negative
                  cycle is inconsistent regardless of guards, so the lemma
-                 is added unguarded and stays valid for the session *)
+                 is added unguarded and stays valid for the session.  The
+                 atom behind each cycle edge is looked up in a table built
+                 here, on conflict only. *)
+              let provenance = Hashtbl.create 16 in
+              iter_asserted (fun id a' truth ->
+                  Hashtbl.replace provenance a' (id, truth));
               let clause =
                 List.filter_map
                   (fun a ->

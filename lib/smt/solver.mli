@@ -20,16 +20,19 @@ type ovar
 
 type model = {
   order_of : ovar -> int;     (** order value in the witness schedule *)
-  bool_of : string -> bool;   (** value of a named boolean (P variables) *)
+  bool_of : Expr.t -> bool;
+      (** value of a boolean atom from {!new_bool} (P variables) *)
 }
 
 type result = Sat_model of model | Unsat
 
 val create : unit -> t
 
-val new_order_var : t -> string -> ovar
-val new_bool : t -> string -> Expr.t
-(** Named booleans are interned: the same name yields the same atom. *)
+val new_order_var : t -> ovar
+val new_bool : t -> Expr.t
+(** A fresh boolean atom.  Variables carry no names: each call allocates
+    a new one, so a caller that needs the same boolean again keeps the
+    atom (or memoises it under its own key). *)
 
 val le_c : t -> ovar -> ovar -> int -> Expr.t
 (** [le_c t x y c] is the atom [x - y <= c]. *)

@@ -144,6 +144,16 @@ let test_filler_is_benign () =
   Alcotest.(check int) "filler: no BMOC reports" 0 (List.length a.bmoc);
   Alcotest.(check int) "filler: no trad reports" 0 (List.length a.trad)
 
+(* The 21 corpus apps and the 49 bug-set programs, by name. *)
+let programs =
+  List.map
+    (fun (a : Gocorpus.Apps.app) -> (a.spec.name, a.sources))
+    (Gocorpus.Apps.all ())
+  @ List.map
+      (fun (e : Gocorpus.Bugset.entry) ->
+        (e.bs_name, [ "package b\n" ^ e.bs_src ]))
+      Gocorpus.Bugset.entries
+
 (* Every detector reads the engine's facts.  On each corpus app and
    bug-set program the bmoc pass must match the standalone detector run
    on the record's IR (which derives its own facts), the nonblocking
@@ -153,15 +163,6 @@ let test_engine_facts_match_standalone () =
   let module E = Goengine.Engine in
   let module D = Goengine.Diagnostics in
   let module Pa = Gcatch.Passes in
-  let programs =
-    List.map
-      (fun (a : Gocorpus.Apps.app) -> (a.spec.name, a.sources))
-      (Gocorpus.Apps.all ())
-    @ List.map
-        (fun (e : Gocorpus.Bugset.entry) ->
-          (e.bs_name, [ "package b\n" ^ e.bs_src ]))
-        Gocorpus.Bugset.entries
-  in
   (* skipped channels and supervision notes, less their timings *)
   let warnings diags =
     List.map (fun (d : D.t) -> (d.D.severity, d.D.loc)) diags
@@ -207,6 +208,40 @@ let test_engine_facts_match_standalone () =
         (nb_strs (Pa.nb_bugs r.E.r_diags)))
     programs
 
+(* The SAT instance BMOC hands the solver is part of the output: the
+   pass metrics print its counters.  Each program's bmoc metrics on a
+   fresh engine and the digest of its bugs' witnesses must equal the
+   pinned values in {!Sat_pins}.  The solve cache's memory tier is
+   emptied first, since a hit would replay the counters instead of
+   solving. *)
+let test_sat_instance_pinned () =
+  let module E = Goengine.Engine in
+  let module Pa = Gcatch.Passes in
+  Alcotest.(check int) "every program pinned" (List.length programs)
+    (List.length Sat_pins.pins);
+  List.iter2
+    (fun (name, sources) (pin_name, pin_metrics, pin_witness) ->
+      Alcotest.(check string) "program order" pin_name name;
+      Gcatch.Solve_cache.reset_memory ();
+      let r = E.analyse (Pa.engine ()) ~name sources in
+      let pr = List.find (fun pr -> pr.E.pr_pass = "bmoc") r.E.r_passes in
+      let metrics =
+        String.concat " "
+          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) pr.E.pr_metrics)
+      in
+      let witnesses =
+        String.concat ";"
+          (List.map
+             (fun (b : Gcatch.Report.bmoc_bug) ->
+               String.concat ","
+                 (List.map (fun (pp, o) -> Printf.sprintf "%d:%d" pp o) b.witness))
+             (Pa.bmoc_bugs r.E.r_diags))
+      in
+      Alcotest.(check string) (name ^ ": bmoc metrics") pin_metrics metrics;
+      Alcotest.(check string) (name ^ ": witness digest") pin_witness
+        (Digest.to_hex (Digest.string witnesses)))
+    programs Sat_pins.pins
+
 let app_tests =
   List.concat_map
     (fun name ->
@@ -232,4 +267,6 @@ let tests =
       Alcotest.test_case "filler is benign" `Quick test_filler_is_benign;
       Alcotest.test_case "engine facts match standalone derivation" `Slow
         test_engine_facts_match_standalone;
+      Alcotest.test_case "SAT instance pinned on every program" `Slow
+        test_sat_instance_pinned;
     ]

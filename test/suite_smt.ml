@@ -17,28 +17,29 @@ let check_sat name expected build =
 (* ---- pure SAT ---- *)
 
 let test_sat_trivial () =
-  check_sat "single positive" true (fun t -> S.add t (S.new_bool t "a"))
+  check_sat "single positive" true (fun t -> S.add t (S.new_bool t))
 
 let test_sat_contradiction () =
   check_sat "a and not a" false (fun t ->
-      S.add t (S.new_bool t "a");
-      S.add t (E.not_ (S.new_bool t "a")))
+      let a = S.new_bool t in
+      S.add t a;
+      S.add t (E.not_ a))
 
 let test_sat_implication_chain () =
   let t = S.create () in
-  let a = S.new_bool t "a" and b = S.new_bool t "b" and c = S.new_bool t "c" in
+  let a = S.new_bool t and b = S.new_bool t and c = S.new_bool t in
   S.add t (E.implies a b);
   S.add t (E.implies b c);
   S.add t a;
   (match S.solve t with
   | S.Sat_model m ->
-      Alcotest.(check bool) "c forced" true (m.bool_of "c");
-      Alcotest.(check bool) "b forced" true (m.bool_of "b")
+      Alcotest.(check bool) "c forced" true (m.bool_of c);
+      Alcotest.(check bool) "b forced" true (m.bool_of b)
   | S.Unsat -> Alcotest.fail "should be sat")
 
 let test_sat_iff () =
   check_sat "iff conflict" false (fun t ->
-      let a = S.new_bool t "a" and b = S.new_bool t "b" in
+      let a = S.new_bool t and b = S.new_bool t in
       S.add t (E.iff a b);
       S.add t a;
       S.add t (E.not_ b))
@@ -46,7 +47,8 @@ let test_sat_iff () =
 let test_sat_pigeonhole () =
   (* 3 pigeons, 2 holes: classic small unsat *)
   let t = S.create () in
-  let v i j = S.new_bool t (Printf.sprintf "p%dh%d" i j) in
+  let ps = Array.init 3 (fun _ -> Array.init 2 (fun _ -> S.new_bool t)) in
+  let v i j = ps.(i - 1).(j - 1) in
   for i = 1 to 3 do
     S.add t (E.disj [ v i 1; v i 2 ])
   done;
@@ -59,7 +61,7 @@ let test_sat_pigeonhole () =
 
 let test_dl_chain_model () =
   let t = S.create () in
-  let vs = List.init 6 (fun i -> S.new_order_var t (string_of_int i)) in
+  let vs = List.init 6 (fun _ -> S.new_order_var t) in
   let rec chain = function
     | a :: (b :: _ as rest) ->
         S.add t (S.lt t a b);
@@ -77,23 +79,23 @@ let test_dl_chain_model () =
 
 let test_dl_cycle () =
   check_sat "3-cycle" false (fun t ->
-      let x = S.new_order_var t "x"
-      and y = S.new_order_var t "y"
-      and z = S.new_order_var t "z" in
+      let x = S.new_order_var t
+      and y = S.new_order_var t
+      and z = S.new_order_var t in
       S.add t (S.lt t x y);
       S.add t (S.lt t y z);
       S.add t (S.lt t z x))
 
 let test_dl_eq_vs_lt () =
   check_sat "eq and lt conflict" false (fun t ->
-      let x = S.new_order_var t "x" and y = S.new_order_var t "y" in
+      let x = S.new_order_var t and y = S.new_order_var t in
       S.add t (S.eq t x y);
       S.add t (S.lt t x y))
 
 let test_dl_negated_atom () =
   (* not (x < y) must imply y <= x *)
   let t = S.create () in
-  let x = S.new_order_var t "x" and y = S.new_order_var t "y" in
+  let x = S.new_order_var t and y = S.new_order_var t in
   S.add t (E.not_ (S.lt t x y));
   (match S.solve t with
   | S.Sat_model m ->
@@ -103,15 +105,15 @@ let test_dl_negated_atom () =
 let test_dl_guarded () =
   (* p -> x<y, q -> y<x, p|q sat; p&q unsat *)
   let t = S.create () in
-  let x = S.new_order_var t "x" and y = S.new_order_var t "y" in
-  let p = S.new_bool t "p" and q = S.new_bool t "q" in
+  let x = S.new_order_var t and y = S.new_order_var t in
+  let p = S.new_bool t and q = S.new_bool t in
   S.add t (E.implies p (S.lt t x y));
   S.add t (E.implies q (S.lt t y x));
   S.add t (E.disj [ p; q ]);
   Alcotest.(check bool) "disjunction sat" true (is_sat (S.solve t));
   let t2 = S.create () in
-  let x = S.new_order_var t2 "x" and y = S.new_order_var t2 "y" in
-  let p = S.new_bool t2 "p" and q = S.new_bool t2 "q" in
+  let x = S.new_order_var t2 and y = S.new_order_var t2 in
+  let p = S.new_bool t2 and q = S.new_bool t2 in
   S.add t2 (E.implies p (S.lt t2 x y));
   S.add t2 (E.implies q (S.lt t2 y x));
   S.add t2 p;
@@ -125,7 +127,7 @@ let test_assumption_groups_independent () =
      own, both together unsat, and an unsat query must not poison the
      shared state for later queries *)
   let t = S.create () in
-  let x = S.new_order_var t "x" and y = S.new_order_var t "y" in
+  let x = S.new_order_var t and y = S.new_order_var t in
   let g1 = S.new_guard t and g2 = S.new_guard t in
   S.add ~guard:g1 t (S.lt t x y);
   S.add ~guard:g2 t (S.lt t y x);
@@ -146,7 +148,7 @@ let test_assumption_groups_independent () =
 
 let test_retire_guard () =
   let t = S.create () in
-  let a = S.new_bool t "a" in
+  let a = S.new_bool t in
   let g = S.new_guard t in
   S.add ~guard:g t (E.not_ a);
   S.add t a;
@@ -166,7 +168,7 @@ let test_session_reuse_many_queries () =
   (* the BMOC usage pattern: one instance, many groups, each queried and
      retired in turn; every verdict must match a fresh-solver run *)
   let t = S.create () in
-  let x = S.new_order_var t "x" and y = S.new_order_var t "y" in
+  let x = S.new_order_var t and y = S.new_order_var t in
   S.add t (S.lt t x y);
   for i = 0 to 19 do
     let g = S.new_guard t in
@@ -185,7 +187,8 @@ let test_sat_ext_stats () =
   (* a pigeonhole burn must surface in the extended counters that feed
      the sat.learnt_clauses / sat.restarts / sat.db_reductions metrics *)
   let t = S.create () in
-  let v i j = S.new_bool t (Printf.sprintf "p%dh%d" i j) in
+  let ps = Array.init 6 (fun _ -> Array.init 5 (fun _ -> S.new_bool t)) in
+  let v i j = ps.(i - 1).(j - 1) in
   for i = 1 to 6 do
     S.add t (E.disj (List.init 5 (fun j -> v i (j + 1))))
   done;
@@ -207,36 +210,144 @@ let test_card_atmost_inside_or () =
   (* the regression that broke double-recv detection: a cardinality under
      a disjunction must NOT leak as a global constraint *)
   let t = S.create () in
-  let x = S.new_order_var t "x" and y = S.new_order_var t "y" in
-  let a = S.new_bool t "a" in
+  let x = S.new_order_var t and y = S.new_order_var t in
+  let a = S.new_bool t in
   (* either y < x (via cardinality: at most 0 of [not (y<x)]) or a *)
   S.add t (E.disj [ E.AtMost (0, [ E.not_ (S.lt t y x) ]); a ]);
   (* force x < y so the cardinality branch is false *)
   S.add t (S.lt t x y);
   (match S.solve t with
-  | S.Sat_model m -> Alcotest.(check bool) "a chosen" true (m.bool_of "a")
+  | S.Sat_model m -> Alcotest.(check bool) "a chosen" true (m.bool_of a)
   | S.Unsat -> Alcotest.fail "disjunction should rescue satisfiability")
 
 let test_card_exactly () =
   let t = S.create () in
-  let vs = List.init 5 (fun i -> S.new_bool t (string_of_int i)) in
+  let vs = List.init 5 (fun _ -> S.new_bool t) in
   S.add t (E.Exactly (2, vs));
   (match S.solve t with
   | S.Sat_model m ->
       let n =
         List.length
-          (List.filter (fun i -> m.bool_of (string_of_int i)) [ 0; 1; 2; 3; 4 ])
+          (List.filter m.bool_of vs)
       in
       Alcotest.(check int) "exactly two true" 2 n
   | S.Unsat -> Alcotest.fail "should be sat")
 
 let test_card_bounds () =
   check_sat "atleast too many" false (fun t ->
-      let vs = List.init 3 (fun i -> S.new_bool t (string_of_int i)) in
+      let vs = List.init 3 (fun _ -> S.new_bool t) in
       S.add t (E.AtLeast (4, vs)));
   check_sat "atmost negative" false (fun t ->
-      let a = S.new_bool t "a" in
+      let a = S.new_bool t in
       S.add t (E.AtMost (-1, [ a ])))
+
+(* ---- clause simplification in the SAT core ---- *)
+
+(* A core with [n] fresh variables; [pos v] / [ng v] are v's literals. *)
+let sat_with n =
+  let s = Sat.create () in
+  for _ = 1 to n do
+    ignore (Sat.new_var s)
+  done;
+  s
+
+let pos v = Sat.lit_of_var v true
+let ng v = Sat.lit_of_var v false
+
+let test_add_clause_duplicate () =
+  (* a duplicated literal is dropped: [a; a] is the unit [a], which is
+     propagated at level 0 instead of being stored *)
+  let s = sat_with 2 in
+  Alcotest.(check bool) "added" true (Sat.add_clause s [ pos 1; pos 1 ]);
+  Alcotest.(check int) "unit not stored" 0 (Sat.n_clauses s);
+  Alcotest.(check bool) "a forced" false (Sat.add_clause s [ ng 1 ]);
+  (* with a second literal the clause is stored once, as a binary *)
+  let s = sat_with 2 in
+  ignore (Sat.add_clause s [ pos 1; pos 2; pos 1 ]);
+  Alcotest.(check int) "stored" 1 (Sat.n_clauses s);
+  ignore (Sat.add_clause s [ ng 1 ]);
+  Alcotest.(check bool) "b forced once a is false" false
+    (Sat.add_clause s [ ng 2 ])
+
+let test_add_clause_tautology () =
+  let s = sat_with 2 in
+  Alcotest.(check bool) "satisfied" true
+    (Sat.add_clause s [ pos 1; pos 2; ng 1 ]);
+  Alcotest.(check int) "not stored" 0 (Sat.n_clauses s);
+  ignore (Sat.add_clause s [ ng 2 ]);
+  Alcotest.(check bool) "a still free" true (Sat.add_clause s [ ng 1 ]);
+  Alcotest.(check bool) "sat" true (Sat.solve s = Sat.Sat)
+
+let test_add_clause_false_literal () =
+  (* a literal false at level 0 is dropped, leaving the unit [b] *)
+  let s = sat_with 2 in
+  ignore (Sat.add_clause s [ ng 1 ]);
+  Alcotest.(check bool) "added" true (Sat.add_clause s [ pos 1; pos 2 ]);
+  Alcotest.(check int) "became a unit" 0 (Sat.n_clauses s);
+  Alcotest.(check bool) "b forced" false (Sat.add_clause s [ ng 2 ])
+
+let test_add_clause_all_false () =
+  let s = sat_with 2 in
+  ignore (Sat.add_clause s [ ng 1 ]);
+  ignore (Sat.add_clause s [ ng 2 ]);
+  Alcotest.(check bool) "empty after simplification" false
+    (Sat.add_clause s [ pos 1; pos 2; pos 1 ]);
+  Alcotest.(check bool) "unsat" true (Sat.solve s = Sat.Unsat);
+  Alcotest.(check bool) "stays unsat" false (Sat.add_clause s [ pos 2 ])
+
+let test_add_clause_unit_propagates () =
+  (* a unit propagates through the stored clauses at once *)
+  let s = sat_with 3 in
+  ignore (Sat.add_clause s [ ng 1; pos 2 ]);
+  ignore (Sat.add_clause s [ ng 2; pos 3 ]);
+  Alcotest.(check bool) "unit added" true (Sat.add_clause s [ pos 1 ]);
+  Alcotest.(check bool) "c forced through b" false (Sat.add_clause s [ ng 3 ])
+
+let test_add_clause_after_growth () =
+  (* the literal stamps grow with the variables: simplification of
+     high-numbered literals, past the initial capacity, still works *)
+  let s = sat_with 100 in
+  Alcotest.(check bool) "tautology" true
+    (Sat.add_clause s [ pos 97; ng 99; pos 99 ]);
+  Alcotest.(check int) "tautology not stored" 0 (Sat.n_clauses s);
+  ignore (Sat.add_clause s [ pos 100; pos 98; pos 100; pos 98 ]);
+  Alcotest.(check int) "stored once" 1 (Sat.n_clauses s);
+  for _ = 1 to 200 do
+    ignore (Sat.new_var s)
+  done;
+  ignore (Sat.add_clause s [ pos 300; pos 300 ]);
+  Alcotest.(check int) "duplicate unit not stored" 1 (Sat.n_clauses s);
+  ignore (Sat.add_clause s [ ng 100 ]);
+  Alcotest.(check bool) "sat" true (Sat.solve s = Sat.Sat);
+  Alcotest.(check bool) "300 forced" true (Sat.model_value s 300);
+  Alcotest.(check bool) "98 forced" true (Sat.model_value s 98)
+
+let test_repeated_assumption_solves () =
+  (* decision levels are rebuilt from scratch on every solve: the same
+     assumptions twice in a row cost the same decisions and
+     propagations, both when the assumptions hold (b is already implied
+     by a, so its level is empty) and when they contradict *)
+  let s = sat_with 5 in
+  ignore (Sat.add_clause s [ ng 1; pos 2 ]);
+  ignore (Sat.add_clause s [ pos 3; pos 4 ]);
+  ignore (Sat.add_clause s [ ng 3; pos 5 ]);
+  let delta assumptions =
+    let c0, d0, p0 = Sat.stats s in
+    let r = Sat.solve ~assumptions s in
+    let c1, d1, p1 = Sat.stats s in
+    (r = Sat.Sat, c1 - c0, d1 - d0, p1 - p0)
+  in
+  let show (r, c, d, p) = Printf.sprintf "sat=%b c=%d d=%d p=%d" r c d p in
+  let first = delta [ pos 1; pos 2 ] in
+  Alcotest.(check string) "same deltas" (show first)
+    (show (delta [ pos 1; pos 2 ]));
+  let _, _, decisions, _ = first in
+  Alcotest.(check bool) "assumption and free decisions" true (decisions >= 2);
+  let refuted = delta [ pos 1; ng 2 ] in
+  Alcotest.(check bool) "contradicting assumptions unsat" false
+    (let r, _, _, _ = refuted in r);
+  Alcotest.(check string) "same deltas when unsat" (show refuted)
+    (show (delta [ pos 1; ng 2 ]))
 
 (* ---- randomized cross-checks ---- *)
 
@@ -350,7 +461,7 @@ let prop_card_counts =
     QCheck.(pair (int_range 0 4) (int_range 1 6))
     (fun (k, n) ->
       let t = S.create () in
-      let vs = List.init n (fun i -> S.new_bool t (string_of_int i)) in
+      let vs = List.init n (fun _ -> S.new_bool t) in
       S.add t (E.AtMost (k, vs));
       (* maximise: ask for at least min(k, n) too *)
       S.add t (E.AtLeast (min k n, vs));
@@ -358,7 +469,7 @@ let prop_card_counts =
       | S.Sat_model m ->
           let cnt =
             List.length
-              (List.filter (fun i -> m.bool_of (string_of_int i)) (List.init n Fun.id))
+              (List.filter m.bool_of vs)
           in
           cnt <= k && cnt >= min k n
       | S.Unsat -> false)
@@ -384,6 +495,18 @@ let tests =
     Alcotest.test_case "cardinality under disjunction" `Quick test_card_atmost_inside_or;
     Alcotest.test_case "exactly-k" `Quick test_card_exactly;
     Alcotest.test_case "cardinality bounds" `Quick test_card_bounds;
+    Alcotest.test_case "add_clause drops duplicates" `Quick
+      test_add_clause_duplicate;
+    Alcotest.test_case "add_clause tautology" `Quick test_add_clause_tautology;
+    Alcotest.test_case "add_clause false literal" `Quick
+      test_add_clause_false_literal;
+    Alcotest.test_case "add_clause all false" `Quick test_add_clause_all_false;
+    Alcotest.test_case "add_clause unit propagates" `Quick
+      test_add_clause_unit_propagates;
+    Alcotest.test_case "add_clause after growth" `Quick
+      test_add_clause_after_growth;
+    Alcotest.test_case "repeated assumption solves" `Quick
+      test_repeated_assumption_solves;
     QCheck_alcotest.to_alcotest prop_dl_vs_brute;
     QCheck_alcotest.to_alcotest prop_dl_model_valid;
     QCheck_alcotest.to_alcotest prop_sat_vs_brute;
