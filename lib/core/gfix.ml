@@ -66,6 +66,20 @@ let find_chan_decl (fd : A.func_decl) (loc : Minigo.Loc.t) =
          in
          (x, sloc, t, unbuffered))
 
+(* The parameter a goroutine binds the channel to when [chan_var] is
+   passed as an argument; [None] when the goroutine captures it by name
+   or the argument count does not match the parameters. *)
+let bound_param (params : A.param list) (args : A.expr list)
+    (chan_var : string) : string option =
+  if List.compare_lengths params args <> 0 then None
+  else
+    List.find_map
+      (fun ((p : A.param), (a : A.expr)) ->
+        match a.A.e with
+        | A.Ident x when x = chan_var -> Some p.pname
+        | _ -> None)
+      (List.combine params args)
+
 (* Find the goroutine in [fd] whose body contains the blocked operation;
    returns the body and the channel's name inside it.  Handles both
    goroutine literals (Figure 1) and named-function goroutines like
@@ -84,35 +98,20 @@ let find_child (prog : A.program) (fd : A.func_decl) (chan_var : string)
                 A.fold_stmts
                   (fun found st -> found || Patch.same_line st.A.sloc loc)
                   false body
-              then begin
-                (* if the channel is passed as an argument, use the bound
-                   parameter name; otherwise it is captured by name *)
-                let bound =
-                  List.find_map
-                    (fun ((p : A.param), (a : A.expr)) ->
-                      match a.A.e with
-                      | A.Ident x when x = chan_var -> Some p.pname
-                      | _ -> None)
-                    (List.combine params
-                       (if List.length params = List.length args then args else []))
-                in
-                Some (body, Option.value bound ~default:chan_var)
-              end
+              then
+                Some
+                  ( body,
+                    Option.value (bound_param params args chan_var)
+                      ~default:chan_var )
               else None
           | A.Go { callee = A.Fname g; args } when g = o2.bo_func -> (
               match A.find_func prog g with
               | Some child_fd ->
-                  let bound =
-                    List.find_map
-                      (fun ((p : A.param), (a : A.expr)) ->
-                        match a.A.e with
-                        | A.Ident x when x = chan_var -> Some p.pname
-                        | _ -> None)
-                      (if List.length child_fd.params = List.length args then
-                         List.combine child_fd.params args
-                       else [])
-                  in
-                  Some (child_fd.body, Option.value bound ~default:chan_var)
+                  Some
+                    ( child_fd.body,
+                      Option.value
+                        (bound_param child_fd.params args chan_var)
+                        ~default:chan_var )
               | None -> None)
           | _ -> None))
     None fd.body
@@ -124,17 +123,9 @@ let goroutines_accessing (fd : A.func_decl) (chan_var : string) : int =
     (fun s ->
       match s.A.s with
       | A.GoFuncLit (params, body, args) ->
-          let inner_name =
-            List.find_map
-              (fun ((p : A.param), (a : A.expr)) ->
-                match a.A.e with
-                | A.Ident x when x = chan_var -> Some p.pname
-                | _ -> None)
-              (if List.length params = List.length args then
-                 List.combine params args
-               else [])
+          let name =
+            Option.value (bound_param params args chan_var) ~default:chan_var
           in
-          let name = Option.value inner_name ~default:chan_var in
           if Patch.block_uses name body then incr child_count
       | A.Go c ->
           if List.exists (Patch.expr_uses chan_var) c.args then incr child_count
@@ -185,7 +176,7 @@ let side_effect_free_after (st : site) : bool =
 
 (* Strategy-I: single-sending bugs — Go-B performs exactly one send on an
    unbuffered channel; bump the buffer to one. *)
-let try_s1 (prog : A.program) (st : site) : (A.program * string) option =
+let try_s1 (prog : A.program) (st : site) : (Patch.rewrite * string) option =
   if st.o2.bo_kind <> Report.Ksend then None
   else if not st.is_unbuffered then None
   else
@@ -196,7 +187,7 @@ let try_s1 (prog : A.program) (st : site) : (A.program * string) option =
     else if not (side_effect_free_after st) then None
     else
       let patched =
-        Patch.rewrite_func prog st.parent_fn.fname (fun s ->
+        Patch.rewrite_func prog st.parent_fn (fun s ->
             if Minigo.Loc.equal s.A.sloc st.decl_loc then
               [
                 {
@@ -264,7 +255,7 @@ let parent_can_miss_o1 (st : site) (o1_locs : Minigo.Loc.t list) : bool =
 
 (* Strategy-II: missing-interaction bugs — defer the parent's o1 so it
    always runs (Figure 3). *)
-let try_s2 (prog : A.program) (st : site) : (A.program * string) option =
+let try_s2 (prog : A.program) (st : site) : (Patch.rewrite * string) option =
   let ops = Patch.ops_on_chan st.child_chan_var st.child_body in
   if List.length ops <> 1 then None
   else if not (side_effect_free_after st) then None
@@ -314,11 +305,10 @@ let try_s2 (prog : A.program) (st : site) : (A.program * string) option =
       (match defer_stmt.A.s with
       | A.Return _ -> None
       | _ ->
-          let removed = List.map (fun l -> l) o1_locs in
           let patched =
-            Patch.rewrite_func prog st.parent_fn.fname (fun s ->
+            Patch.rewrite_func prog st.parent_fn (fun s ->
                 if Minigo.Loc.equal s.A.sloc st.decl_loc then [ s; defer_stmt ]
-                else if List.exists (Minigo.Loc.equal s.A.sloc) removed then []
+                else if List.exists (Minigo.Loc.equal s.A.sloc) o1_locs then []
                 else [ s ])
           in
           Some
@@ -330,7 +320,7 @@ let try_s2 (prog : A.program) (st : site) : (A.program * string) option =
 (* Strategy-III: multiple-operations bugs — add a stop channel closed via
    defer in the parent; the child selects between its operation on c and
    receiving from stop (Figure 4). *)
-let try_s3 (prog : A.program) (st : site) : (A.program * string) option =
+let try_s3 (prog : A.program) (st : site) : (Patch.rewrite * string) option =
   (* the child may operate on c many times (loops allowed); instructions
      after o2 may touch c but nothing else (§4.4) *)
   let stop = st.chan_var ^ "Stop" in
@@ -359,7 +349,7 @@ let try_s3 (prog : A.program) (st : site) : (A.program * string) option =
       (* replace each `c <- v` in the child with a select on c/stop *)
       let replaced = ref 0 in
       let patched =
-        Patch.rewrite_func prog st.parent_fn.fname (fun s ->
+        Patch.rewrite_func prog st.parent_fn (fun s ->
             if Minigo.Loc.equal s.A.sloc st.decl_loc then
               [
                 s;
@@ -405,14 +395,17 @@ let dispatch (prog : A.program) (bug : Report.bmoc_bug) : outcome =
   match recover prog bug with
   | Error reason -> Not_fixed reason
   | Ok st -> (
-      let before = Minigo.Pretty.program_str prog in
-      let finish strategy (patched, description) =
-        let after = Minigo.Pretty.program_str patched in
+      (* every strategy rewrites only [st.parent_fn], so its diff is the
+         whole program's (see [Patch.line_diff]) *)
+      let finish strategy ((patched, patched_fn), description) =
         Fixed
           {
             strategy;
             patched;
-            changed_lines = Patch.changed_lines before after;
+            changed_lines =
+              Patch.changed_lines
+                (Minigo.Pretty.func_str st.parent_fn)
+                (Minigo.Pretty.func_str patched_fn);
             description;
           }
       in

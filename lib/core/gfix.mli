@@ -16,7 +16,9 @@ val strategy_str : strategy -> string
 type fix = {
   strategy : strategy;
   patched : Minigo.Ast.program;   (** the rewritten program *)
-  changed_lines : int;            (** the paper's readability metric *)
+  changed_lines : int;
+      (** the paper's readability metric: the line diff of the one
+          function the strategy rewrote, equal to the whole program's *)
   description : string;
 }
 

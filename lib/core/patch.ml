@@ -7,9 +7,11 @@ module A = Minigo.Ast
 (* ------------------------------------------------------------- diff *)
 
 (* Longest-common-subsequence line diff; returns (added, removed).
-   Patches are local, so the common prefix and suffix are stripped before
-   the quadratic LCS — without this, diffing a multi-thousand-line
-   program per patch dominates GFix's runtime (E8). *)
+   The common prefix and suffix are stripped before the quadratic LCS;
+   stripping them never changes the LCS.  That is also why GFix can diff
+   only the function it rewrote: the rest of the program prints
+   identically before and after, so it would be a common prefix and
+   suffix, and the whole-program count is the same. *)
 let line_diff (before : string) (after : string) : int * int =
   let a = Array.of_list (String.split_on_char '\n' before) in
   let b = Array.of_list (String.split_on_char '\n' after) in
@@ -48,19 +50,6 @@ let changed_lines before after =
   max added removed
 
 (* ------------------------------------------------- program rewriting *)
-
-(* Map over every function declaration of the program. *)
-let map_funcs (f : A.func_decl -> A.func_decl) (prog : A.program) : A.program =
-  List.map
-    (fun (file : A.file) ->
-      {
-        file with
-        decls =
-          List.map
-            (function A.Dfunc fd -> A.Dfunc (f fd) | d -> d)
-            file.decls;
-      })
-    prog
 
 (* Same source line (expression locs differ from their statement's loc by
    column only). *)
@@ -102,12 +91,24 @@ and map_nested f (s : A.stmt) : A.stmt =
   in
   { s with s = desc }
 
-(* Rewrite statements of one named function. *)
-let rewrite_func (prog : A.program) (fname : string)
-    (f : A.stmt -> A.stmt list) : A.program =
-  map_funcs
-    (fun fd -> if fd.fname = fname then { fd with body = map_block f fd.body } else fd)
-    prog
+(* A patched program and the one declaration the patch rewrote. *)
+type rewrite = A.program * A.func_decl
+
+(* Rewrite the statements of declaration [fd], matched physically: a
+   name declared in two files rewrites only this declaration, and every
+   other file and declaration is shared with [prog]. *)
+let rewrite_func (prog : A.program) (fd : A.func_decl)
+    (f : A.stmt -> A.stmt list) : rewrite =
+  let fd' = { fd with body = map_block f fd.body } in
+  let is_fd = function A.Dfunc d -> d == fd | A.Dstruct _ -> false in
+  let swap d = if is_fd d then A.Dfunc fd' else d in
+  ( List.map
+      (fun (file : A.file) ->
+        if List.exists is_fd file.decls then
+          { file with decls = List.map swap file.decls }
+        else file)
+      prog,
+    fd' )
 
 (* ----------------------------------------------------- AST queries *)
 

@@ -1,9 +1,10 @@
 (** Pretty-printer rendering MiniGo ASTs back to gofmt-like source text.
 
-    GFix emits patches by rewriting the AST and re-printing the program;
-    patch readability (the paper's §5.3 metric) is the diff between the
-    original and re-printed text, so the output is stable: one statement
-    per line, Go brace style. *)
+    GFix patches by rewriting one function of the AST.  Patch readability
+    (the paper's §5.3 metric) is the line diff of that function's
+    {!func_str} before and after, so the output is stable: one statement
+    per line, Go brace style.  [gfix] prints the patched program with
+    {!program_str}. *)
 
 val binop_str : Ast.binop -> string
 val typ_str : Ast.typ -> string

@@ -267,6 +267,80 @@ let test_all_strategies_small_diffs () =
       Alcotest.(check bool) "S3 larger than S1" true (f3.changed_lines > f1.changed_lines)
   | G.Not_fixed r -> Alcotest.failf "s3 not fixed: %s" r
 
+(* ---- the changed-line count diffs only the rewritten function ---- *)
+
+let whole_program_count (prog : Minigo.Ast.program) (f : G.fix) =
+  Gcatch.Patch.changed_lines
+    (Minigo.Pretty.program_str prog)
+    (Minigo.Pretty.program_str f.patched)
+
+let test_count_equals_whole_program () =
+  let fixes =
+    List.concat_map
+      (fun (app : Gocorpus.Apps.app) ->
+        let a = Pipeline.analyse ~name:app.spec.name app.sources in
+        List.filter_map
+          (fun (_, o) ->
+            match o with
+            | G.Fixed f -> Some (app.spec.name, a.source, f)
+            | G.Not_fixed _ -> None)
+          (G.fix_all a.source a.bmoc))
+      (Gocorpus.Apps.all ())
+  in
+  (* E1's 48 true-positive fixes plus the 11 false positives GFix also
+     patches when asked to *)
+  Alcotest.(check int) "corpus fixes" 59 (List.length fixes);
+  List.iter
+    (fun (name, prog, (f : G.fix)) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s" name f.description)
+        (whole_program_count prog f) f.changed_lines)
+    fixes
+
+(* A second file declares a function of the buggy one's name with the
+   same statements: only the reported declaration is rewritten. *)
+let test_count_name_in_two_files () =
+  let a = analyse fig1_with_main in
+  let bug = List.hd a.bmoc in
+  let exec = Option.get (Minigo.Ast.find_func a.source "Exec") in
+  let twin =
+    {
+      Minigo.Ast.package = "p";
+      decls = [ Minigo.Ast.Dfunc { exec with fname = exec.fname } ];
+      source_name = "twin.go";
+    }
+  in
+  let prog = a.source @ [ twin ] in
+  match G.dispatch prog bug with
+  | G.Fixed f ->
+      Alcotest.(check int) "one changed line" 1 f.changed_lines;
+      Alcotest.(check int) "equals the whole-program diff"
+        (whole_program_count prog f) f.changed_lines;
+      Alcotest.(check bool) "the twin file is shared, not rebuilt" true
+        (List.nth f.patched 1 == twin)
+  | G.Not_fixed r -> Alcotest.failf "figure 1 not fixed: %s" r
+
+(* A goroutine literal called with fewer arguments than parameters (an
+   untyped program) has no bound parameter: the channel is the captured
+   name, and dispatch returns an outcome instead of raising. *)
+let test_goroutine_arity_mismatch () =
+  let a = analyse fig1_with_main in
+  let bug = List.hd a.bmoc in
+  let strip (s : Minigo.Ast.stmt) =
+    match s.s with
+    | Minigo.Ast.GoFuncLit (ps, body, _) ->
+        [ { s with s = Minigo.Ast.GoFuncLit (ps, body, []) } ]
+    | _ -> [ s ]
+  in
+  let exec = Option.get (Minigo.Ast.find_func a.source "Exec") in
+  let stripped, _ = Gcatch.Patch.rewrite_func a.source exec strip in
+  match G.dispatch stripped bug with
+  | G.Fixed f ->
+      Alcotest.(check string) "strategy"
+        (G.strategy_str G.S1_increase_buffer)
+        (G.strategy_str f.strategy)
+  | G.Not_fixed r -> Alcotest.failf "not fixed: %s" r
+
 let tests =
   [
     Alcotest.test_case "Strategy-I on figure 1" `Quick test_s1_figure1;
@@ -281,4 +355,10 @@ let tests =
     Alcotest.test_case "diff: insertion" `Quick test_changed_lines_insert;
     QCheck_alcotest.to_alcotest prop_diff_zero_iff_equal;
     Alcotest.test_case "strategy diff ordering" `Quick test_all_strategies_small_diffs;
+    Alcotest.test_case "changed lines equal the whole-program diff" `Quick
+      test_count_equals_whole_program;
+    Alcotest.test_case "changed lines: name declared in two files" `Quick
+      test_count_name_in_two_files;
+    Alcotest.test_case "goroutine arity mismatch is an outcome" `Quick
+      test_goroutine_arity_mismatch;
   ]
