@@ -445,30 +445,25 @@ let fix_all (prog : A.program) (bugs : Report.bmoc_bug list) :
       (bug, o))
     bugs
 
-(* Apply a first round of outcomes, then — when several bugs share one
-   program — re-detect and re-fix against the accumulated program until
-   a fixpoint, so patches compose.  Re-detection reuses the already
-   type-checked AST: only lowering and BMOC detection run per round. *)
-let fix_to_fixpoint ?(max_rounds = 8) (prog : A.program)
+(* Apply every fix that lands, one per detection.  The outcomes of one
+   [fix_all] round were all patched against that round's input, so only
+   one of them can be applied before the program is re-detected and
+   re-fixed.  Re-detection reuses the already type-checked AST: only
+   lowering and BMOC detection run per round.  A fix removes the bug it
+   patched, so the first round's bug count bounds the rounds. *)
+let fix_to_fixpoint (prog : A.program)
     (fixes : (Report.bmoc_bug * outcome) list) : A.program =
-  let apply p outcomes =
-    List.fold_left
-      (fun acc (_, o) ->
-        match o with Fixed f -> f.patched | Not_fixed _ -> acc)
-      p outcomes
+  let first_patch outcomes =
+    List.find_map
+      (fun (_, o) ->
+        match o with Fixed f -> Some f.patched | Not_fixed _ -> None)
+      outcomes
   in
-  let patched = apply prog fixes in
-  if List.length fixes <= 1 then patched
-  else
-    let rec iterate cur rounds =
-      if rounds = 0 then cur
-      else
-        let ir = Goir.Lower.lower_program cur in
-        let round = fix_all cur (Bmoc.detect_full ir).Bmoc.f_bugs in
-        let progress =
-          List.exists (fun (_, o) -> match o with Fixed _ -> true | _ -> false)
-            round
-        in
-        if progress then iterate (apply cur round) (rounds - 1) else cur
-    in
-    iterate prog max_rounds
+  let rec go cur outcomes rounds =
+    match first_patch outcomes with
+    | Some next when rounds > 0 ->
+        let ir = Goir.Lower.lower_program next in
+        go next (fix_all next (Bmoc.detect_full ir).Bmoc.f_bugs) (rounds - 1)
+    | _ -> cur
+  in
+  go prog fixes (List.length fixes)

@@ -35,11 +35,10 @@ val fix_all :
     paper's GFix, whose scope is channel-only bugs. *)
 
 val fix_to_fixpoint :
-  ?max_rounds:int ->
   Minigo.Ast.program ->
   (Report.bmoc_bug * outcome) list ->
   Minigo.Ast.program
-(** Apply the outcomes of a first {!fix_all} round; when more than one
-    fix landed, iteratively re-detect and re-fix against the
-    accumulated program (up to [max_rounds], default 8) so multiple
-    bugs in one file compose.  Formerly open-coded in [gfix_cli]. *)
+(** Apply the first fix of a {!fix_all} round, re-detect and re-fix the
+    patched program, and repeat until no detected bug is fixable, so
+    every fixable bug in the program is patched.  The rounds are
+    bounded by the number of bugs the first round was given. *)

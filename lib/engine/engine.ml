@@ -230,7 +230,6 @@ let create ?(max_entries = 512) ?(passes = []) ?(jobs = 1) ?pool ?registry
     file_digests = Hashtbl.create 64;
   }
 
-let pool t = t.pool
 let jobs t = Pool.jobs t.pool
 
 let locked (t : t) f =
@@ -253,7 +252,6 @@ let register (t : t) (p : pass) =
   t.passes <- t.passes @ [ p ]
 
 let passes t = t.passes
-let registry t = t.registry
 
 (* Swap the engine's reporting registry.  Callers serialize runs (the
    server holds its request lock across set + analyse), so counters of a

@@ -119,23 +119,44 @@ let check_same_bugs label (a : Gcatch.Bmoc.full) (b : Gcatch.Bmoc.full) =
     (List.map Gcatch.Report.bmoc_str a.f_bugs)
     (List.map Gcatch.Report.bmoc_str b.f_bugs)
 
+(* Cold, warm from the memory tier, and warm from disk must agree on
+   every verdict, over three apps of increasing channel count. *)
 let test_disk_tier_roundtrip () =
-  with_cache_dir (fun dir ->
-      let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
-      let sources = app_sources "bbolt" in
-      SC.reset_memory ();
-      let s0 = stores () in
-      let cold = detect ~cfg ~name:"cache-disk" sources in
-      Alcotest.(check bool) "entries stored" true (stores () > s0);
-      Alcotest.(check bool) "files written" true (solve_files dir <> []);
-      (* a fresh process is simulated by dropping the memory tier: the
-         warm verdicts must now come from disk *)
-      SC.reset_memory ();
-      let d0 = disk_hits () in
-      let warm = detect ~cfg ~name:"cache-disk" sources in
-      Alcotest.(check bool) "disk hits" true (disk_hits () > d0);
-      check_same_bugs "disk warm vs cold" cold warm;
-      Alcotest.(check bool) "same stats" true (cold.f_stats = warm.f_stats))
+  List.iter
+    (fun app ->
+      with_cache_dir (fun dir ->
+          let cfg = { Gcatch.Bmoc.default_config with cache_dir = Some dir } in
+          let sources = app_sources app in
+          let name = "cache-disk-" ^ app in
+          SC.reset_memory ();
+          let s0 = stores () in
+          let cold = detect ~cfg ~name sources in
+          Alcotest.(check bool)
+            (app ^ ": entries stored")
+            true
+            (stores () > s0);
+          Alcotest.(check bool)
+            (app ^ ": files written")
+            true
+            (solve_files dir <> []);
+          let m0 = misses () in
+          let warm = detect ~cfg ~name sources in
+          Alcotest.(check int)
+            (app ^ ": memory warm never misses")
+            m0 (misses ());
+          check_same_bugs (app ^ ": memory warm vs cold") cold warm;
+          (* a fresh process is simulated by dropping the memory tier: the
+             warm verdicts must now come from disk *)
+          SC.reset_memory ();
+          let d0 = disk_hits () in
+          let disk = detect ~cfg ~name sources in
+          Alcotest.(check bool) (app ^ ": disk hits") true (disk_hits () > d0);
+          check_same_bugs (app ^ ": disk warm vs cold") cold disk;
+          Alcotest.(check bool)
+            (app ^ ": same stats")
+            true
+            (cold.f_stats = disk.f_stats)))
+    [ "bbolt"; "grpc"; "go-ethereum" ]
 
 let test_disk_corrupt_entry_recovers () =
   with_cache_dir (fun dir ->

@@ -403,23 +403,42 @@ let test_retry_honours_retry_after () =
 
 (* First response truncated by a conn.write corrupt, second connection
    dropped at accept: the retrying client must detect both and land an
-   intact, byte-identical third response. *)
+   intact, byte-identical third response.  A second retrying request
+   then meets a connection dropped before its request is read (the
+   third read), and must land the same bytes too.  The journal shows
+   that each of the three faults fired. *)
 let test_retry_through_connection_chaos () =
   let sources = [ leak "Chaos"; clean ] in
   let expect = local_diag_bytes ~jobs:1 sources in
+  let jpath = Filename.temp_file "gcatch-chaos" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove jpath with _ -> ())
+  @@ fun () ->
   with_server (fun _srv server ->
-      set_plan "conn.write:1@/analyse!corrupt, conn.accept:2!raise";
-      Fun.protect ~finally:F.clear @@ fun () ->
-      match
-        T.request_retry ~max_attempts:6 ~seed:3 (T.self_addr server)
-          ~meth:"POST" ~path:"/analyse"
-          ~body:(body_of_sources sources) ()
-      with
-      | Error e -> Alcotest.fail ("retry client gave up: " ^ e)
-      | Ok (code, body) ->
-          Alcotest.(check int) "status after chaos" 200 code;
-          Alcotest.(check string) "diagnostics intact after chaos" expect
-            (diag_bytes_of_response body))
+      set_plan
+        "conn.write:1@/analyse!corrupt, conn.accept:2!raise, \
+         conn.read:3!raise";
+      J.open_ ~path:jpath;
+      Fun.protect ~finally:(fun () ->
+          F.clear ();
+          J.close ())
+      @@ fun () ->
+      List.iter
+        (fun seed ->
+          match
+            T.request_retry ~max_attempts:6 ~seed (T.self_addr server)
+              ~meth:"POST" ~path:"/analyse"
+              ~body:(body_of_sources sources) ()
+          with
+          | Error e -> Alcotest.fail ("retry client gave up: " ^ e)
+          | Ok (code, body) ->
+              Alcotest.(check int) "status after chaos" 200 code;
+              Alcotest.(check string) "diagnostics intact after chaos" expect
+                (diag_bytes_of_response body))
+        [ 3; 4 ]);
+  let fired =
+    Hashtbl.find_opt (J.summarize_file jpath).J.s_by_event "fault.fired"
+  in
+  Alcotest.(check (option int)) "all three faults fired" (Some 3) fired
 
 (* ------------------------------------------------- journal fsync policy --- *)
 

@@ -341,6 +341,30 @@ let test_goroutine_arity_mismatch () =
         (G.strategy_str f.strategy)
   | G.Not_fixed r -> Alcotest.failf "not fixed: %s" r
 
+(* Every fixable bug of an app lands in [fix_to_fixpoint]'s output:
+   re-detecting it finds no bug [fix_all] can still fix.  docker and
+   etcd have the most fixes per program (18 and 14). *)
+let test_fixpoint_applies_every_fix () =
+  List.iter
+    (fun name ->
+      let app = Option.get (Gocorpus.Apps.find name) in
+      let a = Pipeline.analyse ~name app.sources in
+      let final = G.fix_to_fixpoint a.source (G.fix_all a.source a.bmoc) in
+      let bugs =
+        (Gcatch.Bmoc.detect_full (Goir.Lower.lower_program final)).f_bugs
+      in
+      let fixable =
+        List.filter
+          (fun (_, o) ->
+            match o with G.Fixed _ -> true | G.Not_fixed _ -> false)
+          (G.fix_all final bugs)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": no fixable bug left")
+        []
+        (List.map (fun (b, _) -> R.bmoc_str b) fixable))
+    [ "docker"; "etcd" ]
+
 let tests =
   [
     Alcotest.test_case "Strategy-I on figure 1" `Quick test_s1_figure1;
@@ -359,6 +383,8 @@ let tests =
       test_count_equals_whole_program;
     Alcotest.test_case "changed lines: name declared in two files" `Quick
       test_count_name_in_two_files;
+    Alcotest.test_case "fixpoint applies every fix" `Quick
+      test_fixpoint_applies_every_fix;
     Alcotest.test_case "goroutine arity mismatch is an outcome" `Quick
       test_goroutine_arity_mismatch;
   ]
