@@ -165,8 +165,7 @@ let run_via_server ~addr ~files ~json ~only ~nonblocking ~retry ~retry_seed =
           exit 3)
 
 let run_checked files no_disentangle stats_flag nonblocking model_waitgroup
-    json only list_flag jobs solver_timeout_ms solver_poll_conflicts cache_dir
-    no_cache trace_out metrics_out profile log_level inject_faults deadline_ms
+    json only list_flag jobs solver_timeout_ms cache_dir no_cache trace_out metrics_out profile log_level inject_faults deadline_ms
     max_heap_mb strict retry_rungs server retry retry_seed obs =
   (match server with
   | Some addr when not list_flag ->
@@ -225,7 +224,6 @@ let run_checked files no_disentangle stats_flag nonblocking model_waitgroup
           Gcatch.Pathenum.default_config with
           model_waitgroup;
           solver_timeout_ms;
-          solver_poll_conflicts;
         };
     }
   in
@@ -358,13 +356,11 @@ let run_checked files no_disentangle stats_flag nonblocking model_waitgroup
   if E.errors r <> [] then exit 1
 
 let run files no_disentangle stats_flag nonblocking model_waitgroup json only
-    list_flag jobs solver_timeout_ms solver_poll_conflicts cache_dir no_cache
-    trace_out metrics_out profile log_level inject_faults deadline_ms
+    list_flag jobs solver_timeout_ms cache_dir no_cache trace_out metrics_out profile log_level inject_faults deadline_ms
     max_heap_mb strict retry_rungs server obs =
   try
     run_checked files no_disentangle stats_flag nonblocking model_waitgroup
-      json only list_flag jobs solver_timeout_ms solver_poll_conflicts
-      cache_dir no_cache trace_out metrics_out profile log_level inject_faults
+      json only list_flag jobs solver_timeout_ms cache_dir no_cache trace_out metrics_out profile log_level inject_faults
       deadline_ms max_heap_mb strict retry_rungs server obs
   with e ->
     Log.error
@@ -435,18 +431,6 @@ let solver_timeout_arg =
         ~doc:
           "Per-channel constraint-solving budget; a channel exceeding it is \
            skipped with a warning instead of stalling the run")
-
-let solver_poll_arg =
-  Arg.(
-    value
-    & opt int
-        Gcatch.Pathenum.default_config.Gcatch.Pathenum.solver_poll_conflicts
-    & info [ "solver-poll-conflicts" ] ~docv:"N"
-        ~doc:
-          "Poll the solver-budget deadline (and yield to the task scheduler) \
-           every $(docv) SAT conflicts. Smaller values make a long solve \
-           more responsive to budgets and task switching at slightly higher \
-           polling overhead; the verdicts are identical for every N.")
 
 let cache_dir_arg =
   Arg.(
@@ -684,7 +668,7 @@ let analyse_term =
   Term.(
     const run $ files_arg $ no_disentangle_arg $ stats_arg $ nonblocking_arg
     $ model_waitgroup_arg $ json_arg $ pass_arg $ list_passes_arg $ jobs_arg
-    $ solver_timeout_arg $ solver_poll_arg $ cache_dir_arg $ no_cache_arg
+    $ solver_timeout_arg $ cache_dir_arg $ no_cache_arg
     $ trace_out_arg
     $ metrics_out_arg $ profile_arg $ log_level_arg $ inject_faults_arg
     $ deadline_arg $ max_heap_arg $ strict_arg $ retry_rungs_arg $ server_arg

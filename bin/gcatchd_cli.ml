@@ -24,8 +24,7 @@
    observation endpoints (/metrics, /healthz, /vars, /profile) are the
    same tables the one-shot CLI serves under --telemetry-addr.
 
-   Saturation answers 429 + Retry-After; identical requests in flight
-   are coalesced into one execution.  SIGTERM/SIGINT drain and exit 0,
+   Saturation answers 429 + Retry-After.  SIGTERM/SIGINT drain and exit 0,
    flushing the journal's close event.
 
    Exit codes: 0 clean shutdown, 2 usage error. *)

@@ -22,7 +22,7 @@ let read_file path =
   close_in ic;
   s
 
-let run_checked files validate jobs solver_poll_conflicts journal log_json =
+let run_checked files validate jobs journal log_json =
   (* gfix narrates its per-bug outcomes by design: default to info-level
      logging unless the user set GCATCH_LOG themselves *)
   if Sys.getenv_opt "GCATCH_LOG" = None then Log.set_level Log.Info;
@@ -36,14 +36,7 @@ let run_checked files validate jobs solver_poll_conflicts journal log_json =
     Log.error "no input files";
     exit 2);
   let sources = List.map read_file files in
-  let cfg =
-    {
-      Gcatch.Bmoc.default_config with
-      path_cfg =
-        { Gcatch.Pathenum.default_config with solver_poll_conflicts };
-    }
-  in
-  let engine = Gcatch.Passes.engine ~cfg ~jobs () in
+  let engine = Gcatch.Passes.engine ~cfg:Gcatch.Bmoc.default_config ~jobs () in
   let r = E.analyse ~only:[ "bmoc" ] engine ~name:"cli" sources in
   if E.frontend_failed r then begin
     List.iter (fun d -> prerr_endline (D.render_human d)) r.E.r_diags;
@@ -85,8 +78,8 @@ let run_checked files validate jobs solver_poll_conflicts journal log_json =
 
 (* No raw exception may escape to the runtime's default handler: route
    everything through the structured log with the documented exit 3. *)
-let run files validate jobs solver_poll_conflicts journal log_json =
-  try run_checked files validate jobs solver_poll_conflicts journal log_json
+let run files validate jobs journal log_json =
+  try run_checked files validate jobs journal log_json
   with e ->
     Log.error ~kv:[ ("exception", Printexc.to_string e) ] "internal error";
     exit 3
@@ -109,16 +102,6 @@ let jobs_arg =
           "Fan the detection pass out over $(docv) domains (default: the \
            GCATCH_JOBS environment variable or the hardware's recommended \
            domain count). The patched output is identical for every N.")
-
-let solver_poll_arg =
-  Arg.(
-    value
-    & opt int
-        Gcatch.Pathenum.default_config.Gcatch.Pathenum.solver_poll_conflicts
-    & info [ "solver-poll-conflicts" ] ~docv:"N"
-        ~doc:
-          "Poll the solver-budget deadline (and yield to the task scheduler) \
-           every $(docv) SAT conflicts.")
 
 let journal_arg =
   Arg.(
@@ -149,8 +132,8 @@ let cmd =
   Cmd.v
     (Cmd.info "gfix" ~doc:"Automatically patch BMOC bugs" ~exits)
     Term.(
-      const run $ files_arg $ validate_arg $ jobs_arg $ solver_poll_arg
-      $ journal_arg $ log_json_arg)
+      const run $ files_arg $ validate_arg $ jobs_arg $ journal_arg
+      $ log_json_arg)
 
 let () =
   let code = Cmd.eval cmd in

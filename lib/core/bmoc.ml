@@ -77,10 +77,6 @@ type chan_stats = {
   mutable c_sat_restarts : int;
   mutable c_sat_db_reductions : int;
   mutable c_paths_deduped : int;
-  mutable c_enumerated : bool;
-      (* whether the channel's paths were enumerated, false when its
-         verdict was replayed from a known fingerprint; not a counter
-         of the solve, so never snapshotted *)
 }
 
 let new_chan_stats () =
@@ -98,7 +94,6 @@ let new_chan_stats () =
     c_sat_restarts = 0;
     c_sat_db_reductions = 0;
     c_paths_deduped = 0;
-    c_enumerated = false;
   }
 
 (* The per-channel counters in snapshot order: the name each has in the
@@ -254,27 +249,15 @@ let suspicious_groups cfg pset (combo : Pathenum.combination) :
   else all
 
 (* What one channel's analysis came to, for a channel solved cleanly at
-   full bounds: the fingerprint of its problem, its bugs and its counter
-   snapshot ([counter_slots] order).  Kept per run so a later analysis
-   can replay or take it over; read-only once built. *)
+   full bounds: its bugs and its counter snapshot ([counter_slots]
+   order).  Kept per run so a later analysis can take it over;
+   read-only once built. *)
 type outcome = {
-  o_fp : string;
   o_bugs : Report.bmoc_bug list;
   o_stats : int array;
 }
 
 type outcomes = (Alias.obj, outcome) Hashtbl.t
-
-(* The outcomes of an earlier run over facts equal to this one's.
-   [Again]: this very program analysed before — each channel replays
-   its verdict from the solve cache by its known fingerprint, and
-   enumerates only if the entry was evicted.  [Carry]: an earlier
-   version of the program whose alias facts, call graph, primitive map
-   and disentangling this one took over, with the functions whose IR
-   changed since — a channel whose scope holds none of them would
-   enumerate the same paths and reach the same verdict, so its outcome
-   is taken over as it is; the others are solved. *)
-type prior = Again of outcomes | Carry of outcomes * string list
 
 (* Detect BMOC bugs for one channel.  Returns the bugs plus a flag saying
    whether the channel blew its [solver_timeout_ms] budget — in which case
@@ -287,16 +270,12 @@ type prior = Again of outcomes | Carry of outcomes * string list
    CFG walk happens once instead of once per channel.  With the solve
    cache on, the canonical problem is fingerprinted after enumeration
    and feasibility filtering; a hit replays the stored bug list and
-   counter snapshot without touching the solver.  With [known], the
-   fingerprint of this channel's problem from an earlier run of this
-   program, the channel skips straight to that lookup, and enumerates
-   only if the entry was evicted.  The fingerprint the verdict is keyed
-   by is returned beside it. *)
-let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
+   counter snapshot without touching the solver. *)
+let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
     ~(dis : Disentangle.t) ~(cg : Callgraph.t) ~(alias : Alias.t)
     ~(prog : Ir.program) ~(cst : chan_stats)
     ~(enum_memo : Pathenum.combination list Goengine.Memo.t) (c : Alias.obj) :
-    Report.bmoc_bug list * bool * string option =
+    Report.bmoc_bug list * bool =
   let on_stats ~conflicts ~decisions ~propagations ~theory_conflicts ~learnts
       ~restarts ~reductions =
     cst.c_sat_conflicts <- cst.c_sat_conflicts + conflicts;
@@ -326,7 +305,6 @@ let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
             Goengine.Pool.yield ();
             Clock.now_s () > deadline)
   in
-  let poll_every = cfg.path_cfg.Pathenum.solver_poll_conflicts in
   let scope, pset =
     if cfg.disentangle then (Disentangle.scope_of dis c, Disentangle.pset dis c)
     else begin
@@ -348,16 +326,6 @@ let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
         { b with Report.channel = c; chan_loc = Alias.creation_loc alias c })
       e.Solve_cache.e_bugs
   in
-  let known =
-    match known with
-    | Some fp when cfg.solve_cache ->
-        Option.map (fun e -> (fp, e)) (Solve_cache.find ?dir:cfg.cache_dir fp)
-    | Some _ | None -> None
-  in
-  match known with
-  | Some (fp, e) -> (replay e, false, Some fp)
-  | None ->
-  cst.c_enumerated <- true;
   let combos =
     let key =
       Solve_cache.fingerprint
@@ -502,8 +470,7 @@ let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
               let problem = { Constraints.combo; group; pset; prims } in
               cst.c_solver_calls <- cst.c_solver_calls + 1;
               match
-                Constraints.solve_incr session ?should_stop ~poll_every
-                  ~on_stats problem
+                Constraints.solve_incr session ?should_stop ~on_stats problem
               with
               | Constraints.Cannot_block -> ()
               | Constraints.Blocks witness ->
@@ -564,9 +531,7 @@ let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
   with Gosmt.Solver.Timeout -> ([], true)
   in
   match fp with
-  | None ->
-      let found, timed = run_solve () in
-      (found, timed, None)
+  | None -> run_solve ()
   | Some fp ->
       let timed_out = ref false in
       let e, _cached =
@@ -582,7 +547,7 @@ let detect_channel ?(cfg = default_config) ?known ~(prims : Primitives.t)
       (* On a cache hit [cst] was untouched, so [replay] restores the
          original solve's counters; after a fresh compute it restores
          the snapshot just taken — an identity. *)
-      if !timed_out then ([], true, None) else (replay e, false, Some fp)
+      if !timed_out then ([], true) else (replay e, false)
 
 (* ------------------------------------------- degradation ladder ------ *)
 
@@ -607,8 +572,8 @@ let rung_cfg cfg i =
    successful retry is a *degraded but present* verdict — fewer paths
    explored — which beats no verdict at all).  Without a budget there is
    nothing to ladder off: the clean path is one plain call. *)
-let detect_channel_ladder ~cfg ?known ~prims ~dis ~cg ~alias ~prog ~cst
-    ~enum_memo c : Report.bmoc_bug list * bool * int * string option =
+let detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c
+    : Report.bmoc_bug list * bool * int =
   (* Each rung attempt runs as its own scheduled task: under the effects
      scheduler a rung that stalls in the solver suspends at its yield
      points instead of pinning the domain, and the awaiting ladder frame
@@ -618,26 +583,23 @@ let detect_channel_ladder ~cfg ?known ~prims ~dis ~cg ~alias ~prog ~cst
      time, no speculation): whether rung [i+1] runs depends on rung
      [i]'s verdict, which keeps solver-call counters and the consumed
      rung count schedule-independent. *)
-  let attempt ?known cfg =
+  let attempt cfg =
     Goengine.Pool.await
       (Goengine.Pool.fork (fun () ->
-           detect_channel ~cfg ?known ~prims ~dis ~cg ~alias ~prog ~cst
-             ~enum_memo c))
+           detect_channel ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c))
   in
-  let found, timed, fp = attempt ?known cfg in
+  let found, timed = attempt cfg in
   if
     (not timed)
     || cfg.path_cfg.Pathenum.solver_timeout_ms = None
     || cfg.retry_rungs <= 0
-  then (found, timed, 0, fp)
+  then (found, timed, 0)
   else
-    (* a verdict at reduced bounds is keyed by the reduced config: its
-       fingerprint is not the channel's *)
     let rec retry i =
-      if i > cfg.retry_rungs then ([], true, cfg.retry_rungs, None)
+      if i > cfg.retry_rungs then ([], true, cfg.retry_rungs)
       else
-        let found, timed, _ = attempt (rung_cfg cfg i) in
-        if timed then retry (i + 1) else (found, false, i, None)
+        let found, timed = attempt (rung_cfg cfg i) in
+        if timed then retry (i + 1) else (found, false, i)
     in
     retry 1
 
@@ -697,14 +659,13 @@ type full = {
   f_skipped : skipped list;
   f_notes : chan_note list;
   f_outcomes : outcomes; (* every channel solved cleanly at full bounds *)
-  f_enumerated : int; (* channels whose paths were enumerated *)
-  f_replayed : int; (* channels replayed or taken over without enumerating *)
+  f_enumerated : int; (* channels that ran *)
+  f_replayed : int; (* channels taken over without running *)
 }
 
 (* What one pool task reports back for its root. *)
 type chan_outcome =
-  | Odone of Report.bmoc_bug list * bool * int * string option
-      (* bugs, timed_out, rungs, fingerprint *)
+  | Odone of Report.bmoc_bug list * bool * int (* bugs, timed_out, rungs *)
   | Ofaulted of string
   | Opressure of string
 
@@ -730,17 +691,22 @@ type root_result =
    that would start under watchdog pressure is skipped up front, so a
    tripped deadline flushes everything already gathered.
 
-   With [Carry], a root whose scope holds no changed function and that
-   has an outcome takes it over: no task, no solve-cache lookup, no
-   span and no profile sample — its counters and bugs enter the fold as
-   if it had been solved.  Nothing is carried while the watchdogs report
-   pressure, so every root then meets its boundary.
+   [carry] is the outcomes of an earlier run over facts equal to this
+   one's — an earlier version of the program whose alias facts, call
+   graph, primitive map and disentangling this one took over, or this
+   very program analysed before — with the functions whose IR changed
+   since ([] for the same program).  A root whose scope holds none of
+   them would enumerate the same paths and reach the same verdict, so
+   if it has an outcome it takes it over: no task, no solve-cache
+   lookup, no span and no profile sample — its counters and bugs enter
+   the fold as if it had been solved.  Nothing is carried while the
+   watchdogs report pressure, so every root then meets its boundary.
 
    The alias facts, call graph and primitive map are the caller's: the
    engine pass hands over the ones its artifact record already holds,
    which every other detector pass reads too. *)
 let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
-    ?(metrics = M.default) ?dis ?prior ~(alias : Alias.t) ~(cg : Callgraph.t)
+    ?(metrics = M.default) ?dis ?carry ~(alias : Alias.t) ~(cg : Callgraph.t)
     ~(prims : Primitives.t) (prog : Ir.program) : full =
   let reg = M.create () in
   let dis =
@@ -773,8 +739,8 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
   in
   (* each root with the outcome it takes over, if any *)
   let plan =
-    match prior with
-    | Some (Carry (outs, changed)) when Goengine.Supervise.pressure () = None ->
+    match carry with
+    | Some (outs, changed) when Goengine.Supervise.pressure () = None ->
         let affected =
           if cfg.disentangle then Disentangle.affected_by dis changed
           else
@@ -784,12 +750,7 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
         List.map
           (fun c -> (c, if affected c then None else Hashtbl.find_opt outs c))
           roots
-    | Some (Carry _ | Again _) | None -> List.map (fun c -> (c, None)) roots
-  in
-  let known c =
-    match prior with
-    | Some (Again outs) -> Option.map (fun o -> o.o_fp) (Hashtbl.find_opt outs c)
-    | Some (Carry _) | None -> None
+    | Some _ | None -> List.map (fun c -> (c, None)) roots
   in
   let to_run = List.filter_map (fun (c, o) -> if o = None then Some c else None) plan in
   (* one enumeration memo per run: channels sharing a (root, scope, Pset)
@@ -818,11 +779,10 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
               | Some reason -> Opressure reason
               | None -> (
                   match
-                    detect_channel_ladder ~cfg ?known:(known c) ~prims ~dis ~cg
-                      ~alias ~prog ~cst ~enum_memo c
+                    detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog
+                      ~cst ~enum_memo c
                   with
-                  | found, timed_out, rungs, fp ->
-                      Odone (found, timed_out, rungs, fp)
+                  | found, timed_out, rungs -> Odone (found, timed_out, rungs)
                   | exception e ->
                       stats_restore cst [];
                       Ofaulted (Printexc.to_string e))
@@ -838,8 +798,8 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
                   ("elapsed_ms", Printf.sprintf "%.1f" elapsed_ms);
                   ( "outcome",
                     match outcome with
-                    | Odone (_, true, _, _) -> "timed_out"
-                    | Odone (_, _, r, _) when r > 0 -> "recovered"
+                    | Odone (_, true, _) -> "timed_out"
+                    | Odone (_, _, r) when r > 0 -> "recovered"
                     | Odone _ -> "ok"
                     | Ofaulted _ -> "faulted"
                     | Opressure _ -> "pressure-skipped" );
@@ -868,9 +828,9 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
      here replaced or dropped (so a run that carried everything shares
      the prior table, read-only) *)
   let outs =
-    match prior with
-    | Some (Carry (o, _) | Again o) when to_run = [] -> o
-    | Some (Carry (o, _) | Again o) -> Hashtbl.copy o
+    match carry with
+    | Some (o, _) when to_run = [] -> o
+    | Some (o, _) -> Hashtbl.copy o
     | None -> Hashtbl.create 64
   in
   let enumerated = ref 0 and replayed = ref 0 in
@@ -909,21 +869,19 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
           Hashtbl.remove outs c;
           incr skipped;
           note c (`Pressure reason)
-      | Ran (Ofaulted detail, cst, _) ->
+      | Ran (Ofaulted detail, _, _) ->
           Hashtbl.remove outs c;
-          if cst.c_enumerated then incr enumerated;
+          incr enumerated;
           incr degraded;
           Goobs.Log.warn
             ~kv:[ ("channel", Alias.obj_str c); ("exn", detail) ]
             "channel degraded; analysis continues";
           note c (`Faulted detail)
-      | Ran (Odone (found, timed_out, rungs, fp), cst, elapsed_ms) ->
-          if cst.c_enumerated then incr enumerated else incr replayed;
+      | Ran (Odone (found, timed_out, rungs), cst, elapsed_ms) ->
+          incr enumerated;
           let stats = stats_array cst in
-          (match fp with
-          | Some fp ->
-              Hashtbl.replace outs c { o_fp = fp; o_bugs = found; o_stats = stats }
-          | None -> Hashtbl.remove outs c);
+          if timed_out || rungs > 0 then Hashtbl.remove outs c
+          else Hashtbl.replace outs c { o_bugs = found; o_stats = stats };
           if timed_out then incr skipped else incr ok;
           if rungs > 0 then incr retried;
           if rungs > 0 && not timed_out then note c (`Recovered rungs);

@@ -201,8 +201,8 @@ let create_session () =
    reductions) exactly once per call, on every exit path including
    [Solver.Timeout] — observability callers fold it into per-channel
    metrics. *)
-let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
-    (p : problem) : verdict =
+let solve_incr (session : session) ?should_stop ?on_stats (p : problem) :
+    verdict =
   let truncated, micros = prepare p in
   (* Sharing is per combination: the groups of one combination intern the
      same order variables and difference atoms, so their theory lemmas
@@ -546,7 +546,7 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
                 p.group)
           evs)
       truncated;
-    match Solver.solve ?should_stop ?poll_every ~assumptions:[ g ] s with
+    match Solver.solve ?should_stop ~assumptions:[ g ] s with
     | Solver.Unsat -> Cannot_block
     | Solver.Sat_model m ->
         let witness =
@@ -562,5 +562,5 @@ let solve_incr (session : session) ?should_stop ?poll_every ?on_stats
   end
 
 (* One-shot compatibility wrapper: a fresh session per problem. *)
-let solve ?should_stop ?poll_every ?on_stats (p : problem) : verdict =
-  solve_incr (create_session ()) ?should_stop ?poll_every ?on_stats p
+let solve ?should_stop ?on_stats (p : problem) : verdict =
+  solve_incr (create_session ()) ?should_stop ?on_stats p

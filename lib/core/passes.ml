@@ -239,15 +239,14 @@ let bmoc_pass ?(cfg = Bmoc.default_config) () : E.pass =
             (fun () ->
               (* the channels' outcomes are kept per detector config *)
               let kept = "bmoc.outcomes." ^ Lazy.force fpr in
-              let prior =
+              let carry =
                 match kept_value a kept with
-                | Some (Outcomes o, None) -> Some (Bmoc.Again o)
-                | Some (Outcomes o, Some p) ->
-                    Some (Bmoc.Carry (o, p.E.pr_changed_funcs))
+                | Some (Outcomes o, None) -> Some (o, [])
+                | Some (Outcomes o, Some p) -> Some (o, p.E.pr_changed_funcs)
                 | _ -> None
               in
               let r =
-                Bmoc.detect_with ~cfg ~pool ~metrics ~dis:(dis_for a) ?prior
+                Bmoc.detect_with ~cfg ~pool ~metrics ~dis:(dis_for a) ?carry
                   ~alias:(Lazy.force a.E.a_alias)
                   ~cg:(Lazy.force a.E.a_callgraph) ~prims:(prims_for a)
                   (Lazy.force a.E.a_ir)

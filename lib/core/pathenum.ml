@@ -61,11 +61,6 @@ type config = {
       (* drop combinations whose sync-relevant projection duplicates an
          earlier (feasible) combination before they reach the encoder;
          see [dedup_combinations] for why this cannot lose a verdict *)
-  solver_poll_conflicts : int;
-      (* how many SAT conflicts between [should_stop] polls.  The poll
-         is also the scheduler yield point, so this is the yield
-         granularity of a long-running solve: smaller = more responsive
-         task switching, larger = less polling overhead. *)
 }
 
 let default_config =
@@ -78,7 +73,6 @@ let default_config =
     model_waitgroup = false;
     solver_timeout_ms = None;
     dedup_paths = true;
-    solver_poll_conflicts = 256;
   }
 
 type ctx = {

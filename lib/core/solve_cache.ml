@@ -62,8 +62,6 @@ let set_memory_budget_mb mb =
   let on_evict n = M.add (M.counter M.default "bmoc.solve_cache_evictions") n in
   Goengine.Memo.set_budget ~on_evict mem ~bytes:(mb * 1024 * 1024)
 
-let memory_bytes () = Goengine.Memo.used_bytes mem
-
 (* Warm-state manifest hooks for the serving layer: the fingerprints
    the memory tier holds, and a read of named fingerprints from the disk
    tier into it (no hit/miss counted; a missing entry is skipped).
@@ -105,13 +103,6 @@ let journal_solve ~event ?from ?stored fp =
         | Some b -> [ ("stored", Goobs.Journal.B b) ]
         | None -> []))
 
-(* A lookup served by a cache tier: counted and journaled the same way
-   whether it came through [find_or_compute] or [find]. *)
-let note_hit ~from_disk fp =
-  bump "hit";
-  if from_disk then bump "disk_hit";
-  journal_solve ~event:"solve.hit" ~from:(if from_disk then "disk" else "mem") fp
-
 let read_disk dir fp =
   Option.bind (Option.map Goengine.Store.at dir) (fun s ->
       Trace.with_span ~name:"bmoc.cache.lookup" (fun () ->
@@ -148,31 +139,15 @@ let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
             (e, store))
   with
   | `Hit e ->
-      note_hit ~from_disk:false fp;
+      bump "hit";
+      journal_solve ~event:"solve.hit" ~from:"mem" fp;
       (e, true)
   | `Computed e when !from_disk ->
-      note_hit ~from_disk:true fp;
+      bump "hit";
+      bump "disk_hit";
+      journal_solve ~event:"solve.hit" ~from:"disk" fp;
       (e, true)
   | `Computed e ->
       bump "miss";
       journal_solve ~event:"solve.miss" ~stored:!stored fp;
       (e, false)
-
-(* [fp] from the memory tier, then the disk tier, never computed: [None]
-   (and nothing counted) when neither tier holds it.  A hit is counted
-   and journaled as a [find_or_compute] hit, so a caller that already
-   knows a channel's fingerprint replays its verdict with the same
-   counters as one that re-derived it. *)
-let find ?dir (fp : string) : entry option =
-  let exception Absent in
-  match
-    Goengine.Memo.find_or_compute mem fp (fun () ->
-        match read_disk dir fp with Some (e, _) -> (e, true) | None -> raise Absent)
-  with
-  | `Hit e ->
-      note_hit ~from_disk:false fp;
-      Some e
-  | `Computed e ->
-      note_hit ~from_disk:true fp;
-      Some e
-  | exception Absent -> None

@@ -544,10 +544,6 @@ let split_response_full raw =
   let headers = parse_headers raw off in
   (code, headers, String.sub raw off (n - off))
 
-let split_response raw =
-  let code, _, body = split_response_full raw in
-  (code, body)
-
 (* One-shot request against an explicit address.  Returns
    (status, headers, body); the server closes the connection after the
    response, so reading to EOF delimits it. *)

@@ -9,7 +9,6 @@
    Request lifecycle (POST /analyse, JSON body, see [parse_req]):
 
      parse -> resolve digest refs against the content store
-           -> coalesce (identical in-flight work is joined, not re-run)
            -> admission (bounded queue; 429 + Retry-After when full)
            -> execute: one scheduler session under [run_mu], with a
               per-request registry, journal context and deadline SLO
@@ -21,7 +20,10 @@
    sessions would only fight for the same cores — queueing requests and
    giving each the whole pool keeps per-request latency minimal and
    per-request counters exact.  Concurrency lives at the protocol layer
-   (connection threads, coalescing, admission), not in the engine.
+   (connection threads, admission), not in the engine.  An identical
+   request queued behind another is answered from the record the first
+   one left in the engine's artifact cache: every pass takes its own
+   earlier results over instead of recomputing them.
 
    Per-request metrics: the engine is pointed at a fresh registry for
    the duration of the run; afterwards the registry is folded into the
@@ -75,7 +77,7 @@ let vars_json registry =
      \"file\":{\"mem_hits\":%d,\"disk_hits\":%d,\"evictions\":%d},\
      \"solve\":{\"hits\":%d,\"misses\":%d,\"disk_hits\":%d,\"stores\":%d,\"evictions\":%d,\"hit_rate_pct\":%.1f},\
      \"pass\":{\"hits\":%d,\"stores\":%d}},\
-     \"serve\":{\"requests\":%d,\"coalesced\":%d,\"rejected\":%d,\"watch_runs\":%d,\"quarantines\":%d,\"engine_rebuilds\":%d},\
+     \"serve\":{\"requests\":%d,\"rejected\":%d,\"watch_runs\":%d,\"quarantines\":%d,\"engine_rebuilds\":%d},\
      \"sched\":{\"tasks_spawned\":%d,\"tasks_stolen\":%d,\"yields\":%d,\"queue_depth\":%.0f},\
      \"spans\":{\"active\":%d},\
      \"sampler\":{\"samples\":%d,\"ticks\":%d},\
@@ -92,7 +94,7 @@ let vars_json registry =
     (c "bmoc.solve_cache_evictions")
     (rate (c "bmoc.solve_cache_hit") (c "bmoc.solve_cache_miss"))
     (c "engine.pass_cache_hit") (c "engine.pass_cache_store")
-    (c "serve.requests") (c "serve.coalesced") (c "serve.rejected")
+    (c "serve.requests") (c "serve.rejected")
     (c "serve.watch_runs") (c "serve.quarantines") (c "serve.engine_rebuilds")
     (c "sched.tasks_spawned") (c "sched.tasks_stolen")
     (c "sched.yields")
@@ -213,9 +215,6 @@ type t = {
   store : (string, string) Hashtbl.t; (* content digest -> source *)
   mutable manifest : Snapshot.manifest option;
       (* the warm-state manifest last written, under run_mu *)
-  infl_mu : Mutex.t;
-  infl_cv : Condition.t;
-  inflight : (string, T.response option ref) Hashtbl.t;
   watch_stop : bool Atomic.t;
   mutable watch_thread : Thread.t option;
   (* self-healing supervisor state *)
@@ -254,9 +253,6 @@ let create ?(cfg = default_cfg) () : t =
     store_mu = Mutex.create ();
     store = Hashtbl.create 256;
     manifest = None;
-    infl_mu = Mutex.create ();
-    infl_cv = Condition.create ();
-    inflight = Hashtbl.create 16;
     watch_stop = Atomic.make false;
     watch_thread = None;
     quarantined = Atomic.make false;
@@ -600,18 +596,7 @@ let execute (t : t) ~rid (req : req) (sources : string list) : T.response =
             in
             T.json body)
 
-(* ------------------------------------- coalescing + admission ---------- *)
-
-(* Key of the analysis a request denotes: what the engine's own artifact
-   cache would key on, plus the pass selection.  Identical keys in
-   flight share one execution (and one response body). *)
-let request_key (req : req) (sources : string list) : string =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          ((req.q_name :: sources)
-          @ ("\x01" :: req.q_passes)
-          @ [ (if req.q_nonblocking then "nb" else "") ])))
+(* ---------------------------------------------------- admission ------- *)
 
 let handle_analyse (t : t) (rq : T.request) : T.response =
   M.incr (counter t "serve.requests");
@@ -634,50 +619,26 @@ let handle_analyse (t : t) (rq : T.request) : T.response =
                schema
                (String.concat ","
                   (List.map (fun d -> "\"" ^ M.json_escape d ^ "\"") missing)))
-      | Ok sources -> (
-          let key = request_key req sources in
-          Mutex.lock t.infl_mu;
-          match Hashtbl.find_opt t.inflight key with
-          | Some cell ->
-              (* identical work in flight: wait for its response and
-                 share the bytes — connection threads may block here *)
-              while !cell = None do
-                Condition.wait t.infl_cv t.infl_mu
-              done;
-              let resp = Option.get !cell in
-              Mutex.unlock t.infl_mu;
-              M.incr (counter t "serve.coalesced");
-              resp
-          | None ->
-              if Atomic.fetch_and_add t.depth 1 >= t.cfg.s_max_queue then begin
-                Atomic.decr t.depth;
-                Mutex.unlock t.infl_mu;
-                M.incr (counter t "serve.rejected");
-                T.json ~status:429
-                  ~headers:[ ("Retry-After", "1") ]
-                  (error_body "request queue full")
-              end
-              else begin
-                let cell = ref None in
-                Hashtbl.add t.inflight key cell;
-                Mutex.unlock t.infl_mu;
-                let rid = "r" ^ string_of_int (Atomic.fetch_and_add t.rid 1) in
-                let resp =
-                  try execute t ~rid req sources
-                  with e ->
-                    (* [execute] answers analysis failures itself; this
-                       catches failures of the serving machinery *)
-                    M.incr (counter t "serve.internal_error");
-                    T.json ~status:500 (error_body (Printexc.to_string e))
-                in
-                Atomic.decr t.depth;
-                Mutex.lock t.infl_mu;
-                cell := Some resp;
-                Hashtbl.remove t.inflight key;
-                Condition.broadcast t.infl_cv;
-                Mutex.unlock t.infl_mu;
-                resp
-              end))
+      | Ok sources ->
+          if Atomic.fetch_and_add t.depth 1 >= t.cfg.s_max_queue then begin
+            Atomic.decr t.depth;
+            M.incr (counter t "serve.rejected");
+            T.json ~status:429
+              ~headers:[ ("Retry-After", "1") ]
+              (error_body "request queue full")
+          end
+          else
+            let rid = "r" ^ string_of_int (Atomic.fetch_and_add t.rid 1) in
+            let resp =
+              try execute t ~rid req sources
+              with e ->
+                (* [execute] answers analysis failures itself; this
+                   catches failures of the serving machinery *)
+                M.incr (counter t "serve.internal_error");
+                T.json ~status:500 (error_body (Printexc.to_string e))
+            in
+            Atomic.decr t.depth;
+            resp)
 
 (* ------------------------------------------------------- watch mode --- *)
 

@@ -484,9 +484,11 @@ let default_should_stop () = false
 
 let restart_first = 100
 
-let solve ?(should_stop = default_should_stop) ?(poll_every = 256)
-    ?(assumptions = []) ?decision_vars s : result =
-  let poll_every = max 1 poll_every in
+(* conflicts between [should_stop] polls *)
+let poll_every = 256
+
+let solve ?(should_stop = default_should_stop) ?(assumptions = [])
+    ?decision_vars s : result =
   (* countdown rather than [conflicts mod poll_every]: one decrement and
      compare per conflict, no division in the hottest loop *)
   let until_poll = ref poll_every in
@@ -528,7 +530,7 @@ let solve ?(should_stop = default_should_stop) ?(poll_every = 256)
           incr conflicts_since_restart;
           (* poll the caller's deadline on conflicts only: conflicts are
              where runaway instances spend their time, and checking every
-             [poll_every]-th (default 256) keeps the cost invisible on
+             [poll_every]-th keeps the cost invisible on
              easy instances while bounding how long a yield-bearing
              [should_stop] goes unserved *)
           decr until_poll;

@@ -32,16 +32,12 @@ exception Timeout
 
 val solve :
   ?should_stop:(unit -> bool) ->
-  ?poll_every:int ->
   ?assumptions:int list ->
   ?decision_vars:int array ->
   t ->
   result
-(** [should_stop] is polled every [poll_every] conflicts (default 256,
-    clamped to at least 1); raising {!Timeout} from [solve] leaves the
-    solver unusable for further queries.  Callers whose [should_stop]
-    also yields to a task scheduler can lower [poll_every] to tighten
-    the yield granularity.
+(** [should_stop] is polled every 256 conflicts; raising {!Timeout}
+    from [solve] leaves the solver unusable for further queries.
 
     [assumptions] are literals decided (in order) before any free
     branching.  An [Unsat] answer under assumptions does not poison the

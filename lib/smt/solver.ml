@@ -243,7 +243,7 @@ let distinct t seen keep lists =
       incr i);
   a
 
-let solve ?(should_stop = fun () -> false) ?poll_every ?(assumptions = []) t :
+let solve ?(should_stop = fun () -> false) ?(assumptions = []) t :
     result =
   flush_pending t;
   let asm_lits =
@@ -298,7 +298,7 @@ let solve ?(should_stop = fun () -> false) ?poll_every ?(assumptions = []) t :
     else if should_stop () then raise Timeout
     else
       match
-        Sat.solve ~should_stop ?poll_every ~assumptions:asm_lits
+        Sat.solve ~should_stop ~assumptions:asm_lits
           ?decision_vars t.sat
       with
       | Sat.Unsat -> Unsat

@@ -66,19 +66,16 @@ val simplify : t -> unit
 
 exception Timeout
 (** Raised by {!solve} when [should_stop] returns [true] (polled once
-    per DPLL(T) iteration and every [poll_every] SAT conflicts). *)
+    per DPLL(T) iteration and every 256 SAT conflicts, see {!Sat.solve}). *)
 
 val solve :
   ?should_stop:(unit -> bool) ->
-  ?poll_every:int ->
   ?assumptions:guard list ->
   t ->
   result
 (** Solve under the given active guards.  [Unsat] under assumptions does
     not poison the instance: later calls with different assumptions see
-    the same shared state (atoms, lemmas, learnt clauses).  [poll_every]
-    sets the SAT conflict-polling interval (default 256) — see
-    {!Sat.solve}. *)
+    the same shared state (atoms, lemmas, learnt clauses). *)
 
 val theory_conflicts : t -> int
 val sat_stats : t -> int * int * int

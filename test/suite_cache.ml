@@ -43,7 +43,11 @@ let test_warm_replays_cold () =
   let cold = Pipeline.analyse ~name:"cache-bbolt" sources in
   let h1 = hits () and m1 = misses () in
   Alcotest.(check bool) "cold run misses" true (m1 > m0);
-  let warm = Pipeline.analyse ~name:"cache-bbolt" sources in
+  (* a fresh engine: the shared one would take the record's own outcomes
+     over without consulting the solve cache *)
+  let warm =
+    Pipeline.analyse ~cfg:Gcatch.Bmoc.default_config ~name:"cache-bbolt" sources
+  in
   let h2 = hits () and m2 = misses () in
   Alcotest.(check bool) "warm run hits" true (h2 - h1 >= m1 - m0);
   Alcotest.(check int) "warm run never misses" m1 m2;

@@ -372,11 +372,7 @@ let test_retry_honours_retry_after () =
       in
       let deadline = Unix.gettimeofday () +. 5.0 in
       while
-        (Mutex.lock srv.Serve.infl_mu;
-         let n = Hashtbl.length srv.Serve.inflight in
-         Mutex.unlock srv.Serve.infl_mu;
-         n = 0)
-        && Unix.gettimeofday () < deadline
+        Atomic.get srv.Serve.depth = 0 && Unix.gettimeofday () < deadline
       do
         Thread.delay 0.002
       done;

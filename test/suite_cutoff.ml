@@ -263,14 +263,12 @@ let check_expect label expect d ~nchannels ~nfuncs =
   | Same_record ->
       List.iter
         (fun (k, v) ->
-          (* the record replays its own channels through the solve cache
-             and takes every checker's results over *)
-          if k <> "engine.bmoc_channels_replayed" && k <> "solve lookups" then
+          (* the record takes its own channels' outcomes and every
+             checker's results over, without a solve-cache lookup *)
+          if k <> "engine.bmoc_channels_replayed" then
             Alcotest.(check int) (label ^ ": no " ^ k) 0 v)
         d;
-      Alcotest.(check int) (label ^ ": a lookup per channel") nchannels
-        (c "solve lookups");
-      Alcotest.(check int) (label ^ ": every channel replayed") nchannels
+      Alcotest.(check int) (label ^ ": every channel taken over") nchannels
         (c "engine.bmoc_channels_replayed")
 
 let channels (r : E.run) =
@@ -361,6 +359,8 @@ let run_sequence ~jobs () =
           (label ^ ": the channels whose scope changed are solved, no other")
           (List.sort compare (channels_to_solve r ~before:copy))
           solved
+    | Same_record, _ ->
+        Alcotest.(check (list string)) (label ^ ": no channel solved") [] solved
     | _ -> ());
     let ir = ir_of r in
     check_assembly label ir srcs;
@@ -374,6 +374,8 @@ let run_sequence ~jobs () =
     let fresh = analyse (Gcatch.Passes.engine ~jobs ()) srcs in
     Alcotest.(check string) (label ^ ": same as a fresh engine") (rendered fresh)
       (rendered r);
+    Alcotest.(check (list (pair string int))) (label ^ ": same health")
+      fresh.E.r_health r.E.r_health;
     Alcotest.(check bool)
       (label ^ ": same typed reports") true
       (Gcatch.Passes.bmoc_bugs r.E.r_diags = Gcatch.Passes.bmoc_bugs fresh.E.r_diags
@@ -487,13 +489,13 @@ let test_pressure_stands_down () =
   let nfuncs = List.length (Goir.Ir.funcs_list ir) in
   let bugs, kept, _ = T.run T.missing_unlock w in
   Alcotest.(check bool) "reports" true (bugs <> []);
-  let detect ?prior reg =
-    Gcatch.Bmoc.detect_with ~metrics:reg ~dis ?prior ~alias ~cg ~prims ir
+  let detect ?carry reg =
+    Gcatch.Bmoc.detect_with ~metrics:reg ~dis ?carry ~alias ~cg ~prims ir
   in
   let cold = detect (Goobs.Metrics.create ()) in
   let nchannels = cold.Gcatch.Bmoc.f_stats.channels_analysed in
   Alcotest.(check bool) "channels" true (nchannels > 0);
-  let carry = Gcatch.Bmoc.Carry (cold.Gcatch.Bmoc.f_outcomes, []) in
+  let carry = (cold.Gcatch.Bmoc.f_outcomes, []) in
   (* unpressured: everything is taken over, and credited *)
   let reg = Goobs.Metrics.create () in
   let again, _, checked = T.run ~metrics:reg ~prior:(kept, T.unchanged) T.missing_unlock w in
@@ -503,7 +505,7 @@ let test_pressure_stands_down () =
     (List.map Gcatch.Report.trad_str again);
   Alcotest.(check int) "every function credited ok" nfuncs (health reg S.h_ok);
   let reg = Goobs.Metrics.create () in
-  let r = detect ~prior:carry reg in
+  let r = detect ~carry reg in
   Alcotest.(check int) "every channel taken over" nchannels r.Gcatch.Bmoc.f_replayed;
   Alcotest.(check int) "every channel ok" nchannels (health reg S.h_ok);
   Alcotest.(check bool) "same bugs" true
@@ -521,7 +523,7 @@ let test_pressure_stands_down () =
           Alcotest.(check int) (label ^ ": every function skipped") nfuncs
             (health reg S.h_skipped);
           let reg = Goobs.Metrics.create () in
-          let r = detect ~prior:carry reg in
+          let r = detect ~carry reg in
           Alcotest.(check int) (label ^ ": no channel taken over") 0
             r.Gcatch.Bmoc.f_replayed;
           Alcotest.(check int) (label ^ ": every channel skipped") nchannels
@@ -532,6 +534,63 @@ let test_pressure_stands_down () =
       ("deadline", (fun () -> S.set_deadline_ms (-1)), S.clear_deadline);
       ("heap", (fun () -> S.set_max_heap_mb 0), S.clear_max_heap);
     ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A channel the first analysis left without an outcome (its solve timed
+   out) is solved when the record is analysed again, and no other
+   channel is.  The solve cache is off, so the timed-out solve cannot be
+   answered from the cold run's entry. *)
+let test_missing_outcomes_resolved () =
+  let ir = Pipeline.compile_ir ~name:"app" base in
+  let alias = Goanalysis.Alias.analyse ir in
+  let cg = Goanalysis.Callgraph.build ~alias ir in
+  let prims = Gcatch.Primitives.collect ir alias in
+  let dis = Gcatch.Disentangle.build prims cg in
+  let cfg = { Gcatch.Bmoc.default_config with solve_cache = false } in
+  let detect ?carry () =
+    Gcatch.Bmoc.detect_with ~cfg ~metrics:(Goobs.Metrics.create ()) ~dis ?carry
+      ~alias ~cg ~prims ir
+  in
+  let names outs =
+    List.sort compare
+      (Hashtbl.fold (fun c _ acc -> Goanalysis.Alias.obj_str c :: acc) outs [])
+  in
+  let cold = detect () in
+  let all = names cold.Gcatch.Bmoc.f_outcomes in
+  let key = List.hd all in
+  let missing = List.filter (fun c -> contains c key) all in
+  Alcotest.(check bool) "some channels but not all time out" true
+    (List.length missing < List.length all);
+  let first =
+    Fun.protect ~finally:Goengine.Faults.clear (fun () ->
+        (match Goengine.Faults.parse ("solver:*@" ^ key ^ "!timeout") with
+        | Ok specs -> Goengine.Faults.set_plan specs
+        | Error e -> Alcotest.fail e);
+        detect ())
+  in
+  Alcotest.(check (list string)) "the timed-out channels have no outcome"
+    (List.filter (fun c -> not (List.mem c missing)) all)
+    (names first.Gcatch.Bmoc.f_outcomes);
+  Goobs.Profile.reset ();
+  let again = detect ~carry:(first.Gcatch.Bmoc.f_outcomes, []) () in
+  Alcotest.(check (list string)) "exactly those channels solved" missing
+    (List.sort compare
+       (List.map
+          (fun (s : Goobs.Profile.channel_sample) -> s.cs_channel)
+          (Goobs.Profile.channels ())));
+  Alcotest.(check int) "those channels ran" (List.length missing)
+    again.Gcatch.Bmoc.f_enumerated;
+  Alcotest.(check int) "the others taken over"
+    (List.length all - List.length missing)
+    again.Gcatch.Bmoc.f_replayed;
+  Alcotest.(check (list string)) "every channel has an outcome again" all
+    (names again.Gcatch.Bmoc.f_outcomes);
+  Alcotest.(check bool) "same bugs as the cold run" true
+    (again.Gcatch.Bmoc.f_bugs = cold.Gcatch.Bmoc.f_bugs)
 
 (* A disentangling is shared by the records of several versions, so
    asking it for an object it did not cover must not write to it. *)
@@ -603,6 +662,8 @@ let tests =
       test_sequence_j1;
     Alcotest.test_case "edit sequence matches fresh engines (jobs 4)" `Quick
       test_sequence_j4;
+    Alcotest.test_case "channels left without an outcome are solved again"
+      `Quick test_missing_outcomes_resolved;
     Alcotest.test_case "reuse stands down under fault injection" `Quick
       test_faults_stand_down;
     Alcotest.test_case "a function whose walk raised is checked again" `Quick
