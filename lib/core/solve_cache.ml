@@ -63,10 +63,12 @@ let set_memory_budget_mb mb =
   Goengine.Memo.set_budget ~on_evict mem ~bytes:(mb * 1024 * 1024)
 
 (* Warm-state manifest hooks for the serving layer: the fingerprints
-   the memory tier holds, and a read of named fingerprints from the disk
-   tier into it (no hit/miss counted; a missing entry is skipped).
-   Returns the entries loaded. *)
+   the memory tier holds, a generation that moves whenever they may have
+   changed, and a read of named fingerprints from the disk tier into it
+   (no hit/miss counted; a missing entry is skipped).  Returns the
+   entries loaded. *)
 let keys () = Goengine.Memo.keys mem
+let generation () = Goengine.Memo.generation mem
 
 let preload ~dir fps =
   let disk = Goengine.Store.at dir in

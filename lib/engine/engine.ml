@@ -52,10 +52,20 @@ type sig_tables = {
   st_lower : Goir.Lower.sigs;
 }
 
+(* One source file of a set: its name in locations, its text, the
+   digest of the text, and its key — the digest of the name and the
+   content digest — which keys the file's per-file stages. *)
+type source = {
+  s_file : string;
+  s_src : string;
+  s_digest : Digest.t;
+  s_key : string;
+}
+
 type artifacts = {
-  a_key : string;                 (* content hash of (name, sources) *)
+  a_key : string;  (* digest of the name and every file's key *)
   a_name : string;
-  a_sources : string list;
+  a_sources : source list;
   a_typed : Minigo.Ast.program Lazy.t;  (* type-checked, normalised *)
   a_ir : Goir.Ir.program Lazy.t;
   a_alias : Goanalysis.Alias.t Lazy.t;
@@ -103,6 +113,9 @@ type artifacts = {
   a_sig_tables : unit -> sig_tables option;
       (* the signature tables, once this record built or took them
          over; never builds them *)
+  a_sig_digests : string list Lazy.t;
+      (* each file's signature digest, in file order: the signature
+         fingerprint's input *)
 }
 
 and prior = {
@@ -288,10 +301,54 @@ let stats_str (t : t) =
 
 (* ------------------------------------------------- frontend stages --- *)
 
-(* The source set's key: hashes every byte of the sources, so [analyse]
-   computes it once and hands it down. *)
-let key_of ~name sources =
-  Digest.to_hex (Digest.string (String.concat "\x00" (name :: sources)))
+(* Key a source set.  Each source's content is hashed at most once: a
+   source that is physically the string at the same position of [like]
+   (by default the sources of the last record of this name) takes that
+   digest over, so an edit hashes only the sources it replaced.  Returns
+   the keyed sources and the set's key.  File naming matches
+   [Parser.parse_program] so locations are byte-identical to the
+   pre-engine pipeline. *)
+let key_sources (t : t) ?like ~name sources : source list * string =
+  let like =
+    match like with
+    | Some l -> l
+    | None ->
+        locked t (fun () ->
+            match Hashtbl.find_opt t.latest name with
+            | Some a -> a.a_sources
+            | None -> [])
+  in
+  let like = ref like and hashed = ref 0 in
+  let keyed =
+    List.mapi
+      (fun i src ->
+        let prior, rest =
+          match !like with l :: rest -> (Some l, rest) | [] -> (None, [])
+        in
+        like := rest;
+        let digest =
+          match prior with
+          | Some l when l.s_src == src -> l.s_digest
+          | Some _ | None ->
+              incr hashed;
+              Digest.string src
+        in
+        let file = Printf.sprintf "%s/file%d.go" name i in
+        {
+          s_file = file;
+          s_src = src;
+          s_digest = digest;
+          s_key = Digest.to_hex (Digest.string (file ^ "\x00" ^ digest));
+        })
+      sources
+  in
+  M.add (M.counter t.registry "engine.sources_hashed") !hashed;
+  let key =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x00" (name :: List.map (fun s -> s.s_key) keyed)))
+  in
+  (keyed, key)
 
 (* ------------------------------------------- per-file disk tier ------ *)
 
@@ -340,7 +397,7 @@ let disk_tiers (t : t) =
       Memo.preload memo key (fun () ->
           Option.map reintern (disk_read t ~stage ~key))
     in
-    (stage, ((fun () -> Memo.keys memo), load))
+    (stage, ((fun () -> Memo.keys memo), load, fun () -> Memo.generation memo))
   in
   [
     tier "parse" t.fc.fc_ast Minigo.Intern.file;
@@ -350,7 +407,12 @@ let disk_tiers (t : t) =
   ]
 
 let memo_keys (t : t) : (string * string list) list =
-  List.map (fun (stage, (keys, _)) -> (stage, keys ())) (disk_tiers t)
+  List.map (fun (stage, (keys, _, _)) -> (stage, keys ())) (disk_tiers t)
+
+(* Moves whenever [memo_keys] may have changed: a server rebuilds its
+   manifest only then. *)
+let memo_generation (t : t) =
+  List.fold_left (fun n (_, (_, _, gen)) -> n + gen ()) 0 (disk_tiers t)
 
 (* Read the named entries into memory through the ordinary disk path
    (digest check, re-interning, value-digest record, budget charge),
@@ -362,7 +424,7 @@ let preload (t : t) (manifest : (string * string list) list) : int =
   List.fold_left
     (fun n (stage, keys) ->
       match List.assoc_opt stage tiers with
-      | Some (_, load) ->
+      | Some (_, load, _) ->
           List.fold_left (fun n key -> if load key then n + 1 else n) n keys
       | None -> n)
     0 manifest
@@ -450,19 +512,17 @@ let stage_counted (t : t) name f =
    schedule-independent. *)
 let frontend_grain n = if n <= 8 then n else max 2 (n / 32)
 
-(* Build the lazy stage chain for one source set.  File naming matches
-   [Parser.parse_program] so locations are byte-identical to the
-   pre-engine pipeline.
+(* Build the lazy stage chain for one keyed source set.
 
    Every per-file stage fans out over the engine's pool: results come
    back in file order and a failing file re-raises the smallest file
    index's exception (after the siblings finish and publish their cache
    entries), so diagnostics are byte-identical at any [jobs] and a
    salvage retry recompiles only the stubbed file.  Per-file artifacts
-   are keyed by the file's content hash; the stages that read cross-file
-   context (typecheck, lower, facts) add the program's signature
-   fingerprint, so editing one file's bodies re-runs exactly that file
-   while a signature change invalidates every dependent. *)
+   are keyed by the file's key ([key_sources]); the stages that read
+   cross-file context (typecheck, lower, facts) add the program's
+   signature fingerprint, so editing one file's bodies re-runs exactly
+   that file while a signature change invalidates every dependent. *)
 (* A domain-safe once-cell: the per-file compute closures below share
    whole-program inputs (type environment, lowering signatures) that a
    fully cache-warm run never needs — build them on first use only.
@@ -489,14 +549,9 @@ let once f =
   in
   (get, fun () -> Atomic.get r)
 
-let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
-  let keyed =
-    List.mapi
-      (fun i src ->
-        let file = Printf.sprintf "%s/file%d.go" name i in
-        (file, src, Digest.to_hex (Digest.string (file ^ "\x00" ^ src))))
-      sources
-  in
+let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
+    artifacts =
+  let keyed = List.map (fun s -> (s.s_file, s.s_src, s.s_key)) sources in
   let grain = frontend_grain (List.length keyed) in
   let pmap f xs = Pool.map ~pool:t.pool ~grain f xs in
   (* lexing is part of the parse unit; it keeps its own run counter,
@@ -529,27 +584,54 @@ let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
     || Option.fold t.store ~none:false ~some:(fun s ->
            Sys.file_exists (Store.path s ~kind:"sig" ~key))
   in
-  let a_sigs =
-    lazy
-      (let todo = List.filter (fun fk -> not (sig_stored fk)) keyed in
-       let trees = Hashtbl.create 16 in
-       if todo <> [] then
-         stage_span t "parse" (fun () ->
-             List.iter2
-               (fun (_, _, key) a -> Hashtbl.replace trees key a)
-               todo (pmap parse_file todo));
-       stage_span t "sig" (fun () ->
-           pmap
-             (fun ((_, _, key) as fk) ->
-               sig_file ?tree:(Hashtbl.find_opt trees key) fk)
-             keyed))
+  let sigs_of fks =
+    let todo = List.filter (fun fk -> not (sig_stored fk)) fks in
+    let trees = Hashtbl.create 16 in
+    if todo <> [] then
+      stage_span t "parse" (fun () ->
+          List.iter2
+            (fun (_, _, key) a -> Hashtbl.replace trees key a)
+            todo (pmap parse_file todo));
+    stage_span t "sig" (fun () ->
+        pmap
+          (fun ((_, _, key) as fk) ->
+            sig_file ?tree:(Hashtbl.find_opt trees key) fk)
+          fks)
   in
+  let a_sigs = lazy (sigs_of keyed) in
+  let a_pred = Atomic.make pred in
+  (* Each file's signature digest.  A file key names the file's position
+     and content, so a file whose key the predecessor has takes that
+     digest over: a body edit digests the edited file's signatures
+     alone, without reading the other files' signatures. *)
+  let a_sig_digests =
+    lazy
+      (let digests = Hashtbl.create 64 in
+       (match Atomic.get a_pred with
+       | Some p when Lazy.is_val p.a_sig_digests ->
+           List.iter2
+             (fun s d -> Hashtbl.replace digests s.s_key d)
+             p.a_sources (Lazy.force p.a_sig_digests)
+       | Some _ | None -> ());
+       let todo =
+         List.filter (fun (_, _, key) -> not (Hashtbl.mem digests key)) keyed
+       in
+       List.iter2
+         (fun (_, _, key) sigs ->
+           Hashtbl.replace digests key
+             (Minigo.Typecheck.signatures_fingerprint sigs))
+         todo
+         (if List.compare_lengths todo keyed = 0 then Lazy.force a_sigs
+          else sigs_of todo);
+       M.add (M.counter t.registry "engine.sig_digests") (List.length todo);
+       List.map (fun (_, _, key) -> Hashtbl.find digests key) keyed)
+  in
+  (* the program's signature fingerprint, from the per-file digests *)
   let a_fp =
     lazy
-      (Minigo.Typecheck.signatures_fingerprint
-         (List.concat (Lazy.force a_sigs)))
+      (Digest.to_hex
+         (Digest.string (String.concat "" (Lazy.force a_sig_digests))))
   in
-  let a_pred = Atomic.make pred in
   (* whole-program signature tables, built from the per-file signature
      items on first use only: a run whose passes are all served from
      the result cache never constructs them, and a record whose
@@ -854,6 +936,7 @@ let build_artifacts (t : t) ?pred ~key ~name sources : artifacts =
             keyed
         else []);
     a_sig_tables;
+    a_sig_digests;
   }
 
 (* Drop digest-table entries no live record reads: the table gains a
@@ -874,9 +957,9 @@ let prune_digests_locked (t : t) =
    not forced here; forcing — and any frontend exception — happens at
    the use site, exactly once per cached entry (lazy memoizes the
    exception too).  A new record starts from the last record of the
-   same name whose analysis completed, its predecessor. *)
-let artifacts (t : t) ?key ~name sources : artifacts =
-  let key = match key with Some k -> k | None -> key_of ~name sources in
+   same name whose analysis completed, its predecessor.  [keyed] is the
+   source set as [key_sources] keyed it. *)
+let artifacts_keyed (t : t) ~name (sources, key) : artifacts =
   locked t (fun () ->
       t.cache_clock <- t.cache_clock + 1;
       match Hashtbl.find_opt t.cache key with
@@ -925,6 +1008,9 @@ let artifacts (t : t) ?key ~name sources : artifacts =
           Hashtbl.replace t.cache_atime key t.cache_clock;
           a)
 
+let artifacts (t : t) ~name sources : artifacts =
+  artifacts_keyed t ~name (key_sources t ~name sources)
+
 (* Convert a frontend exception into a structured diagnostic.  The
    message formats mirror what the CLIs used to print by hand. *)
 let frontend_diag : exn -> D.t option = function
@@ -954,10 +1040,10 @@ let frontend_diag : exn -> D.t option = function
            (Printf.sprintf "injected fault at frontend (%s)" key))
   | _ -> None
 
-(* Compile a source set through the frontend stages, capturing frontend
-   exceptions as diagnostics instead of letting them escape. *)
-let compile (t : t) ?key ~name sources : (artifacts, D.t) result =
-  let a = artifacts t ?key ~name sources in
+(* Compile a keyed source set through the frontend stages, capturing
+   frontend exceptions as diagnostics instead of letting them escape. *)
+let compile (t : t) ~name keyed : (artifacts, D.t) result =
+  let a = artifacts_keyed t ~name keyed in
   (* forcing [a_content] forces the typed and lowered files, which
      surfaces every frontend error (assembly is a pure merge and cannot
      fail) while leaving [a_ir] unforced: a run whose passes are all
@@ -1032,19 +1118,18 @@ let stub_of (src : string) : string =
    frontend diagnostic (plus a supervision note) instead of killing the
    whole run.  Returns the artifacts (if any subset survived), the
    frontend diagnostics in discovery order, and the number of files
-   dropped.  [key] is the key of [sources] as given. *)
-let compile_salvaging (t : t) ~key ~name sources :
+   dropped.  A retry keys only the stubbed file anew. *)
+let compile_salvaging (t : t) ~name ((sources, _) as keyed) :
     artifacts option * D.t list * int =
-  let arr = Array.of_list sources in
+  let arr = Array.of_list (List.map (fun s -> s.s_src) sources) in
   let n = Array.length arr in
   let stubbed = Array.make n false in
   let dropped () =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 stubbed
   in
   let diags = ref [] in
-  let rec go attempts =
-    let key = if dropped () = 0 then Some key else None in
-    match compile t ?key ~name (Array.to_list arr) with
+  let rec go attempts keyed =
+    match compile t ~name keyed with
     | Ok a -> Some a
     | Error d ->
         diags := d :: !diags;
@@ -1064,10 +1149,11 @@ let compile_salvaging (t : t) ~key ~name sources :
                      analysed"
                   :: !diags;
                 go (attempts + 1)
+                  (key_sources t ~like:(fst keyed) ~name (Array.to_list arr))
               end
           | _ -> None
   in
-  let a = go 0 in
+  let a = go 0 keyed in
   (a, List.rev !diags, dropped ())
 
 (* Run the frontend plus the selected detector passes over one source
@@ -1079,7 +1165,7 @@ let compile_salvaging (t : t) ~key ~name sources :
    accounting rather than an aborted run. *)
 let analyse ?only ?extra (t : t) ~name sources : run =
   let t0 = Clock.now_s () in
-  let key = key_of ~name sources in
+  let ((_, key) as keyed) = key_sources t ~name sources in
   let from_cache = locked t (fun () -> Hashtbl.mem t.cache key) in
   (* run-local health ledger for the units owned by the engine itself
      (source files, pass boundaries are accounted in each pass's
@@ -1121,7 +1207,7 @@ let analyse ?only ?extra (t : t) ~name sources : run =
             r.r_health);
     r
   in
-  match compile_salvaging t ~key ~name sources with
+  match compile_salvaging t ~name keyed with
   | None, fdiags, ndropped ->
       let bump k v = M.add (M.counter hreg k) v in
       bump Supervise.h_attempted nfiles;

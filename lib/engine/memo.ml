@@ -36,6 +36,8 @@ type 'v t = {
   mutable used_words : int;
   mutable clock : int;
   mutable on_evict : int -> unit;
+  mutable generation : int;
+      (* moves whenever a completed entry is added or dropped *)
 }
 
 let create () =
@@ -47,6 +49,7 @@ let create () =
     used_words = 0;
     clock = 0;
     on_evict = ignore;
+    generation = 0;
   }
 
 let word_bytes = Sys.word_size / 8
@@ -79,6 +82,7 @@ let reset t =
   Hashtbl.reset t.tbl;
   List.iter (fun (k, s) -> Hashtbl.replace t.tbl k s) live;
   t.used_words <- 0;
+  t.generation <- t.generation + 1;
   Mutex.unlock t.mu
 
 let size t =
@@ -113,7 +117,10 @@ let enforce_budget_locked t =
           if t.used_words < 0 then t.used_words <- 0;
           incr evicted
     done;
-    if !evicted > 0 then t.on_evict !evicted
+    if !evicted > 0 then begin
+      t.generation <- t.generation + 1;
+      t.on_evict !evicted
+    end
   end
 
 (* The keys of the completed entries, sorted: gcatchd's warm-state
@@ -127,6 +134,14 @@ let keys t =
   in
   Mutex.unlock t.mu;
   List.sort compare ks
+
+(* A number that changes whenever the set of completed keys may have:
+   equal generations of one table mean equal [keys]. *)
+let generation t =
+  Mutex.lock t.mu;
+  let g = t.generation in
+  Mutex.unlock t.mu;
+  g
 
 let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
     [ `Hit of 'v | `Computed of 'v ] =
@@ -174,6 +189,7 @@ let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
             t.clock <- t.clock + 1;
             Hashtbl.replace t.tbl key (Done { v; words; tick = t.clock });
             t.used_words <- t.used_words + words;
+            t.generation <- t.generation + 1;
             enforce_budget_locked t
           end
           else Hashtbl.remove t.tbl key;

@@ -1187,8 +1187,10 @@ let func_count files =
    a fresh assembly when function names are unique in [p] and every
    rebased file defines the same names, in the same order, as the file
    it replaces: the table then differs from [p]'s in those functions
-   alone and [p]'s name order still holds.  Otherwise every file is
-   placed as though there were no [prev]. *)
+   alone and [p]'s name order still holds, so the rebased functions,
+   sorted by name, are merged into it; the order's tail past the last
+   of them is [p]'s own.  Otherwise every file is placed as though
+   there were no [prev]. *)
 let reassemble (p : Ir.program) old files placed =
   let offs = offsets files in
   let moved =
@@ -1203,25 +1205,28 @@ let reassemble (p : Ir.program) old files placed =
          (List.combine old (offsets old)))
   in
   let funcs = Hashtbl.copy p.Ir.funcs in
-  let fresh = Hashtbl.create 16 in
-  List.iter
-    (fun (lf, off) ->
-      List.iter
-        (fun (name, f) ->
-          let f = rebase_func off f in
-          Hashtbl.replace funcs name f;
-          Hashtbl.replace fresh name f)
-        lf.lf_funcs)
-    moved;
-  placed := !placed + List.length moved;
-  let order =
-    if Hashtbl.length fresh = 0 then p.Ir.order
-    else
-      List.map
-        (fun (f : Ir.func) ->
-          match Hashtbl.find_opt fresh f.name with Some g -> g | None -> f)
-        p.Ir.order
+  let fresh =
+    List.concat_map
+      (fun (lf, off) ->
+        List.map
+          (fun (name, f) ->
+            let f = rebase_func off f in
+            Hashtbl.replace funcs name f;
+            f)
+          lf.lf_funcs)
+      moved
+    |> List.sort (fun (a : Ir.func) b -> String.compare a.name b.name)
   in
+  let rec merge acc order fresh =
+    match (order, fresh) with
+    | _, [] -> List.rev_append acc order
+    | (f : Ir.func) :: rest, (g : Ir.func) :: fresh' ->
+        if String.equal f.name g.name then merge (g :: acc) rest fresh'
+        else merge (f :: acc) rest fresh
+    | [], _ :: _ -> raise Exit
+  in
+  let order = merge [] p.Ir.order fresh in
+  placed := !placed + List.length moved;
   (funcs, order)
 
 type placement = (string * Ir.func) list

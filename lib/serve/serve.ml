@@ -215,6 +215,9 @@ type t = {
   store : (string, string) Hashtbl.t; (* content digest -> source *)
   mutable manifest : Snapshot.manifest option;
       (* the warm-state manifest last written, under run_mu *)
+  mutable manifest_gen : (int * int) option;
+      (* the engine's and the solve cache's generations when [manifest]
+         was last found current, under run_mu *)
   watch_stop : bool Atomic.t;
   mutable watch_thread : Thread.t option;
   (* self-healing supervisor state *)
@@ -253,6 +256,7 @@ let create ?(cfg = default_cfg) () : t =
     store_mu = Mutex.create ();
     store = Hashtbl.create 256;
     manifest = None;
+    manifest_gen = None;
     watch_stop = Atomic.make false;
     watch_thread = None;
     quarantined = Atomic.make false;
@@ -275,13 +279,20 @@ let quarantined t = Atomic.get t.quarantined
    digests its clients send.  An entry already on disk (a restarted
    daemon's clients resending what it saw before) is not rewritten; a
    corrupt one is dropped by the read that finds it, and the client's
-   resend after the 409 writes it afresh. *)
+   resend after the 409 writes it afresh.
+
+   [remember] returns the stored copy of the source, and [resolve] hands
+   the engine stored copies only: a content the engine saw at the same
+   position before is then physically the same string, whose digest the
+   engine takes over instead of hashing it again, and a source sent
+   twice is held once. *)
 let cache_dir t = t.cfg.s_detector.Gcatch.Bmoc.cache_dir
 
 let remember t src =
   let d = Digest.to_hex (Digest.string src) in
   Mutex.lock t.store_mu;
-  let fresh = not (Hashtbl.mem t.store d) in
+  let stored = Hashtbl.find_opt t.store d in
+  let fresh = stored = None in
   if fresh then Hashtbl.add t.store d src;
   Mutex.unlock t.store_mu;
   (match cache_dir t with
@@ -290,7 +301,7 @@ let remember t src =
       if not (Sys.file_exists (Goengine.Store.path s ~kind:"src" ~key:d)) then
         ignore (Goengine.Store.write s ~kind:"src" ~key:d src)
   | _ -> ());
-  d
+  Option.value stored ~default:src
 
 let recall t d =
   Mutex.lock t.store_mu;
@@ -315,9 +326,7 @@ let resolve t (files : (string * [ `Src of string | `Digest of string ]) list)
     List.map
       (fun (_, f) ->
         match f with
-        | `Src s ->
-            ignore (remember t s);
-            s
+        | `Src s -> remember t s
         | `Digest d -> (
             match recall t d with
             | Some s -> s
@@ -340,21 +349,29 @@ let current_manifest (t : t) : Snapshot.manifest =
   }
 
 (* After a request: rewrite the manifest when the request changed a tier's
-   key set, so a crash at any point restarts from the last request.  A
-   failed write is retried after the next request. *)
+   key set, so a crash at any point restarts from the last request.  The
+   key sets are listed only when a tier's generation moved since the
+   manifest was last found current: a request that added and dropped
+   nothing costs no listing.  A failed write is retried after the next
+   request. *)
 let update_manifest_locked (t : t) =
   match cache_dir t with
   | None -> ()
-  | Some dir -> (
-      let m = current_manifest t in
-      if t.manifest <> Some m then
-        match Snapshot.save ~dir m with
-        | Ok () ->
-            t.manifest <- Some m;
-            M.incr (counter t "serve.snapshot_saves")
-        | Error e ->
-            M.incr (counter t "serve.snapshot_errors");
-            Log.warn ~kv:[ ("error", e) ] "snapshot save failed")
+  | Some dir ->
+      let gen = (E.memo_generation t.engine, Gcatch.Solve_cache.generation ()) in
+      if t.manifest_gen <> Some gen then begin
+        let m = current_manifest t in
+        if t.manifest = Some m then t.manifest_gen <- Some gen
+        else
+          match Snapshot.save ~dir m with
+          | Ok () ->
+              t.manifest <- Some m;
+              t.manifest_gen <- Some gen;
+              M.incr (counter t "serve.snapshot_saves")
+          | Error e ->
+              M.incr (counter t "serve.snapshot_errors");
+              Log.warn ~kv:[ ("error", e) ] "snapshot save failed"
+      end
 
 (* Read every entry the manifest names into the memory tiers.  False when
    there is no valid manifest — a clean cold start, never an error.
@@ -400,6 +417,7 @@ let rebuild_engine (t : t) ~reason : unit =
     (fun () ->
       Gcatch.Solve_cache.reset_memory ();
       t.engine <- new_engine t.cfg t.registry;
+      t.manifest_gen <- None;
       (* the heap latch guarded state that just went away with the old
          engine; clear it and let the fresh engine earn its own verdict *)
       Atomic.set Goengine.Supervise.heap_tripped false;
@@ -673,8 +691,7 @@ let start_watch (t : t) ~dir ~interval_s =
     if fps <> !last && files <> [] then begin
       last := fps;
       M.incr (counter t "serve.watch_runs");
-      let sources = List.map snd files in
-      List.iter (fun s -> ignore (remember t s)) sources;
+      let sources = List.map (fun (_, s) -> remember t s) files in
       let rid = "w" ^ string_of_int (Atomic.fetch_and_add t.rid 1) in
       let req =
         {

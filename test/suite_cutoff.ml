@@ -182,6 +182,8 @@ let counted =
     "engine.bmoc_channels_replayed";
     "engine.assemble_files_placed";
     "engine.sig_tables_built";
+    "engine.sig_digests";
+    "engine.sources_hashed";
   ]
 
 (* the solve cache counts its lookups in the process registry *)
@@ -215,10 +217,16 @@ let check_expect label expect d ~nchannels ~nfuncs =
     Alcotest.(check int) (label ^ ": signature tables built") n
       (c "engine.sig_tables_built")
   in
+  (* an edit digests the signatures of the file it edited, no other *)
+  let sig_digests n =
+    Alcotest.(check int) (label ^ ": signature digests") n
+      (c "engine.sig_digests")
+  in
   match expect with
   | Cold ->
       placed nfiles;
       tables 1;
+      sig_digests nfiles;
       Alcotest.(check int) (label ^ ": no predecessor") 0
         (c "engine.cutoff_hits" + c "engine.cutoff_misses");
       Alcotest.(check int) (label ^ ": one alias run") 1 (c "stage.alias.runs");
@@ -228,6 +236,7 @@ let check_expect label expect d ~nchannels ~nfuncs =
   | Cutoff (walked, enumerated) ->
       placed 1;
       tables 0;
+      sig_digests 1;
       List.iter
         (fun k -> Alcotest.(check int) (label ^ ": no " ^ k) 0 (c k))
         [
@@ -253,6 +262,7 @@ let check_expect label expect d ~nchannels ~nfuncs =
   | Full { sig_tables } ->
       placed nfiles;
       tables sig_tables;
+      sig_digests 1;
       Alcotest.(check int) (label ^ ": cutoff missed") 1 (c "engine.cutoff_misses");
       List.iter
         (fun k -> Alcotest.(check int) (label ^ ": one " ^ k) 1 (c k))
@@ -264,8 +274,10 @@ let check_expect label expect d ~nchannels ~nfuncs =
       List.iter
         (fun (k, v) ->
           (* the record takes its own channels' outcomes and every
-             checker's results over, without a solve-cache lookup *)
-          if k <> "engine.bmoc_channels_replayed" then
+             checker's results over, without a solve-cache lookup; its
+             sources are keyed again (checked by the caller) *)
+          if k <> "engine.bmoc_channels_replayed" && k <> "engine.sources_hashed"
+          then
             Alcotest.(check int) (label ^ ": no " ^ k) 0 v)
         d;
       Alcotest.(check int) (label ^ ": every channel taken over") nchannels
@@ -340,11 +352,26 @@ let deep_copy (fs : Goir.Ir.func list) : Goir.Ir.func list =
 let run_sequence ~jobs () =
   let engine = Gcatch.Passes.engine ~jobs () in
   let prev = ref None in
+  let prev_srcs = ref [] in
   let check_version label srcs expect =
     let before = snapshot engine in
     Goobs.Profile.reset ();
     let r = analyse engine srcs in
     let d = delta before (snapshot engine) in
+    (* a source is hashed only when it is not the previous version's
+       string at the same position: an edit hashes the file it edited *)
+    let replaced =
+      List.length
+        (List.filteri
+           (fun i s ->
+             match List.nth_opt !prev_srcs i with
+             | Some s0 -> s0 != s
+             | None -> true)
+           srcs)
+    in
+    prev_srcs := srcs;
+    Alcotest.(check int) (label ^ ": sources hashed") replaced
+      (List.assoc "engine.sources_hashed" d);
     (* a profile sample per channel solved here, none per channel taken
        over *)
     let solved =

@@ -192,6 +192,66 @@ let test_json_escaping () =
   Alcotest.(check bool) "escaped" true
     (contains ~needle:{|quote \" backslash \\ newline \n tab \t|} j)
 
+(* ---- source keys ---- *)
+
+(* A physically distinct copy, so the engine has to hash it. *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+let key_of engine srcs = (E.analyse engine ~name:"t" srcs).E.r_key
+let hashed engine = E.counter_value engine "engine.sources_hashed"
+
+(* The key depends on the sources alone: whether a source was hashed or
+   its digest taken over from the last record, the same sources give
+   the same key, and changing or swapping files changes it. *)
+let test_source_key () =
+  let a = fig1 and b = clean in
+  let engine = Gcatch.Passes.engine () in
+  let k = key_of engine [ a; b ] in
+  Alcotest.(check int) "a cold set hashes every source" 2 (hashed engine);
+  Alcotest.(check string) "the same strings give the same key" k
+    (key_of engine [ a; b ]);
+  Alcotest.(check int) "and hash nothing" 2 (hashed engine);
+  Alcotest.(check string) "copies give the same key" k
+    (key_of engine [ copy a; copy b ]);
+  Alcotest.(check int) "and are hashed" 4 (hashed engine);
+  Alcotest.(check string) "a fresh engine gives the same key" k
+    (key_of (Gcatch.Passes.engine ()) [ a; b ]);
+  let edited = key_of engine [ a; copy b ^ "\n" ] in
+  Alcotest.(check bool) "changing one file changes the key" true (edited <> k);
+  Alcotest.(check int) "and hashes that file alone" 5 (hashed engine);
+  Alcotest.(check bool) "swapping two files changes the key" true
+    (key_of engine [ b; a ] <> k);
+  Alcotest.(check bool) "so does the name" true
+    ((E.analyse engine ~name:"u" [ a; b ]).E.r_key <> k)
+
+(* A salvaged run's record holds the stub in place of the broken file;
+   the next request, with the file repaired, is keyed on the repaired
+   text and analyses to what a fresh engine reports, and the broken
+   sources sent again give the first answer again. *)
+let test_salvage_rekeys () =
+  let main = "package p\nfunc main() {\n\tprintln(1)\n}\n" in
+  let broken = "package p\nfunc g( {}\n" in
+  let engine = Gcatch.Passes.engine () in
+  let r1 = E.analyse engine ~name:"t" [ main; broken ] in
+  Alcotest.(check bool) "salvaged" false (E.frontend_failed r1);
+  Alcotest.(check bool) "the broken file is reported" true
+    (List.mem "frontend/parse" (passes_of r1.E.r_diags));
+  let h0 = hashed engine in
+  let r2 = E.analyse engine ~name:"t" [ main; fig1 ] in
+  let fresh = E.analyse (Gcatch.Passes.engine ()) ~name:"t" [ main; fig1 ] in
+  Alcotest.(check int) "the repaired file alone is hashed" 1 (hashed engine - h0);
+  Alcotest.(check string) "keyed as a fresh engine keys it" fresh.E.r_key
+    r2.E.r_key;
+  Alcotest.(check string) "analysed as a fresh engine analyses it"
+    (D.list_to_json fresh.E.r_diags) (D.list_to_json r2.E.r_diags);
+  Alcotest.(check int) "the repaired file's bug is found" 1
+    (List.length (Gcatch.Passes.bmoc_bugs r2.E.r_diags));
+  let r3 = E.analyse engine ~name:"t" [ main; broken ] in
+  Alcotest.(check string) "the broken sources key as before" r1.E.r_key
+    r3.E.r_key;
+  Alcotest.(check string) "and answer as before" (D.list_to_json r1.E.r_diags)
+    (D.list_to_json r3.E.r_diags)
+
 (* ---- derived per-record state follows the artifact LRU ---- *)
 
 (* The traditional checkers' primitive map (which holds a whole IR
@@ -241,4 +301,7 @@ let tests =
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "primitive maps follow the artifact LRU" `Quick
       test_prims_follow_artifact_lru;
+    Alcotest.test_case "source keys" `Quick test_source_key;
+    Alcotest.test_case "a salvaged file is keyed afresh" `Quick
+      test_salvage_rekeys;
   ]

@@ -261,6 +261,85 @@ let test_watch_reanalyses_only_edited () =
       Alcotest.(check int) "only the edited file re-lexed" (lex_before + 1)
         (pv "stage.lex.runs"))
 
+(* ------------------------------------------------ one copy per content --- *)
+
+(* A request body naming the file at [src_at] by source and every other
+   file by digest. *)
+let delta_body ~src_at sources =
+  let files =
+    List.mapi
+      (fun i src ->
+        if i = src_at then
+          Printf.sprintf "{\"path\":\"f%d.go\",\"src\":\"%s\"}" i
+            (M.json_escape src)
+        else
+          Printf.sprintf "{\"path\":\"f%d.go\",\"digest\":\"%s\"}" i
+            (Digest.to_hex (Digest.string src)))
+      sources
+  in
+  "{\"schema\":\"gcatch-serve/1\",\"name\":\"cli\",\"files\":["
+  ^ String.concat "," files ^ "]}"
+
+(* gcatchd resolves every content to the one copy it stored first, so
+   the engine takes over the digest of every source it saw at the same
+   position before: a repeated request hashes nothing, a one-file edit
+   hashes, digests and places that file alone, and the warm manifest is
+   saved only when the request changed what the memo tiers hold. *)
+let test_one_copy_per_content () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gcatch-copy-%d-%.0f" (Unix.getpid ())
+         (Unix.gettimeofday () *. 1e6))
+  in
+  Unix.mkdir dir 0o755;
+  let cfg =
+    {
+      Serve.default_cfg with
+      Serve.s_detector = { Gcatch.Bmoc.default_config with cache_dir = Some dir };
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  with_server ~cfg (fun srv server ->
+      let src = leak "Copied" in
+      (match
+         Serve.resolve srv
+           [ ("a.go", `Src src); ("b.go", `Src (Bytes.to_string (Bytes.of_string src))) ]
+       with
+      | Ok [ a; b ] -> Alcotest.(check bool) "one copy per content" true (a == b)
+      | _ -> Alcotest.fail "resolve failed");
+      let sources = [ leak "F0"; clean; leak "F2" ] in
+      let counters =
+        [
+          "engine.sources_hashed";
+          "engine.sig_digests";
+          "engine.assemble_files_placed";
+          "serve.snapshot_saves";
+        ]
+      in
+      let post label body expect =
+        let before = List.map pv counters in
+        let code, resp = T.fetch_post server "/analyse" body in
+        Alcotest.(check int) (label ^ ": status") 200 code;
+        List.iter2
+          (fun (k, n) b -> Alcotest.(check int) (label ^ ": " ^ k) n (pv k - b))
+          (List.combine counters expect)
+          before;
+        diag_bytes_of_response resp
+      in
+      ignore (post "load" (body_of_sources sources) [ 3; 3; 3; 1 ]);
+      ignore (post "the same sources again" (body_of_sources sources) [ 0; 0; 0; 0 ]);
+      let edited = [ leak "F0"; "package p\nfunc Clean() {\n\tprintln(2)\n}\n"; leak "F2" ] in
+      let body = delta_body ~src_at:1 edited in
+      let first = post "a one-file edit" body [ 1; 1; 1; 1 ] in
+      Alcotest.(check string) "the edit answers as a one-shot run"
+        (local_diag_bytes ~jobs:1 edited) first;
+      let again = post "the edit again" body [ 0; 0; 0; 0 ] in
+      Alcotest.(check string) "the same answer" first again)
+
 (* ------------------------------------------------- parser hardening ----- *)
 
 let test_http_parser_hardening () =
@@ -333,4 +412,5 @@ let tests =
     Alcotest.test_case "429 under full queue" `Quick test_429_under_full_queue;
     Alcotest.test_case "watch re-analyses only the edit" `Quick
       test_watch_reanalyses_only_edited;
+    Alcotest.test_case "one copy per content" `Quick test_one_copy_per_content;
   ]
