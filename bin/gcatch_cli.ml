@@ -22,7 +22,6 @@
 
 open Cmdliner
 module E = Goengine.Engine
-module D = Goengine.Diagnostics
 module M = Goobs.Metrics
 module Log = Goobs.Log
 module Trace = Goobs.Trace
@@ -183,8 +182,8 @@ let run_checked files no_disentangle stats_flag nonblocking model_waitgroup
   (match inject_faults with
   | None -> ()
   | Some plan -> (
-      match Goengine.Faults.parse plan with
-      | Ok specs -> Goengine.Faults.set_plan specs
+      match Goobs.Faults.parse plan with
+      | Ok specs -> Goobs.Faults.set_plan specs
       | Error e ->
           Log.errorf "bad --inject-faults plan: %s" e;
           exit 2));
@@ -290,27 +289,9 @@ let run_checked files no_disentangle stats_flag nonblocking model_waitgroup
   in
   let unclean = Goengine.Supervise.health_unclean r.E.r_health in
   if json then print_endline (E.run_to_json r)
-  else if E.frontend_failed r then
-    List.iter (fun d -> prerr_endline (D.render_human d)) r.E.r_diags
+  else if E.frontend_failed r then prerr_string (Goserve.Serve.human_of_run r)
   else begin
-    List.iter (fun d -> print_endline (D.render_human d)) r.E.r_diags;
-    let count prefix =
-      (* warnings (e.g. solver-budget skips) are not bugs *)
-      List.length
-        (List.filter
-           (fun (d : D.t) ->
-             D.is_error d
-             && String.length d.D.pass >= String.length prefix
-             && String.sub d.D.pass 0 (String.length prefix) = prefix)
-           r.E.r_diags)
-    in
-    Printf.printf "%d BMOC bug(s), %d traditional bug(s) in %.2fs\n"
-      (count "bmoc") (count "trad.") r.E.r_elapsed_s;
-    (* clean runs print nothing extra: the health line appears only when
-       some unit did not complete at full fidelity *)
-    if unclean > 0 then
-      Printf.printf "analysis health: %s\n"
-        (Goengine.Supervise.health_str r.E.r_health);
+    print_string (Goserve.Serve.human_of_run r);
     if stats_flag then
       List.iter
         (fun (pr : E.pass_run) ->
@@ -357,11 +338,11 @@ let run_checked files no_disentangle stats_flag nonblocking model_waitgroup
 
 let run files no_disentangle stats_flag nonblocking model_waitgroup json only
     list_flag jobs solver_timeout_ms cache_dir no_cache trace_out metrics_out profile log_level inject_faults deadline_ms
-    max_heap_mb strict retry_rungs server obs =
+    max_heap_mb strict retry_rungs server retry retry_seed obs =
   try
     run_checked files no_disentangle stats_flag nonblocking model_waitgroup
       json only list_flag jobs solver_timeout_ms cache_dir no_cache trace_out metrics_out profile log_level inject_faults
-      deadline_ms max_heap_mb strict retry_rungs server obs
+      deadline_ms max_heap_mb strict retry_rungs server retry retry_seed obs
   with e ->
     Log.error
       ~kv:[ ("exception", Printexc.to_string e) ]
@@ -498,9 +479,9 @@ let inject_faults_arg =
            $(docv) is a comma-separated list of \
            $(i,site)[:$(i,nth)|*][@$(i,keysub)][!$(i,action)] items plus an \
            optional seed=$(i,N); sites: frontend, solver, pool, cache.read, \
-           cache.write, conn.accept, conn.read, conn.write, snapshot.read, \
-           snapshot.write; actions: raise (default), timeout, stall, \
-           corrupt. Also read from the GCATCH_FAULTS environment variable.")
+           cache.write, conn.accept, conn.read, conn.write; actions: raise \
+           (default), timeout, stall, corrupt. Also read from the \
+           GCATCH_FAULTS environment variable.")
 
 let deadline_arg =
   Arg.(

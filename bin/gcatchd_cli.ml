@@ -53,8 +53,8 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
   (match inject_faults with
   | None -> ()
   | Some plan -> (
-      match Goengine.Faults.parse plan with
-      | Ok specs -> Goengine.Faults.set_plan specs
+      match Goobs.Faults.parse plan with
+      | Ok specs -> Goobs.Faults.set_plan specs
       | Error e ->
           Log.errorf "bad --inject-faults plan: %s" e;
           exit 2));
@@ -72,27 +72,13 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
   | Some path ->
       Goobs.Journal.open_ ~path;
       at_exit Goobs.Journal.close);
-  (* validate --cache-dir up front: an unwritable directory or an
-     incompatible snapshot is a usage error at startup, not a silent
-     degradation on the first request *)
-  (match cache_dir with
-  | None -> ()
-  | Some dir -> (
-      (match Goengine.Store.validate_dir dir with
-      | Ok () -> ()
-      | Error msg ->
-          Log.error msg;
-          exit 2);
-      match Goserve.Snapshot.check ~dir with
-      | Goserve.Snapshot.Version_mismatch v ->
-          Log.errorf
-            "snapshot %s was written by an incompatible version (%s, want %s); \
-             delete it to start cold"
-            (Goserve.Snapshot.path ~dir) v Goengine.Store.format_version;
-          exit 2
-      | Goserve.Snapshot.Corrupt ->
-          Log.warn "snapshot is corrupt; starting cold (it will be deleted)"
-      | Goserve.Snapshot.Valid | Goserve.Snapshot.Missing -> ()));
+  (* validate --cache-dir up front: an unwritable directory is a usage
+     error at startup, not a silent degradation on the first request *)
+  (match Option.map Goengine.Store.validate_dir cache_dir with
+  | Some (Error msg) ->
+      Log.error msg;
+      exit 2
+  | Some (Ok ()) | None -> ());
   (match max_heap_mb with
   | None -> ()
   | Some mb -> Goengine.Supervise.set_max_heap_mb mb);
@@ -119,10 +105,6 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
     }
   in
   let srv = Serve.create ~cfg () in
-  (* operator-facing like the port handshake below: restart scripts
-     grep this to confirm the boot answered warm *)
-  if Serve.preload srv then
-    Printf.printf "gcatchd warm snapshot loaded\n%!";
   match
     T.start ?addr ?sock
       ~post:(Serve.post_handlers srv)
@@ -152,8 +134,8 @@ let run addr sock jobs cache_dir max_cache_mb max_queue request_deadline_ms
       Log.info "gcatchd shutting down";
       (match watch with Some _ -> Serve.stop_watch srv | None -> ());
       T.stop server;
-      (* nothing to flush: every request that changed the warm state has
-         already rewritten the manifest; at_exit closes the journal *)
+      (* nothing to flush: every cache entry was written by the request
+         that computed it; at_exit closes the journal *)
       exit 0
 
 let addr_arg =
@@ -188,11 +170,10 @@ let cache_dir_arg =
     & opt (some string) (Sys.getenv_opt "GCATCH_CACHE_DIR")
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persist the per-file artifact, pass-result and solve caches, the \
-           sources clients sent, and a manifest of the warm entries \
-           (gcatch-warm.snap, rewritten after each request that changed \
-           it) in $(docv): a restarted daemon preloads the manifest's \
-           entries and answers its first request warm")
+          "Persist the per-file artifact, pass-result and solve caches and \
+           the sources clients sent in $(docv): a restarted daemon reads \
+           the entries its first requests need from $(docv) instead of \
+           recomputing them")
 
 let max_cache_mb_arg =
   Arg.(

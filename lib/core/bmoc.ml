@@ -430,14 +430,14 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
     (* "solver" fault site: a crash raises out to the per-channel
        boundary in [detect_with]; a timeout exercises the existing
        budget path (and hence the degradation ladder) *)
-    (match Goengine.Faults.fire ~site:"solver" ~key:(Alias.obj_str c) () with
+    (match Goobs.Faults.fire ~site:"solver" ~key:(Alias.obj_str c) () with
     | None -> ()
-    | Some Goengine.Faults.Stall ->
+    | Some Goobs.Faults.Stall ->
         (* yield-aware: a stalled solver site must not wedge its domain *)
-        Goengine.Pool.sleep_yielding Goengine.Faults.stall_s
-    | Some Goengine.Faults.Timeout -> raise Gosmt.Solver.Timeout
+        Goengine.Pool.sleep_yielding Goobs.Faults.stall_s
+    | Some Goobs.Faults.Timeout -> raise Gosmt.Solver.Timeout
     | Some _ ->
-        raise (Goengine.Faults.Injected ("solver", Alias.obj_str c)));
+        raise (Goobs.Faults.Injected ("solver", Alias.obj_str c)));
     List.iter
     (fun (combo_id, combo) ->
       begin

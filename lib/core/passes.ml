@@ -118,7 +118,7 @@ let prior_value (a : E.artifacts) name =
    before, or else on the predecessor.  Nothing while fault injection is
    armed: injected faults must reach every unit. *)
 let kept_value (a : E.artifacts) name =
-  if Goengine.Faults.active () then None
+  if Goobs.Faults.active () then None
   else
     match a.E.a_peek name with
     | Some v -> Some (v, None)
@@ -198,7 +198,7 @@ let pass_cached ~cache_dir ~pass ~fpr ~metrics (a : E.artifacts) ~cacheable
     compute =
   let kind = "pass." ^ pass in
   match cache_dir with
-  | Some dir when not (Goengine.Faults.active ()) -> (
+  | Some dir when not (Goobs.Faults.active ()) -> (
       match Lazy.force a.E.a_content with
       | None -> compute ()
       | Some content -> (
@@ -251,7 +251,7 @@ let bmoc_pass ?(cfg = Bmoc.default_config) () : E.pass =
                   ~cg:(Lazy.force a.E.a_callgraph) ~prims:(prims_for a)
                   (Lazy.force a.E.a_ir)
               in
-              if not (Goengine.Faults.active ()) then
+              if not (Goobs.Faults.active ()) then
                 a.E.a_keep kept (Outcomes r.Bmoc.f_outcomes);
               a.E.a_note "engine.bmoc_channels_enumerated" r.Bmoc.f_enumerated;
               a.E.a_note "engine.bmoc_channels_replayed" r.Bmoc.f_replayed;
@@ -295,7 +295,7 @@ let trad_fold (type a g) pool metrics (a : E.artifacts)
     | None -> None
   in
   let bugs, kept, checked = Traditional.run ~metrics ?prior ck w in
-  if not (Goengine.Faults.active ()) then a.E.a_keep name (wrap kept);
+  if not (Goobs.Faults.active ()) then a.E.a_keep name (wrap kept);
   a.E.a_note "engine.trad_funcs_checked" checked;
   bugs
 

@@ -62,25 +62,6 @@ let set_memory_budget_mb mb =
   let on_evict n = M.add (M.counter M.default "bmoc.solve_cache_evictions") n in
   Goengine.Memo.set_budget ~on_evict mem ~bytes:(mb * 1024 * 1024)
 
-(* Warm-state manifest hooks for the serving layer: the fingerprints
-   the memory tier holds, a generation that moves whenever they may have
-   changed, and a read of named fingerprints from the disk tier into it
-   (no hit/miss counted; a missing entry is skipped).  Returns the
-   entries loaded. *)
-let keys () = Goengine.Memo.keys mem
-let generation () = Goengine.Memo.generation mem
-
-let preload ~dir fps =
-  let disk = Goengine.Store.at dir in
-  List.fold_left
-    (fun n fp ->
-      if
-        Goengine.Memo.preload mem fp (fun () ->
-            Option.map fst (Goengine.Store.read disk ~kind:"solve" ~key:fp))
-      then n + 1
-      else n)
-    0 fps
-
 (* -------------------------------------------------------- frontend --- *)
 
 (* Counters are looked up per use, never cached in a top-level [lazy]:

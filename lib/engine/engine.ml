@@ -385,50 +385,6 @@ let disk_digest (t : t) ~stage ~key =
       Option.iter (record_digest t ~stage ~key) d;
       d
 
-(* ------------------------------------------------ warm manifest ---- *)
-
-(* The disk-backed memo tiers, by stage name: what a long-lived server
-   lists in its warm-state manifest ([memo_keys]) and reads back into a
-   fresh engine ([preload]).  Facts are memory-only and cheap to rebuild
-   from the lowered files, so they are not listed. *)
-let disk_tiers (t : t) =
-  let tier stage memo reintern =
-    let load key =
-      Memo.preload memo key (fun () ->
-          Option.map reintern (disk_read t ~stage ~key))
-    in
-    (stage, ((fun () -> Memo.keys memo), load, fun () -> Memo.generation memo))
-  in
-  [
-    tier "parse" t.fc.fc_ast Minigo.Intern.file;
-    tier "sig" t.fc.fc_sigs Fun.id;
-    tier "typecheck" t.fc.fc_typed Minigo.Intern.file;
-    tier "lower" t.fc.fc_lowered Fun.id;
-  ]
-
-let memo_keys (t : t) : (string * string list) list =
-  List.map (fun (stage, (keys, _, _)) -> (stage, keys ())) (disk_tiers t)
-
-(* Moves whenever [memo_keys] may have changed: a server rebuilds its
-   manifest only then. *)
-let memo_generation (t : t) =
-  List.fold_left (fun n (_, (_, _, gen)) -> n + gen ()) 0 (disk_tiers t)
-
-(* Read the named entries into memory through the ordinary disk path
-   (digest check, re-interning, value-digest record, budget charge),
-   without touching any run counter.  Entries that are gone or unreadable
-   are skipped: they recompute on first use.  Returns the entries
-   loaded. *)
-let preload (t : t) (manifest : (string * string list) list) : int =
-  let tiers = disk_tiers t in
-  List.fold_left
-    (fun n (stage, keys) ->
-      match List.assoc_opt stage tiers with
-      | Some (_, load, _) ->
-          List.fold_left (fun n key -> if load key then n + 1 else n) n keys
-      | None -> n)
-    0 manifest
-
 (* ------------------------------------------- per-file stage units ---- *)
 
 (* One per-file unit of one frontend stage: memory tier, then (for the
@@ -560,7 +516,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
     file_unit t ~stage:"parse" ~memo:t.fc.fc_ast ~key ~file ~disk:true
       ~reintern:Minigo.Intern.file (fun () ->
         M.incr (M.counter t.registry "stage.lex.runs");
-        Faults.trigger ~site:"frontend" ~key:file ();
+        Goobs.Faults.trigger ~site:"frontend" ~key:file ();
         Minigo.Parser.parse_file ~file src)
   in
   (* a file's declaration signatures: the only cross-file input the
@@ -761,7 +717,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
                true
           in
           let holds =
-            (not (Faults.active ()))
+            (not (Goobs.Faults.active ()))
             && Lazy.is_val p.a_files
             &&
             let mine = Lazy.force a_files and theirs = Lazy.force p.a_files in
@@ -780,7 +736,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
   (* the predecessor, while the cutoff holds and no fault is armed *)
   let pred_if_equal () =
     match Lazy.force a_cutoff with
-    | Some changed when not (Faults.active ()) ->
+    | Some changed when not (Goobs.Faults.active ()) ->
         Option.map (fun p -> (p, changed)) (Atomic.get a_pred)
     | Some _ | None -> None
   in
@@ -1031,7 +987,7 @@ let frontend_diag : exn -> D.t option = function
         (D.v ~pass:"frontend/lower" ~loc
            (Printf.sprintf "lowering error: %s at %s" m
               (Minigo.Loc.to_string loc)))
-  | Faults.Injected ("frontend", key) ->
+  | Goobs.Faults.Injected ("frontend", key) ->
       (* the injection site sits in each file's parse unit; carry the
          file name as a location so salvage can identify the file *)
       Some

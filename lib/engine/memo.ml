@@ -36,8 +36,6 @@ type 'v t = {
   mutable used_words : int;
   mutable clock : int;
   mutable on_evict : int -> unit;
-  mutable generation : int;
-      (* moves whenever a completed entry is added or dropped *)
 }
 
 let create () =
@@ -49,7 +47,6 @@ let create () =
     used_words = 0;
     clock = 0;
     on_evict = ignore;
-    generation = 0;
   }
 
 let word_bytes = Sys.word_size / 8
@@ -62,12 +59,6 @@ let set_budget ?(on_evict = ignore) t ~bytes =
   t.budget_words <- (if bytes <= 0 then 0 else max 1 (bytes / word_bytes));
   t.on_evict <- on_evict;
   Mutex.unlock t.mu
-
-let used_bytes t =
-  Mutex.lock t.mu;
-  let w = t.used_words in
-  Mutex.unlock t.mu;
-  w * word_bytes
 
 let reset t =
   Mutex.lock t.mu;
@@ -82,7 +73,6 @@ let reset t =
   Hashtbl.reset t.tbl;
   List.iter (fun (k, s) -> Hashtbl.replace t.tbl k s) live;
   t.used_words <- 0;
-  t.generation <- t.generation + 1;
   Mutex.unlock t.mu
 
 let size t =
@@ -117,31 +107,8 @@ let enforce_budget_locked t =
           if t.used_words < 0 then t.used_words <- 0;
           incr evicted
     done;
-    if !evicted > 0 then begin
-      t.generation <- t.generation + 1;
-      t.on_evict !evicted
-    end
+    if !evicted > 0 then t.on_evict !evicted
   end
-
-(* The keys of the completed entries, sorted: gcatchd's warm-state
-   manifest names each tier's live entries by key. *)
-let keys t =
-  Mutex.lock t.mu;
-  let ks =
-    Hashtbl.fold
-      (fun k s acc -> match s with Done _ -> k :: acc | Computing -> acc)
-      t.tbl []
-  in
-  Mutex.unlock t.mu;
-  List.sort compare ks
-
-(* A number that changes whenever the set of completed keys may have:
-   equal generations of one table mean equal [keys]. *)
-let generation t =
-  Mutex.lock t.mu;
-  let g = t.generation in
-  Mutex.unlock t.mu;
-  g
 
 let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
     [ `Hit of 'v | `Computed of 'v ] =
@@ -189,7 +156,6 @@ let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
             t.clock <- t.clock + 1;
             Hashtbl.replace t.tbl key (Done { v; words; tick = t.clock });
             t.used_words <- t.used_words + words;
-            t.generation <- t.generation + 1;
             enforce_budget_locked t
           end
           else Hashtbl.remove t.tbl key;

@@ -611,10 +611,10 @@ let scheduled_map f (items : 'a array) : 'b list =
                    is captured like any task exception and re-raised in
                    the caller, where the surrounding supervision
                    boundary contains it *)
-                (match Faults.fire ~site:"pool" ~key:(string_of_int i) () with
+                (match Goobs.Faults.fire ~site:"pool" ~key:(string_of_int i) () with
                 | None -> ()
-                | Some Faults.Stall -> sleep_yielding Faults.stall_s
-                | Some _ -> raise (Faults.Injected ("pool", string_of_int i)));
+                | Some Goobs.Faults.Stall -> sleep_yielding Goobs.Faults.stall_s
+                | Some _ -> raise (Goobs.Faults.Injected ("pool", string_of_int i)));
                 f x)))
       items
   in

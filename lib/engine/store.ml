@@ -1,6 +1,6 @@
 (* The one on-disk format for every cached or persisted artifact: the
    per-file frontend tiers, detector pass results, per-channel solve
-   verdicts, and gcatchd's sources and warm-state manifest.
+   verdicts, and gcatchd's sources.
 
    An entry is one file per (kind, key) under a directory handle:
 
@@ -21,19 +21,17 @@
      kind or key, a value that does not unmarshal) is a miss and is
      unlinked, so the next store rebuilds it;
    - an entry of another format version is a miss left in place: the
-     next store at that path replaces it, and gcatchd can report an
-     incompatible snapshot instead of silently deleting it;
+     next store at that path replaces it;
    - an I/O failure is counted in [store.read_error] / [store.write_error]
      (process-wide, deliberately not in any run registry: warm and cold
      runs must keep byte-identical run-level metrics), and when the
      directory itself has become unusable the handle retires to
      memory-only with ONE warning.
 
-   Fault sites [<site>.read] / [<site>.write] ([site] is "cache" for the
-   analysis tiers and sources, "snapshot" for the warm-state manifest)
-   mean the same on every entry: raise/timeout is a counted I/O error,
-   stall sleeps (yielding inside a scheduled task), corrupt truncates the
-   entry's bytes — on disk for a write, as read for a read. *)
+   Fault sites [cache.read] / [cache.write] mean the same on every
+   entry: raise/timeout is a counted I/O error, stall sleeps (yielding
+   inside a scheduled task), corrupt truncates the entry's bytes — on
+   disk for a write, as read for a read. *)
 
 module M = Goobs.Metrics
 
@@ -82,13 +80,14 @@ let failed t counter =
 
 (* [`Truncate] for a corrupt action; raise and timeout raise. *)
 let fault ~site ~key =
-  match Faults.fire ~site ~key () with
+  match Goobs.Faults.fire ~site ~key () with
   | None -> `Clean
-  | Some Faults.Stall ->
-      Pool.sleep_yielding Faults.stall_s;
+  | Some Goobs.Faults.Stall ->
+      Pool.sleep_yielding Goobs.Faults.stall_s;
       `Clean
-  | Some Faults.Corrupt -> `Truncate
-  | Some (Faults.Raise | Faults.Timeout) -> raise (Faults.Injected (site, key))
+  | Some Goobs.Faults.Corrupt -> `Truncate
+  | Some (Goobs.Faults.Raise | Goobs.Faults.Timeout) ->
+      raise (Goobs.Faults.Injected (site, key))
 
 let half s = String.sub s 0 (String.length s / 2)
 
@@ -148,7 +147,7 @@ let read_file p =
 (* ------------------------------------------------------------ access --- *)
 
 (* The entry's value and value digest, or [None] on any miss. *)
-let read ?(site = "cache") t ~kind ~key : ('a * string) option =
+let read t ~kind ~key : ('a * string) option =
   if not (Atomic.get t.live) then None
   else begin
     (* yield around the blocking syscalls: a scheduled task reading the
@@ -157,7 +156,7 @@ let read ?(site = "cache") t ~kind ~key : ('a * string) option =
     let p = path t ~kind ~key in
     let r =
       match
-        let f = fault ~site:(site ^ ".read") ~key in
+        let f = fault ~site:"cache.read" ~key in
         match read_file p with
         | None -> None
         | Some raw ->
@@ -182,7 +181,7 @@ let read ?(site = "cache") t ~kind ~key : ('a * string) option =
 
 (* Store [v]; [Ok digest] of its marshalled bytes, or [Error reason]
    when nothing was stored (the failure is already counted). *)
-let write ?(site = "cache") t ~kind ~key v : (string, string) result =
+let write t ~kind ~key v : (string, string) result =
   if not (Atomic.get t.live) then Error "cache directory retired"
   else begin
     Pool.yield ();
@@ -192,7 +191,7 @@ let write ?(site = "cache") t ~kind ~key v : (string, string) result =
     in
     let r =
       match
-        let f = fault ~site:(site ^ ".write") ~key in
+        let f = fault ~site:"cache.write" ~key in
         if not (Sys.file_exists t.dir) then Unix.mkdir t.dir 0o755;
         let vbytes = Marshal.to_string v [ Marshal.No_sharing ] in
         let vd = Digest.to_hex (Digest.string vbytes) in
@@ -250,8 +249,8 @@ let digest t ~kind ~key : string option =
             close_in_noerr ic;
             None)
 
-(* Classify an entry without loading its value or firing fault sites:
-   gcatchd's startup validation must report what is actually on disk. *)
+(* Classify an entry from its bytes on disk, without loading its value
+   or firing fault sites. *)
 let check t ~kind ~key : status =
   let p = path t ~kind ~key in
   if not (Sys.file_exists p) then Missing

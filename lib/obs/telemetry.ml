@@ -46,27 +46,6 @@ type request = {
 
 type post_handler = request -> response
 
-(* Connection-level fault injection.  The fault *plan* lives in
-   Goengine.Faults, which this library cannot depend on (goengine
-   depends on goobs for the journal); the serving layer installs a hook
-   translating the conn.* sites into actions.  With no hook installed —
-   every one-shot CLI path — the query is one ref dereference returning
-   [FNone], so the clean path pays nothing.
-
-   Action semantics at a connection: [FRaise] drops the connection,
-   [FStall] slow-lorises it (a pause mid-transfer), [FCorrupt]
-   truncates the bytes written. *)
-type fault_action = FNone | FRaise | FStall | FCorrupt
-
-let fault_hook : (string -> string -> fault_action) ref =
-  ref (fun _ _ -> FNone)
-
-let set_fault_hook f = fault_hook := f
-let conn_fault site key = !fault_hook site key
-
-(* How long a stalled connection pauses: matches Faults.stall_s. *)
-let conn_stall_s = 0.05
-
 let text ?(status = 200) ?(headers = []) body =
   { status; content_type = "text/plain; charset=utf-8"; body; headers }
 
@@ -188,7 +167,12 @@ let parse_headers raw body_off =
                      String.trim
                        (String.sub line (c + 1) (String.length line - c - 1)) ))
 
-(* [fkey] is the request path when known: a plan can select
+(* Connection-level fault injection: the conn.accept, conn.read and
+   conn.write sites of {!Faults}, one atomic load each with no plan
+   armed.  At a connection, raise and timeout drop it, stall slow-lorises
+   it (a pause mid-transfer), corrupt truncates the bytes written.
+
+   [fkey] is the request path when known: a plan can select
    "conn.write@/analyse" to hit analysis responses while leaving
    telemetry scrapes alone. *)
 let respond ?(fkey = "") fd ~head_only (r : response) =
@@ -204,22 +188,23 @@ let respond ?(fkey = "") fd ~head_only (r : response) =
       extra
   in
   let payload = if head_only then head else head ^ r.body in
-  match conn_fault "conn.write" fkey with
-  | FRaise -> () (* dropped: the connection closes with nothing written *)
-  | FCorrupt ->
+  match Faults.fire ~site:"conn.write" ~key:fkey () with
+  | Some (Faults.Raise | Faults.Timeout) ->
+      () (* dropped: the connection closes with nothing written *)
+  | Some Faults.Corrupt ->
       (* truncated bytes: the client sees a body shorter than the
          advertised Content-Length and must treat it as a transport
          error, never as a (wrong) answer *)
       let cut = String.length payload / 2 in
       (try write_all fd (String.sub payload 0 cut) with _ -> ())
-  | FStall -> (
+  | Some Faults.Stall -> (
       (* slow-loris: head, pause, then the rest *)
       try
         write_all fd head;
-        Thread.delay conn_stall_s;
+        Thread.delay Faults.stall_s;
         if not head_only then write_all fd r.body
       with _ -> ())
-  | FNone -> ( try write_all fd payload with _ -> ())
+  | None -> ( try write_all fd payload with _ -> ())
 
 (* Read exactly [want] more body bytes (some may already be in [b]). *)
 let read_body fd b want =
@@ -239,10 +224,11 @@ let read_body fd b want =
 
 let handle_client ~handlers ~post ~max_body ~read_timeout fd =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout with _ -> ());
-  match conn_fault "conn.read" "" with
-  | FRaise | FCorrupt -> () (* dropped before reading the request *)
-  | (FNone | FStall) as a -> (
-      if a = FStall then Thread.delay conn_stall_s;
+  match Faults.fire ~site:"conn.read" () with
+  | Some (Faults.Raise | Faults.Timeout | Faults.Corrupt) ->
+      () (* dropped before reading the request *)
+  | (None | Some Faults.Stall) as a -> (
+      if a <> None then Thread.delay Faults.stall_s;
       match read_head fd with
       | `Closed -> ()
       | `Timeout ->
@@ -331,10 +317,11 @@ let accept_loop ~stopping ~active ~max_conns ~handlers ~post ~max_body
         try
           (* conn.accept faults run on the connection thread, never the
              accept loop: a stall must not wedge other clients *)
-          match conn_fault "conn.accept" "" with
-          | FRaise | FCorrupt -> () (* dropped: closed without a byte *)
-          | (FNone | FStall) as a ->
-              if a = FStall then Thread.delay conn_stall_s;
+          match Faults.fire ~site:"conn.accept" () with
+          | Some (Faults.Raise | Faults.Timeout | Faults.Corrupt) ->
+              () (* dropped: closed without a byte *)
+          | (None | Some Faults.Stall) as a ->
+              if a <> None then Thread.delay Faults.stall_s;
               handle_client ~handlers ~post ~max_body ~read_timeout client
         with _ -> ())
   in

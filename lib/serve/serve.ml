@@ -6,6 +6,13 @@
    (and its shared [Pool]) lives across requests, so steady-state
    latency is the warm number.
 
+   With --cache-dir every per-file artifact, pass result and solve
+   verdict is also a {!Goengine.Store} entry, read back whenever a memory
+   tier misses.  A restarted daemon (or a quarantine rebuild) therefore
+   starts listening at once and warms up on demand: its first request
+   reads the unchanged files' entries from disk instead of recomputing
+   them.  No warm state is kept apart from those entries.
+
    Request lifecycle (POST /analyse, JSON body, see [parse_req]):
 
      parse -> resolve digest refs against the content store
@@ -41,19 +48,6 @@ module Log = Goobs.Log
 module Trace = Goobs.Trace
 
 let schema = "gcatch-serve/1"
-
-(* Connection-level fault injection: goobs owns the conn.* sites but
-   cannot see the fault plan (goengine depends on goobs), so this
-   module — linked by gcatch, gcatchd and the tests alike — installs
-   the hook translating a site query into the armed plan's verdict.
-   With no plan armed the query is one ref deref + one atomic load. *)
-let () =
-  T.set_fault_hook (fun site key ->
-      match Goengine.Faults.fire ~site ~key () with
-      | None -> T.FNone
-      | Some (Goengine.Faults.Raise | Goengine.Faults.Timeout) -> T.FRaise
-      | Some Goengine.Faults.Stall -> T.FStall
-      | Some Goengine.Faults.Corrupt -> T.FCorrupt)
 
 (* ----------------------------------------- observation endpoints ------ *)
 
@@ -213,11 +207,6 @@ type t = {
   rid : int Atomic.t;
   store_mu : Mutex.t;
   store : (string, string) Hashtbl.t; (* content digest -> source *)
-  mutable manifest : Snapshot.manifest option;
-      (* the warm-state manifest last written, under run_mu *)
-  mutable manifest_gen : (int * int) option;
-      (* the engine's and the solve cache's generations when [manifest]
-         was last found current, under run_mu *)
   watch_stop : bool Atomic.t;
   mutable watch_thread : Thread.t option;
   (* self-healing supervisor state *)
@@ -255,8 +244,6 @@ let create ?(cfg = default_cfg) () : t =
     rid = Atomic.make 0;
     store_mu = Mutex.create ();
     store = Hashtbl.create 256;
-    manifest = None;
-    manifest_gen = None;
     watch_stop = Atomic.make false;
     watch_thread = None;
     quarantined = Atomic.make false;
@@ -337,75 +324,14 @@ let resolve t (files : (string * [ `Src of string | `Digest of string ]) list)
   in
   if !missing = [] then Ok sources else Error (List.rev !missing)
 
-(* ------------------------------------------- durable warm state ------- *)
-
-(* The warm-state manifest names the entries of the engine's disk-backed
-   memo tiers and of the solve cache; the values stay in the Store alone.
-   Caller holds [run_mu] (no engine session in flight). *)
-let current_manifest (t : t) : Snapshot.manifest =
-  {
-    Snapshot.m_files = E.memo_keys t.engine;
-    m_solve = Gcatch.Solve_cache.keys ();
-  }
-
-(* After a request: rewrite the manifest when the request changed a tier's
-   key set, so a crash at any point restarts from the last request.  The
-   key sets are listed only when a tier's generation moved since the
-   manifest was last found current: a request that added and dropped
-   nothing costs no listing.  A failed write is retried after the next
-   request. *)
-let update_manifest_locked (t : t) =
-  match cache_dir t with
-  | None -> ()
-  | Some dir ->
-      let gen = (E.memo_generation t.engine, Gcatch.Solve_cache.generation ()) in
-      if t.manifest_gen <> Some gen then begin
-        let m = current_manifest t in
-        if t.manifest = Some m then t.manifest_gen <- Some gen
-        else
-          match Snapshot.save ~dir m with
-          | Ok () ->
-              t.manifest <- Some m;
-              t.manifest_gen <- Some gen;
-              M.incr (counter t "serve.snapshot_saves")
-          | Error e ->
-              M.incr (counter t "serve.snapshot_errors");
-              Log.warn ~kv:[ ("error", e) ] "snapshot save failed"
-      end
-
-(* Read every entry the manifest names into the memory tiers.  False when
-   there is no valid manifest — a clean cold start, never an error.
-   Caller holds [run_mu]. *)
-let preload_locked (t : t) : bool =
-  match cache_dir t with
-  | None -> false
-  | Some dir -> (
-      match Snapshot.load ~dir with
-      | None -> false
-      | Some m ->
-          let files = E.preload t.engine m.Snapshot.m_files in
-          let solve = Gcatch.Solve_cache.preload ~dir m.Snapshot.m_solve in
-          t.manifest <- Some m;
-          M.incr (counter t "serve.snapshot_loads");
-          if J.enabled () then
-            J.emit ~event:"snapshot.load"
-              [ ("file_entries", J.I files); ("solve_entries", J.I solve) ];
-          true)
-
-let preload (t : t) : bool =
-  Mutex.lock t.run_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.run_mu)
-    (fun () -> preload_locked t)
-
 (* ------------------------------------------- self-healing rebuild ----- *)
 
-(* Tear the poisoned engine down and stand a fresh one up, preloaded from
-   the manifest, without dropping the listener.  Runs on its own
-   thread (the tripping request still holds [run_mu] when it spawns
-   us); [t.quarantined] is already set, so every request arriving
-   meanwhile answers 503 + Retry-After instead of queueing behind the
-   rebuild. *)
+(* Tear the poisoned engine down and stand a fresh one up without
+   dropping the listener; it warms up from --cache-dir on demand.  Runs
+   on its own thread (the tripping request still holds [run_mu] when it
+   spawns us); [t.quarantined] is already set, so every request
+   arriving meanwhile answers 503 + Retry-After instead of queueing
+   behind the rebuild. *)
 let rebuild_engine (t : t) ~reason : unit =
   M.incr (counter t "serve.quarantines");
   Log.warn ~kv:[ ("reason", reason) ] "engine quarantined; rebuilding";
@@ -417,12 +343,10 @@ let rebuild_engine (t : t) ~reason : unit =
     (fun () ->
       Gcatch.Solve_cache.reset_memory ();
       t.engine <- new_engine t.cfg t.registry;
-      t.manifest_gen <- None;
       (* the heap latch guarded state that just went away with the old
          engine; clear it and let the fresh engine earn its own verdict *)
       Atomic.set Goengine.Supervise.heap_tripped false;
-      Gc.compact ();
-      ignore (preload_locked t));
+      Gc.compact ());
   Mutex.lock t.sup_mu;
   t.sk_errors <- 0;
   t.sk_degraded <- 0;
@@ -465,23 +389,19 @@ let note_outcome (t : t) ~internal ~degraded ~breached : unit =
 
 (* ---------------------------------------------------- one execution --- *)
 
-(* The CLI's human rendering, reproduced so a client prints exactly what
-   a local run would (modulo wall-clock, which is genuinely different). *)
+(* A run's human rendering: what gcatch prints, and what a response
+   carries so a client prints exactly what a local run would (modulo
+   wall-clock, which is genuinely different). *)
 let human_of_run (r : E.run) : string =
   let b = Buffer.create 256 in
-  if E.frontend_failed r then
-    List.iter
-      (fun d ->
-        Buffer.add_string b (D.render_human d);
-        Buffer.add_char b '\n')
-      r.E.r_diags
-  else begin
-    List.iter
-      (fun d ->
-        Buffer.add_string b (D.render_human d);
-        Buffer.add_char b '\n')
-      r.E.r_diags;
+  List.iter
+    (fun d ->
+      Buffer.add_string b (D.render_human d);
+      Buffer.add_char b '\n')
+    r.E.r_diags;
+  if not (E.frontend_failed r) then begin
     let count prefix =
+      (* warnings (e.g. solver-budget skips) are not bugs *)
       List.length
         (List.filter
            (fun (d : D.t) ->
@@ -493,8 +413,9 @@ let human_of_run (r : E.run) : string =
     Buffer.add_string b
       (Printf.sprintf "%d BMOC bug(s), %d traditional bug(s) in %.2fs\n"
          (count "bmoc") (count "trad.") r.E.r_elapsed_s);
-    let unclean = Goengine.Supervise.health_unclean r.E.r_health in
-    if unclean > 0 then
+    (* clean runs print nothing extra: the health line appears only when
+       some unit did not complete at full fidelity *)
+    if Goengine.Supervise.health_unclean r.E.r_health > 0 then
       Buffer.add_string b
         (Printf.sprintf "analysis health: %s\n"
            (Goengine.Supervise.health_str r.E.r_health))
@@ -564,7 +485,6 @@ let execute (t : t) ~rid (req : req) (sources : string list) : T.response =
         in
         E.set_registry t.engine t.registry;
         M.merge_into ~dst:t.registry req_reg;
-        update_manifest_locked t;
         (match t.cfg.s_deadline_ms with
         | Some _ -> Goengine.Supervise.clear_deadline ()
         | None -> ());

@@ -197,7 +197,7 @@ let test_disk_corrupt_entry_recovers () =
    trusting their shape, and give every fault action one meaning. *)
 let test_store_foreign_entries () =
   let module Store = Goengine.Store in
-  let module F = Goengine.Faults in
+  let module F = Goobs.Faults in
   with_cache_dir (fun dir ->
       Result.get_ok (Store.validate_dir dir);
       let st = Store.at dir in

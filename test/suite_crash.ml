@@ -1,19 +1,16 @@
-(* Crash-only gcatchd tests: the warm-state manifest lets a restarted
-   server answer a one-file edit from preloaded memos with byte-identical
-   diagnostics (even when an entry it names is gone), corrupt or
-   mismatched manifests fall back to a clean cold start, a solver-fault
-   storm quarantines the engine and a background rebuild restores
+(* Crash-only gcatchd tests: a restarted server answers a one-file edit
+   from the cache directory's entries with byte-identical diagnostics
+   (even when some entries are gone), a solver-fault storm quarantines the engine and a background rebuild restores
    byte-correct service, the retrying client honours Retry-After against
    a saturated queue and rides out connection-level chaos, and the
    journal's fsync policy keeps events durable without a clean close. *)
 
 module E = Goengine.Engine
-module F = Goengine.Faults
+module F = Goobs.Faults
 module M = Goobs.Metrics
 module T = Goobs.Telemetry
 module J = Goobs.Journal
 module Serve = Goserve.Serve
-module Snapshot = Goserve.Snapshot
 module Proto = Goserve.Proto
 
 (* a leaking channel: one BMOC bug per copy *)
@@ -94,20 +91,14 @@ let wait_for ?(timeout = 10.0) pred =
   done;
   Alcotest.(check bool) "condition reached before timeout" true (pred ())
 
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
 let set_plan s =
   match F.parse s with
   | Ok specs -> F.set_plan specs
   | Error e -> Alcotest.fail e
 
-(* ------------------------------------------- manifest warm restart --- *)
+(* ------------------------------------------------------ warm restart --- *)
 
-(* gcatchd's configuration for a cache directory: the detector's
-   --cache-dir is also where the warm-state manifest lives. *)
+(* gcatchd's configuration for a cache directory. *)
 let cfg_at ?(cfg = Serve.default_cfg) dir =
   {
     cfg with
@@ -124,195 +115,89 @@ let deltas names f =
   let r = f () in
   (r, List.map2 (fun n b -> (n, pv n - b)) names before)
 
-(* Server A analyses a two-file program; its request leaves the
-   manifest.  A fresh server B on the same cache directory (the
-   restarted daemon) preloads it and answers a one-file edit: only the
-   edited file compiles, nothing is read from disk during the request,
-   and the diagnostics are byte-identical to a cold one-shot run. *)
-let test_manifest_restart () =
+let entries dir suffix =
+  List.filter
+    (fun n -> Filename.check_suffix n suffix)
+    (Array.to_list (Sys.readdir dir))
+
+let edited = [ leak "Snap"; clean_edited ]
+
+(* The edit posted after each restart: its status and diagnostics
+   (byte-identical to [expect], a cold one-shot run computed before the
+   warm-up, so that the run leaves the request nothing in memory) are
+   checked, and the deltas of [names] over the request are returned. *)
+let post_edit ~expect server names =
+  let (code, body), d =
+    deltas names (fun () ->
+        T.fetch_post server "/analyse" (body_of_sources edited))
+  in
+  Alcotest.(check int) "edit status" 200 code;
+  Alcotest.(check string) "edit diagnostics byte-identical" expect
+    (diag_bytes_of_response body);
+  fun n -> List.assoc n d
+
+(* Server A analyses a two-file program on a fresh cache directory. *)
+let warm_up cfg =
+  restart ();
+  with_server ~cfg (fun _ server ->
+      let code, _ =
+        T.fetch_post server "/analyse" (body_of_sources [ leak "Snap"; clean ])
+      in
+      Alcotest.(check int) "warm-up status" 200 code)
+
+(* A fresh server B on server A's cache directory (the restarted daemon)
+   answers a one-file edit: only the edited file compiles, the unchanged
+   file and its channel's verdict are read back from disk, and the
+   diagnostics are byte-identical to a cold one-shot run.  No server
+   leaves any state beside the cache entries. *)
+let test_restart_reads_disk () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = cfg_at dir in
-  let sources = [ leak "Snap"; clean ] in
-  let edited = [ leak "Snap"; clean_edited ] in
   let expect = local_diag_bytes ~jobs:1 edited in
+  warm_up cfg;
   restart ();
   with_server ~cfg (fun _ server ->
-      let code, _ = T.fetch_post server "/analyse" (body_of_sources sources) in
-      Alcotest.(check int) "warm-up status" 200 code);
-  Alcotest.(check bool) "request left a valid manifest" true
-    (Snapshot.check ~dir = Snapshot.Valid);
-  restart ();
-  with_server ~cfg (fun srv server ->
-      let loads0 = pv "serve.snapshot_loads" in
-      Alcotest.(check bool) "manifest preloaded" true (Serve.preload srv);
-      Alcotest.(check int) "load counted" 1 (pv "serve.snapshot_loads" - loads0);
-      let (code, body), d =
-        deltas
+      let d =
+        post_edit ~expect server
           [
             "stage.typecheck.runs";
             "stage.lower.runs";
             "engine.file_disk_hit";
             "bmoc.solve_cache_disk_hit";
-            "engine.file_mem_hit";
-            "bmoc.solve_cache_hit";
           ]
-          (fun () -> T.fetch_post server "/analyse" (body_of_sources edited))
       in
-      let d n = List.assoc n d in
-      Alcotest.(check int) "edit status" 200 code;
       Alcotest.(check int) "one typecheck" 1 (d "stage.typecheck.runs");
       Alcotest.(check int) "one lower" 1 (d "stage.lower.runs");
-      Alcotest.(check int) "no per-file disk read" 0 (d "engine.file_disk_hit");
-      Alcotest.(check int) "no solve disk read" 0 (d "bmoc.solve_cache_disk_hit");
-      Alcotest.(check bool) "preloaded memo hit" true (d "engine.file_mem_hit" > 0);
-      Alcotest.(check bool) "preloaded solve hit" true
-        (d "bmoc.solve_cache_hit" > 0);
-      Alcotest.(check string) "edit diagnostics byte-identical" expect
-        (diag_bytes_of_response body))
+      Alcotest.(check bool) "per-file disk read" true
+        (d "engine.file_disk_hit" > 0);
+      Alcotest.(check bool) "solve disk read" true
+        (d "bmoc.solve_cache_disk_hit" > 0));
+  Alcotest.(check int) "one lower entry per file version" 3
+    (List.length (entries dir ".lower"));
+  Alcotest.(check (list string)) "no snapshot written" [] (entries dir ".snap")
 
-(* A manifest can outlive the entries it names (a cleaned cache
-   directory, a crash between writes): the missing ones recompute. *)
-let test_manifest_missing_entry () =
+(* With server A's lowered entries deleted, the restarted server lowers
+   both files again and answers the same bytes. *)
+let test_restart_recomputes_deleted () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = cfg_at dir in
-  let edited = [ leak "Gone"; clean_edited ] in
   let expect = local_diag_bytes ~jobs:1 edited in
-  with_server ~cfg (fun _ server ->
-      let code, _ =
-        T.fetch_post server "/analyse" (body_of_sources [ leak "Gone"; clean ])
-      in
-      Alcotest.(check int) "warm-up status" 200 code);
-  let lowered =
-    List.filter (fun n -> Filename.check_suffix n ".lower")
-      (Array.to_list (Sys.readdir dir))
-  in
+  warm_up cfg;
+  let lowered = entries dir ".lower" in
   Alcotest.(check int) "one lower entry per file" 2 (List.length lowered);
   List.iter (fun n -> Sys.remove (Filename.concat dir n)) lowered;
   restart ();
-  with_server ~cfg (fun srv server ->
-      Alcotest.(check bool) "manifest still preloads" true (Serve.preload srv);
-      let (code, body), d =
-        deltas [ "stage.lower.runs" ] (fun () ->
-            T.fetch_post server "/analyse" (body_of_sources edited))
-      in
-      Alcotest.(check int) "edit status" 200 code;
-      Alcotest.(check int) "both files re-lowered" 2
-        (List.assoc "stage.lower.runs" d);
-      Alcotest.(check string) "diagnostics byte-identical" expect
-        (diag_bytes_of_response body))
-
-(* --------------------------------------- corrupt / mismatched manifest --- *)
-
-let test_corrupt_snapshot_cold_start () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg = cfg_at dir in
-  let fp = Snapshot.path ~dir in
-  (* garbage bytes: digest check fails *)
-  write_file fp "this is not a snapshot, but it is long enough to try";
-  Alcotest.(check bool) "garbage classified corrupt" true
-    (Snapshot.check ~dir = Snapshot.Corrupt);
-  with_server ~cfg (fun srv server ->
-      Alcotest.(check bool) "corrupt snapshot rejected" false
-        (Serve.preload srv);
-      Alcotest.(check bool) "corrupt snapshot deleted" false
-        (Sys.file_exists fp);
-      (* the cold server still answers correctly, and leaves a manifest *)
-      let sources = [ leak "Cold"; clean ] in
-      let expect = local_diag_bytes ~jobs:1 sources in
-      let code, body =
-        T.fetch_post server "/analyse" (body_of_sources sources)
-      in
-      Alcotest.(check int) "cold status" 200 code;
-      Alcotest.(check string) "cold diagnostics" expect
-        (diag_bytes_of_response body));
-  (* truncate a real manifest mid-file: same clean recovery *)
-  let raw =
-    let ic = open_in_bin fp in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  write_file fp (String.sub raw 0 (String.length raw / 2));
-  Alcotest.(check bool) "truncated classified corrupt" true
-    (Snapshot.check ~dir = Snapshot.Corrupt);
-  Alcotest.(check bool) "truncated snapshot rejected" true
-    (Snapshot.load ~dir = None);
-  Alcotest.(check bool) "truncated snapshot deleted" false (Sys.file_exists fp);
-  (* an entry of the previous store version is reported, never deleted *)
-  let vbytes = Marshal.to_string () [] in
-  let body =
-    Marshal.to_string
-      ( "gcatch-store/1",
-        Snapshot.kind,
-        Snapshot.key,
-        Digest.to_hex (Digest.string vbytes) )
-      []
-    ^ vbytes
-  in
-  write_file fp (Digest.string body ^ body);
-  Alcotest.(check bool) "old version classified" true
-    (Snapshot.check ~dir = Snapshot.Version_mismatch "gcatch-store/1");
-  Alcotest.(check bool) "old version not loaded" true
-    (Snapshot.load ~dir = None);
-  Alcotest.(check bool) "old version preserved for inspection" true
-    (Sys.file_exists fp)
-
-(* ------------------------------------------------ snapshot fault sites --- *)
-
-(* Each request below brings a new source, so each one rewrites the
-   manifest. *)
-let test_snapshot_fault_sites () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  with_server ~cfg:(cfg_at dir) (fun _ server ->
-      let post name =
-        let code, _ =
-          T.fetch_post server "/analyse" (body_of_sources [ leak name ])
-        in
-        Alcotest.(check int) "request status" 200 code
-      in
-      (* a raise on snapshot.write fails the request's manifest write,
-         counted, while the request itself still answers *)
-      let errs0 = pv "serve.snapshot_errors" in
-      set_plan "snapshot.write:*!raise";
-      Fun.protect ~finally:F.clear (fun () -> post "FS");
-      Alcotest.(check int) "save error counted" 1
-        (pv "serve.snapshot_errors" - errs0);
-      Alcotest.(check bool) "no manifest written" false
-        (Sys.file_exists (Snapshot.path ~dir));
-      (* a corrupt-action write truncates the bytes on disk; the next
-         load must treat that as a cold start and delete the file *)
-      let saves0 = pv "serve.snapshot_saves" in
-      set_plan "snapshot.write:*!corrupt";
-      Fun.protect ~finally:F.clear (fun () -> post "FSCorrupt");
-      Alcotest.(check int) "corrupting save reports success" 1
-        (pv "serve.snapshot_saves" - saves0);
-      Alcotest.(check bool) "corrupted manifest on disk" true
-        (Sys.file_exists (Snapshot.path ~dir));
-      Alcotest.(check bool) "corrupted manifest rejected" true
-        (Snapshot.load ~dir = None);
-      Alcotest.(check bool) "corrupted manifest deleted" false
-        (Sys.file_exists (Snapshot.path ~dir));
-      (* a good manifest plus a snapshot.read fault: load declines *)
-      post "FSClean";
-      Alcotest.(check bool) "clean manifest" true
-        (Snapshot.check ~dir = Snapshot.Valid);
-      set_plan "snapshot.read:*!raise";
-      Fun.protect ~finally:F.clear (fun () ->
-          Alcotest.(check bool) "faulted load declines" true
-            (Snapshot.load ~dir = None));
-      Alcotest.(check bool) "file intact after faulted load" true
-        (Sys.file_exists (Snapshot.path ~dir)))
+  with_server ~cfg (fun _ server ->
+      let d = post_edit ~expect server [ "stage.lower.runs" ] in
+      Alcotest.(check int) "both files lowered again" 2 (d "stage.lower.runs"))
 
 (* --------------------------------------------------- quarantine rebuild --- *)
 
 (* A solver-fault storm degrades consecutive runs; once the streak
-   crosses --quarantine-degraded the engine is quarantined and rebuilt,
-   preloaded from the manifest, on a background thread without dropping
-   the listener.  After the storm clears, the rebuilt engine must
+   crosses --quarantine-degraded the engine is quarantined and rebuilt
+   on a background thread without dropping the listener.  After the storm clears, the rebuilt engine must
    answer with byte-correct diagnostics. *)
 let test_quarantine_rebuild_under_solver_storm () =
   let dir = temp_dir () in
@@ -323,11 +208,8 @@ let test_quarantine_rebuild_under_solver_storm () =
         T.fetch_post server "/analyse" (body_of_sources [ leak "Good" ])
       in
       Alcotest.(check int) "healthy warm-up" 200 code;
-      Alcotest.(check bool) "manifest written" true
-        (Snapshot.check ~dir = Snapshot.Valid);
       let rebuilds0 = pv "serve.engine_rebuilds" in
       let quars0 = pv "serve.quarantines" in
-      let loads0 = pv "serve.snapshot_loads" in
       set_plan "solver:*!raise";
       Fun.protect ~finally:F.clear (fun () ->
           (* two consecutive degraded runs trip the streak *)
@@ -341,8 +223,6 @@ let test_quarantine_rebuild_under_solver_storm () =
           wait_for (fun () -> pv "serve.engine_rebuilds" > rebuilds0));
       Alcotest.(check bool) "quarantine counted" true
         (pv "serve.quarantines" > quars0);
-      Alcotest.(check bool) "rebuild preloaded the manifest" true
-        (pv "serve.snapshot_loads" > loads0);
       wait_for (fun () -> not (Serve.quarantined srv));
       let sources = [ leak "AfterStorm"; clean ] in
       let expect = local_diag_bytes ~jobs:1 sources in
@@ -467,12 +347,10 @@ let test_journal_fsync_policy () =
 
 let tests =
   [
-    Alcotest.test_case "snapshot warm round-trip" `Quick test_manifest_restart;
-    Alcotest.test_case "manifest names a deleted entry" `Quick
-      test_manifest_missing_entry;
-    Alcotest.test_case "corrupt snapshot cold start" `Quick
-      test_corrupt_snapshot_cold_start;
-    Alcotest.test_case "snapshot fault sites" `Quick test_snapshot_fault_sites;
+    Alcotest.test_case "restart reads the cache directory" `Quick
+      test_restart_reads_disk;
+    Alcotest.test_case "restart recomputes a deleted entry" `Quick
+      test_restart_recomputes_deleted;
     Alcotest.test_case "quarantine rebuild under solver storm" `Quick
       test_quarantine_rebuild_under_solver_storm;
     Alcotest.test_case "retry honours Retry-After" `Quick

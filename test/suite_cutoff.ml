@@ -436,9 +436,9 @@ let test_faults_stand_down () =
   let srcs = edit_file 2 (helper_literal ~v:7) base in
   let before = snapshot engine in
   let r =
-    Fun.protect ~finally:Goengine.Faults.clear (fun () ->
-        (match Goengine.Faults.parse "solver@no-such-channel" with
-        | Ok specs -> Goengine.Faults.set_plan specs
+    Fun.protect ~finally:Goobs.Faults.clear (fun () ->
+        (match Goobs.Faults.parse "solver@no-such-channel" with
+        | Ok specs -> Goobs.Faults.set_plan specs
         | Error e -> Alcotest.fail e);
         analyse engine srcs)
   in
@@ -593,9 +593,9 @@ let test_missing_outcomes_resolved () =
   Alcotest.(check bool) "some channels but not all time out" true
     (List.length missing < List.length all);
   let first =
-    Fun.protect ~finally:Goengine.Faults.clear (fun () ->
-        (match Goengine.Faults.parse ("solver:*@" ^ key ^ "!timeout") with
-        | Ok specs -> Goengine.Faults.set_plan specs
+    Fun.protect ~finally:Goobs.Faults.clear (fun () ->
+        (match Goobs.Faults.parse ("solver:*@" ^ key ^ "!timeout") with
+        | Ok specs -> Goobs.Faults.set_plan specs
         | Error e -> Alcotest.fail e);
         detect ())
   in

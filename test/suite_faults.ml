@@ -5,7 +5,7 @@
 
 module E = Goengine.Engine
 module D = Goengine.Diagnostics
-module F = Goengine.Faults
+module F = Goobs.Faults
 module S = Goengine.Supervise
 module M = Goobs.Metrics
 module SC = Gcatch.Solve_cache

@@ -6,7 +6,7 @@
 
 module E = Goengine.Engine
 module D = Goengine.Diagnostics
-module F = Goengine.Faults
+module F = Goobs.Faults
 module P = Goengine.Pool
 
 let fig1_body =
