@@ -26,12 +26,8 @@ module M = Goobs.Metrics
 module Log = Goobs.Log
 module Trace = Goobs.Trace
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* Read to end of file, not by length: a pipe or /dev/stdin has none. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let list_passes engine =
   List.iter

@@ -15,12 +15,8 @@ module E = Goengine.Engine
 module D = Goengine.Diagnostics
 module Log = Goobs.Log
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* Read to end of file, not by length: a pipe or /dev/stdin has none. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let run_checked files validate jobs journal log_json =
   (* gfix narrates its per-bug outcomes by design: default to info-level

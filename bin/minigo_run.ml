@@ -6,12 +6,8 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* Read to end of file, not by length: a pipe or /dev/stdin has none. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let run files seeds entry =
   if files = [] then (

@@ -286,24 +286,12 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
     cst.c_sat_restarts <- cst.c_sat_restarts + restarts;
     cst.c_sat_db_reductions <- cst.c_sat_db_reductions + reductions
   in
-  (* The solver's conflict poll doubles as the scheduler yield point: a
-     long-running solve inside a scheduled task periodically gives the
-     domain back instead of wedging it.  The yield is a no-op outside
-     the scheduler, and the returned deadline answer is unaffected, so
-     verdicts stay schedule-independent. *)
   let should_stop =
     match cfg.path_cfg.Pathenum.solver_timeout_ms with
-    | None ->
-        Some
-          (fun () ->
-            Goengine.Pool.yield ();
-            false)
+    | None -> None
     | Some ms ->
         let deadline = Clock.now_s () +. (float_of_int ms /. 1000.) in
-        Some
-          (fun () ->
-            Goengine.Pool.yield ();
-            Clock.now_s () > deadline)
+        Some (fun () -> Clock.now_s () > deadline)
   in
   let scope, pset =
     if cfg.disentangle then (Disentangle.scope_of dis c, Disentangle.pset dis c)
@@ -432,9 +420,7 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
        budget path (and hence the degradation ladder) *)
     (match Goobs.Faults.fire ~site:"solver" ~key:(Alias.obj_str c) () with
     | None -> ()
-    | Some Goobs.Faults.Stall ->
-        (* yield-aware: a stalled solver site must not wedge its domain *)
-        Goengine.Pool.sleep_yielding Goobs.Faults.stall_s
+    | Some Goobs.Faults.Stall -> Unix.sleepf Goobs.Faults.stall_s
     | Some Goobs.Faults.Timeout -> raise Gosmt.Solver.Timeout
     | Some _ ->
         raise (Goobs.Faults.Injected ("solver", Alias.obj_str c)));
@@ -574,19 +560,11 @@ let rung_cfg cfg i =
    nothing to ladder off: the clean path is one plain call. *)
 let detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c
     : Report.bmoc_bug list * bool * int =
-  (* Each rung attempt runs as its own scheduled task: under the effects
-     scheduler a rung that stalls in the solver suspends at its yield
-     points instead of pinning the domain, and the awaiting ladder frame
-     itself is stealable.  Outside the scheduler [fork] degenerates to
-     an immediate call, so the ladder works identically in sequential
-     runs.  Rungs stay *sequential decisions* (fork-then-await one at a
-     time, no speculation): whether rung [i+1] runs depends on rung
-     [i]'s verdict, which keeps solver-call counters and the consumed
-     rung count schedule-independent. *)
+  (* Rungs are sequential decisions, no speculation: whether rung [i+1]
+     runs depends on rung [i]'s verdict, which keeps solver-call counters
+     and the consumed rung count schedule-independent. *)
   let attempt cfg =
-    Goengine.Pool.await
-      (Goengine.Pool.fork (fun () ->
-           detect_channel ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c))
+    detect_channel ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c
   in
   let found, timed = attempt cfg in
   if

@@ -461,9 +461,9 @@ let stage_counted (t : t) name f =
       M.incr (M.counter t.registry ("stage." ^ name ^ ".runs"));
       f ())
 
-(* Minimum items per forked task for per-file fan-outs.  Small batches
-   run inline (no session, no fork overhead); large ones chunk so the
-   per-task grain stays coarse.  Derived from the batch size alone —
+(* Minimum items per dispatched pool item for per-file fan-outs.  Small
+   batches run inline (no dispatch overhead); large ones chunk so the
+   per-item grain stays coarse.  Derived from the batch size alone —
    never from the job count — so counters and diagnostics stay
    schedule-independent. *)
 let frontend_grain n = if n <= 8 then n else max 2 (n / 32)
@@ -482,9 +482,7 @@ let frontend_grain n = if n <= 8 then n else max 2 (n / 32)
 (* A domain-safe once-cell: the per-file compute closures below share
    whole-program inputs (type environment, lowering signatures) that a
    fully cache-warm run never needs — build them on first use only.
-   The builders never yield, so a task computing one cannot suspend
-   while holding the lock.  Returns the getter and a peek that never
-   builds. *)
+   Returns the getter and a peek that never builds. *)
 let once f =
   let mu = Mutex.create () in
   let r = Atomic.make None in

@@ -120,16 +120,8 @@ let find_or_compute (t : 'v t) (key : string) (f : unit -> 'v * bool) :
         c.tick <- t.clock;
         `Hit c.v
     | Some Computing ->
-        (* Inside a scheduled task, blocking on the condition variable
-           could wedge the only domain running the claimant (which may
-           itself be suspended behind us in the queue): release the lock
-           and yield to the scheduler instead, then re-check. *)
-        if Pool.in_task () then begin
-          Mutex.unlock t.mu;
-          Pool.yield ();
-          Mutex.lock t.mu
-        end
-        else Condition.wait t.cv t.mu;
+        (* the claimant runs to completion on its own participant *)
+        Condition.wait t.cv t.mu;
         claim ()
     | None ->
         Hashtbl.replace t.tbl key Computing;

@@ -1,13 +1,16 @@
-(** Effects-based work-stealing task scheduler over per-domain Chase–Lev
-    deques — the parallel substrate for per-scope BMOC detection, the
-    traditional checkers' per-function walks, and the bench's per-app
-    sweep.
+(** A plain domain pool — the parallel substrate for per-scope BMOC
+    detection, the traditional checkers' per-function walks and the
+    frontend's per-file stages.
 
-    Tasks are delimited computations run under a deep effect handler:
-    they can {!fork} children, {!yield} the domain, and {!await}
-    promises — a suspended task is a heap-allocated fiber any
-    participant may steal and resume, so long solver polls, retry-ladder
-    rungs, and disk-cache I/O no longer wedge a whole domain.
+    Every fan-out in the analysis is flat and its items are independent
+    (disentangling gives each channel its own scope), so an item needs
+    no suspension: it runs to completion on whichever participant took
+    it.  The pool is [jobs - 1] worker domains plus the thread that
+    submits a {!map}.  A submitted batch joins one shared queue under a
+    mutex and a condition variable; workers take its items one at a
+    time, and the submitter takes items of its own batch too, then waits
+    for the rest.  Any thread may submit a batch, and batches from
+    several threads share the workers.
 
     Determinism: {!map} returns results in input order regardless of
     which domain ran which item, and re-raises the exception of the
@@ -15,32 +18,15 @@
     output for [jobs = 1] and [jobs = N] (given a per-item-deterministic
     [f]).
 
-    Nested {!map} calls from inside a task fork real subtasks into the
-    running session — layered fan-outs (per-app over per-channel over
-    per-rung) expose all their parallelism to the same scheduler instead
-    of degrading to inline loops. *)
-
-(** Chase–Lev circular work-stealing deque.  [push]/[pop] are owner-only
-    (one designated domain); [steal] may be called from any domain. *)
-module Ws_deque : sig
-  type 'a t
-
-  val create : ?capacity:int -> unit -> 'a t
-  val push : 'a t -> 'a -> unit
-
-  val pop : 'a t -> 'a option
-  (** Owner-only LIFO removal; [None] when empty. *)
-
-  val steal : 'a t -> 'a option
-  (** Thief-safe FIFO removal; [None] when empty. *)
-end
+    A {!map} called from inside an item runs inline: the outer fan-out
+    already keeps every participant busy. *)
 
 type t
 
 val create : ?jobs:int -> unit -> t
-(** A pool of [jobs - 1] worker domains (the caller participates as the
-    [jobs]-th participant during a session).  [jobs <= 1] spawns no
-    domains and makes {!map} run sequentially. *)
+(** A pool of [jobs - 1] worker domains (the submitting thread is the
+    [jobs]-th participant of each batch).  [jobs <= 1] spawns no domains
+    and makes {!map} run sequentially. *)
 
 val get : jobs:int -> t
 (** A process-wide shared pool of the given size; repeated calls with
@@ -67,68 +53,27 @@ val jobs_of_env : string option -> int
     (the malformed case logging a warning); a well-formed [n >= 1] is
     returned as-is. *)
 
-(** {1 Tasks} *)
-
-type 'a promise
-(** A write-once cell filled with the result (value or exception) of a
-    forked task. *)
-
-val in_task : unit -> bool
-(** Whether the calling code is running inside a scheduled task (and so
-    {!fork}ed work is actually deferred and {!yield} actually yields). *)
-
-val fork : (unit -> 'a) -> 'a promise
-(** Inside a task: schedule [f] as a child task on the running session
-    and return immediately.  Outside the scheduler: run [f] now and
-    return an already-filled promise (identical sequential semantics, so
-    [fork]/[await] pairs are safe anywhere). *)
-
-val await : 'a promise -> 'a
-(** The forked task's result; re-raises its exception with backtrace.
-    Inside a task this suspends (the domain runs other tasks) until the
-    promise fills.  Outside the scheduler the promise must already be
-    filled — awaiting a pending promise raises [Invalid_argument]. *)
-
-val yield : unit -> unit
-(** Inside a task: suspend and requeue, letting the participant run its
-    oldest queued task next (round-robin, so polling loops cannot
-    starve siblings).  Outside the scheduler: no-op. *)
-
-val sleep_yielding : float -> unit
-(** Wait out a wall-clock duration without wedging the domain: inside a
-    task, alternate {!yield}s with short sleeps; outside, a plain
-    [Unix.sleepf].  Fault-injection stall sites use this. *)
-
-val with_scheduler : pool:t -> (unit -> 'a) -> 'a
-(** Run [f] as the root task of a fresh scheduling session on [pool],
-    unconditionally — no inline fast path — with the caller
-    participating until the root completes.  Inside a task this is just
-    [f ()].  Entry point for callers that need in-task semantics
-    regardless of batch size or hardware (tests, the bench). *)
-
-(** {1 Fan-out} *)
-
 val map : pool:t -> ?grain:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] preserving input order.  One task is forked per
-    item; idle participants rebalance by stealing.  If tasks raise, the
-    exception of the smallest failing index is re-raised in the caller
-    with its backtrace — after all items have finished, so side effects
-    (metrics, memo state) are schedule-independent.
+(** Parallel [List.map] preserving input order.  Each item runs under
+    the submitter's open trace spans, inside its own [pool.task] span.
+    If items raise, the exception of the smallest failing index is
+    re-raised in the caller with its backtrace — after all items have
+    finished, so side effects (metrics, memo state) are
+    schedule-independent.
 
-    [grain] (default 1) sets a minimum number of items per forked task:
-    consecutive chunks of up to [grain] items each run inline inside
-    one task, so tiny work items skip the fork/await overhead.  A batch
-    that fits in a single chunk runs entirely inline.  Chunking keeps
-    the deterministic smallest-failing-index exception choice; callers
-    must derive [grain] from the input alone (never from the job
+    [grain] (default 1) sets a minimum number of items per dispatched
+    item: consecutive chunks of up to [grain] items each run inline on
+    one participant, so tiny work items skip the dispatch overhead.  A
+    batch that fits in a single chunk runs entirely inline.  Chunking
+    keeps the deterministic smallest-failing-index exception choice;
+    callers must derive [grain] from the input alone (never from the job
     count) so counters stay schedule-independent.
 
-    Inside a task, [map] forks subtasks into the running session
-    (single-item calls run inline).  At top level, batches of at most
-    two items, pools of one participant, and any call when
-    {!recommended_jobs} is 1 (e.g. [GCATCH_JOBS=1] or a single hardware
-    thread) run inline with no session setup — fanning out over domains
-    that share one hardware thread is a strict slowdown. *)
+    Batches of at most two items, pools of one participant, a [map]
+    from inside an item, and any call when {!recommended_jobs} is 1
+    (e.g. [GCATCH_JOBS=1] or a single hardware thread) run inline —
+    fanning out over domains that share one hardware thread is a strict
+    slowdown. *)
 
 val run : pool:t -> (unit -> 'a) list -> 'a list
 (** [run ~pool thunks] = [map ~pool (fun th -> th ()) thunks]. *)

@@ -29,9 +29,9 @@
      memory-only with ONE warning.
 
    Fault sites [cache.read] / [cache.write] mean the same on every
-   entry: raise/timeout is a counted I/O error, stall sleeps (yielding
-   inside a scheduled task), corrupt truncates the entry's bytes — on
-   disk for a write, as read for a read. *)
+   entry: raise/timeout is a counted I/O error, stall sleeps, corrupt
+   truncates the entry's bytes — on disk for a write, as read for a
+   read. *)
 
 module M = Goobs.Metrics
 
@@ -83,7 +83,7 @@ let fault ~site ~key =
   match Goobs.Faults.fire ~site ~key () with
   | None -> `Clean
   | Some Goobs.Faults.Stall ->
-      Pool.sleep_yielding Goobs.Faults.stall_s;
+      Unix.sleepf Goobs.Faults.stall_s;
       `Clean
   | Some Goobs.Faults.Corrupt -> `Truncate
   | Some (Goobs.Faults.Raise | Goobs.Faults.Timeout) ->
@@ -150,33 +150,26 @@ let read_file p =
 let read t ~kind ~key : ('a * string) option =
   if not (Atomic.get t.live) then None
   else begin
-    (* yield around the blocking syscalls: a scheduled task reading the
-       store gives other tasks a turn before and after the I/O *)
-    Pool.yield ();
     let p = path t ~kind ~key in
-    let r =
-      match
-        let f = fault ~site:"cache.read" ~key in
-        match read_file p with
-        | None -> None
-        | Some raw ->
-            let raw = if f = `Truncate then half raw else raw in
-            Some (decode raw ~kind ~key)
-      with
+    match
+      let f = fault ~site:"cache.read" ~key in
+      match read_file p with
       | None -> None
-      | Some (Ok v) -> Some v
-      | Some (Error Corrupt) ->
-          (* the unlink is best-effort: another process may have dropped
-             the same corrupt entry a beat earlier *)
-          (try Sys.remove p with Sys_error _ -> ());
-          None
-      | Some (Error _) -> None
-      | exception _ ->
-          failed t "store.read_error";
-          None
-    in
-    Pool.yield ();
-    r
+      | Some raw ->
+          let raw = if f = `Truncate then half raw else raw in
+          Some (decode raw ~kind ~key)
+    with
+    | None -> None
+    | Some (Ok v) -> Some v
+    | Some (Error Corrupt) ->
+        (* the unlink is best-effort: another process may have dropped
+           the same corrupt entry a beat earlier *)
+        (try Sys.remove p with Sys_error _ -> ());
+        None
+    | Some (Error _) -> None
+    | exception _ ->
+        failed t "store.read_error";
+        None
   end
 
 (* Store [v]; [Ok digest] of its marshalled bytes, or [Error reason]
@@ -184,37 +177,32 @@ let read t ~kind ~key : ('a * string) option =
 let write t ~kind ~key v : (string, string) result =
   if not (Atomic.get t.live) then Error "cache directory retired"
   else begin
-    Pool.yield ();
     let tmp =
       Filename.concat t.dir
         (Printf.sprintf ".gcatch-%s.%s.%d.tmp" key kind (Unix.getpid ()))
     in
-    let r =
-      match
-        let f = fault ~site:"cache.write" ~key in
-        if not (Sys.file_exists t.dir) then Unix.mkdir t.dir 0o755;
-        let vbytes = Marshal.to_string v [ Marshal.No_sharing ] in
-        let vd = Digest.to_hex (Digest.string vbytes) in
-        let body =
-          Marshal.to_string (format_version, kind, key, vd) [] ^ vbytes
-        in
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (Digest.string body);
-            output_string oc (if f = `Truncate then half body else body));
-        Sys.rename tmp (path t ~kind ~key);
-        vd
-      with
-      | vd -> Ok vd
-      | exception e ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          failed t "store.write_error";
-          Error (Printexc.to_string e)
-    in
-    Pool.yield ();
-    r
+    match
+      let f = fault ~site:"cache.write" ~key in
+      if not (Sys.file_exists t.dir) then Unix.mkdir t.dir 0o755;
+      let vbytes = Marshal.to_string v [ Marshal.No_sharing ] in
+      let vd = Digest.to_hex (Digest.string vbytes) in
+      let body =
+        Marshal.to_string (format_version, kind, key, vd) [] ^ vbytes
+      in
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc (Digest.string body);
+          output_string oc (if f = `Truncate then half body else body));
+      Sys.rename tmp (path t ~kind ~key);
+      vd
+    with
+    | vd -> Ok vd
+    | exception e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        failed t "store.write_error";
+        Error (Printexc.to_string e)
   end
 
 (* Just the value digest from an entry's header, without reading the

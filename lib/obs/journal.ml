@@ -169,7 +169,7 @@ let events_written () = Atomic.get seq
 (* Ambient context fields, stamped onto every event while set — gcatchd
    sets [("req", S id)] around each request so a shared journal can be
    sliced per request offline.  One global, not per-domain: the server
-   serializes request execution (one scheduler session at a time), so a
+   serializes request execution (one analysis at a time), so a
    single ambient scope is always well-defined.  Context rides right
    after "event", before the event's own fields. *)
 let context : (string * field) list Atomic.t = Atomic.make []

@@ -139,20 +139,18 @@ let report ?(top = 10) ?(samples = store) (reg : Metrics.t)
        (100.0 *. float_of_int hits /. float_of_int (hits + misses))
        (c "bmoc.solve_cache_disk_hit")
        (c "bmoc.solve_cache_store"));
-  (* effects scheduler: task traffic across the run, from the "sched.*"
-     counters the pool maintains in the process-wide registry.  Steals
-     and yields are schedule-dependent by nature — this section is
+  (* domain pool: items dispatched across the run, from the
+     "sched.tasks_spawned" counter the pool maintains in the process-wide
+     registry.  A --jobs 1 run dispatches nothing, so this section is
      diagnostic, never part of determinism comparisons. *)
-  (let counters = Metrics.counters_list reg in
-   let c n = Option.value (List.assoc_opt n counters) ~default:0 in
-   let spawned = c "sched.tasks_spawned" in
+  (let spawned =
+     Option.value
+       (List.assoc_opt "sched.tasks_spawned" (Metrics.counters_list reg))
+       ~default:0
+   in
    if spawned > 0 then begin
      line "scheduler:";
-     line "  %d task(s) spawned, %d stolen, %d yield(s)" spawned
-       (c "sched.tasks_stolen") (c "sched.yields");
-     match List.assoc_opt "sched.queue_depth" (Metrics.gauges_list reg) with
-     | Some d -> line "  last queue depth: %.0f" d
-     | None -> ()
+     line "  %d item(s) dispatched" spawned
    end);
   (* analysis health: the supervision layer's unit ledger ("health.*"
      counters; the key names are fixed by Goengine.Supervise, which sits

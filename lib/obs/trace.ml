@@ -86,13 +86,12 @@ let rec push_span st sp =
   if not (Atomic.compare_and_set st.ds_spans old (sp :: old)) then
     push_span st sp
 
-(* Span handoff (the effects scheduler).  A scheduled task owns a
-   private open-span stack; the scheduler swaps it into the executing
-   domain's [ds_stack] around every execution slice and carries it away
-   again at suspension, so a span opened before a steal closes correctly
-   on whichever domain resumes the task.  The spine is an immutable
-   list, so a forked child may share its parent's tail: each task only
-   pushes and pops its own head. *)
+(* Span handoff (the domain pool).  A pool item runs under its
+   submitter's open-span stack: the worker swaps that stack into its own
+   [ds_stack] around the item, so the item's spans parent under the span
+   the submitter had open.  The spine is an immutable list, so items on
+   several domains may share the submitter's tail: each only pushes and
+   pops its own head. *)
 type stack = open_span list
 
 let empty_stack : stack = []
@@ -158,11 +157,6 @@ let with_span ~name ?(args = []) f =
     st.ds_stack <- os :: st.ds_stack;
     Fun.protect
       ~finally:(fun () ->
-        (* re-fetch the domain state: the span may close on a different
-           domain than it opened on when the enclosing task migrated
-           across a steal — the task's swapped-in stack still carries
-           [os], but [st] would be the *opening* domain's state *)
-        let st = Domain.DLS.get key in
         let dur = Mclock.now_us () -. os.os_t0 in
         (match st.ds_stack with
         | _ :: rest -> st.ds_stack <- rest

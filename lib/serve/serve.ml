@@ -17,14 +17,14 @@
 
      parse -> resolve digest refs against the content store
            -> admission (bounded queue; 429 + Retry-After when full)
-           -> execute: one scheduler session under [run_mu], with a
+           -> execute: one analysis under [run_mu], with a
               per-request registry, journal context and deadline SLO
            -> respond (envelope carries the run JSON verbatim plus the
               CLI's human rendering, so clients reproduce local output)
 
-   Execution is deliberately serialized by [run_mu]: the scheduler
-   already fans each run out over the pool's domains, so two concurrent
-   sessions would only fight for the same cores — queueing requests and
+   Execution is deliberately serialized by [run_mu]: the pool already
+   fans each run out over its domains, so two concurrent analyses
+   would only fight for the same cores — queueing requests and
    giving each the whole pool keeps per-request latency minimal and
    per-request counters exact.  Concurrency lives at the protocol layer
    (connection threads, admission), not in the engine.  An identical
@@ -58,8 +58,6 @@ let schema = "gcatch-serve/1"
 let vars_json registry =
   let counters = M.counters_list registry in
   let c n = Option.value (List.assoc_opt n counters) ~default:0 in
-  let gauges = M.gauges_list registry in
-  let g n = Option.value (List.assoc_opt n gauges) ~default:0.0 in
   let rate h m =
     if h + m = 0 then 0.0
     else 100.0 *. float_of_int h /. float_of_int (h + m)
@@ -72,7 +70,7 @@ let vars_json registry =
      \"solve\":{\"hits\":%d,\"misses\":%d,\"disk_hits\":%d,\"stores\":%d,\"evictions\":%d,\"hit_rate_pct\":%.1f},\
      \"pass\":{\"hits\":%d,\"stores\":%d}},\
      \"serve\":{\"requests\":%d,\"rejected\":%d,\"watch_runs\":%d,\"quarantines\":%d,\"engine_rebuilds\":%d},\
-     \"sched\":{\"tasks_spawned\":%d,\"tasks_stolen\":%d,\"yields\":%d,\"queue_depth\":%.0f},\
+     \"sched\":{\"tasks_spawned\":%d},\
      \"spans\":{\"active\":%d},\
      \"sampler\":{\"samples\":%d,\"ticks\":%d},\
      \"journal\":{\"events\":%d}}"
@@ -90,9 +88,7 @@ let vars_json registry =
     (c "engine.pass_cache_hit") (c "engine.pass_cache_store")
     (c "serve.requests") (c "serve.rejected")
     (c "serve.watch_runs") (c "serve.quarantines") (c "serve.engine_rebuilds")
-    (c "sched.tasks_spawned") (c "sched.tasks_stolen")
-    (c "sched.yields")
-    (g "sched.queue_depth")
+    (c "sched.tasks_spawned")
     (Trace.open_span_count ())
     (Goobs.Sampler.total_samples ())
     (Goobs.Sampler.tick_count ())
@@ -445,8 +441,8 @@ let quarantined_response = lazy (
     ~headers:[ ("Retry-After", "1") ]
     (error_body "engine quarantined; rebuild in progress"))
 
-(* Run one analysis as a scheduler session with request-scoped registry,
-   journal context, and deadline.  Serialized by [run_mu]; called from a
+(* Run one analysis with request-scoped registry, journal context, and
+   deadline.  Serialized by [run_mu]; called from a
    connection thread (or the watcher), never from inside the pool. *)
 let execute (t : t) ~rid (req : req) (sources : string list) : T.response =
   Mutex.lock t.run_mu;

@@ -531,8 +531,8 @@ let solve ?(should_stop = default_should_stop) ?(assumptions = [])
           (* poll the caller's deadline on conflicts only: conflicts are
              where runaway instances spend their time, and checking every
              [poll_every]-th keeps the cost invisible on
-             easy instances while bounding how long a yield-bearing
-             [should_stop] goes unserved *)
+             easy instances while bounding how long a deadline
+             goes unchecked *)
           decr until_poll;
           if !until_poll <= 0 then begin
             until_poll := poll_every;

@@ -47,3 +47,14 @@ let bmoc_counters (r : E.run) : (string * int) list =
         (fun (k, _) -> String.starts_with ~prefix:"bmoc." k)
         pr.E.pr_metrics)
     r.E.r_passes
+
+(* [n] functions with one channel each, every odd-numbered one leaking
+   its sender: independent BMOC roots for fan-out tests. *)
+let multi_chan n =
+  "package p\n"
+  ^ String.concat ""
+      (List.init n (fun i ->
+           Printf.sprintf
+             "func f%d() {\n\tc := make(chan int)\n\tgo func() {\n\t\tc <- %d\n\t}()\n%s}\n"
+             i i
+             (if i mod 2 = 0 then "\t<-c\n" else "")))

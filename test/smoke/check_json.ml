@@ -1,14 +1,10 @@
 (* Validate gcatch --json output: structurally well-formed JSON (quotes
    and brace/bracket nesting balance) and the fields the schema
    promises, including at least one bmoc diagnostic for the Figure-1
-   input the dune rule feeds it. *)
+   input the dune rule feeds it.  Given a second output, also check that
+   both carry the same diagnostics array. *)
 
-let read_all path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_all path = In_channel.with_open_bin path In_channel.input_all
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -37,6 +33,19 @@ let balanced (s : string) : bool =
     s;
   !ok && !depth = 0 && not !in_str
 
+(* The ["diagnostics"] array up to its first closing bracket, as CI's
+   [grep -o '"diagnostics":\[[^]]*\]'] cuts it. *)
+let diagnostics (s : string) : string option =
+  let key = {|"diagnostics":[|} in
+  let kl = String.length key in
+  let rec find i =
+    if i + kl > String.length s then None
+    else if String.sub s i kl = key then
+      Option.map (fun j -> String.sub s i (j + 1 - i)) (String.index_from_opt s i ']')
+    else find (i + 1)
+  in
+  find 0
+
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt
 
 let () =
@@ -57,4 +66,9 @@ let () =
       {|"passes":[|};
       {|"bmoc.solver_calls"|};
     ];
+  (if Array.length Sys.argv > 2 then
+     let other = read_all Sys.argv.(2) in
+     match (diagnostics j, diagnostics other) with
+     | Some a, Some b when a = b -> ()
+     | _ -> fail "diagnostics differ from %s" Sys.argv.(2));
   print_endline "gcatch --json smoke test OK"

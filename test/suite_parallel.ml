@@ -1,78 +1,15 @@
-(* Tests for the domain pool (Goengine.Pool): the Chase–Lev deque under
-   contention, Pool.map semantics (ordering, exceptions, sequential
-   fallback, nesting), the per-channel solver budget, and end-to-end
-   determinism — the full corpus must produce byte-identical diagnostics
-   at jobs=1 and jobs=4. *)
+(* Tests for the domain pool (Goengine.Pool): Pool.map semantics
+   (ordering, exceptions, sequential fallback, nesting), what items run
+   on worker domains see (span parents, Memo waits, concurrent
+   submitters, stalls), BMOC channels running to completion, the
+   per-channel solver budget, and end-to-end determinism — the full
+   corpus must produce byte-identical diagnostics at jobs=1 and
+   jobs=4. *)
 
 module Pool = Goengine.Pool
 module E = Goengine.Engine
 module D = Goengine.Diagnostics
-
-(* ------------------------------------------------------ Ws_deque ---- *)
-
-let test_deque_lifo_fifo () =
-  let q = Pool.Ws_deque.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Pool.Ws_deque.push q i
-  done;
-  (* owner pops LIFO *)
-  Alcotest.(check (option int)) "pop newest" (Some 10) (Pool.Ws_deque.pop q);
-  (* thief steals FIFO *)
-  Alcotest.(check (option int)) "steal oldest" (Some 1) (Pool.Ws_deque.steal q);
-  Alcotest.(check (option int)) "steal next" (Some 2) (Pool.Ws_deque.steal q)
-
-let test_deque_empty () =
-  let q = Pool.Ws_deque.create () in
-  Alcotest.(check (option int)) "pop empty" None (Pool.Ws_deque.pop q);
-  Alcotest.(check (option int)) "steal empty" None (Pool.Ws_deque.steal q);
-  Pool.Ws_deque.push q 7;
-  Alcotest.(check (option int)) "pop single" (Some 7) (Pool.Ws_deque.pop q);
-  Alcotest.(check (option int)) "pop after drain" None (Pool.Ws_deque.pop q)
-
-(* Several thief domains race the owner for every element; each element
-   must be taken exactly once, whoever wins. *)
-let test_deque_steal_contention () =
-  let n = 2000 and thieves = 3 in
-  let q = Pool.Ws_deque.create () in
-  for i = 0 to n - 1 do
-    Pool.Ws_deque.push q i
-  done;
-  let taken = Array.make n 0 in
-  let mu = Mutex.create () in
-  let record i =
-    Mutex.lock mu;
-    taken.(i) <- taken.(i) + 1;
-    Mutex.unlock mu
-  in
-  let stop = Atomic.make false in
-  let thief () =
-    Domain.spawn (fun () ->
-        let rec go () =
-          match Pool.Ws_deque.steal q with
-          | Some i ->
-              record i;
-              go ()
-          | None -> if not (Atomic.get stop) then (Domain.cpu_relax (); go ())
-        in
-        go ())
-  in
-  let ds = List.init thieves (fun _ -> thief ()) in
-  (* the owner pops concurrently *)
-  let rec drain () =
-    match Pool.Ws_deque.pop q with
-    | Some i ->
-        record i;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  List.iter Domain.join ds;
-  Array.iteri
-    (fun i c ->
-      if c <> 1 then
-        Alcotest.failf "element %d taken %d times (want exactly 1)" i c)
-    taken
+module Trace = Goobs.Trace
 
 (* ---------------------------------------------------------- Pool ---- *)
 
@@ -116,9 +53,8 @@ let test_exception_propagation () =
 
 let test_nested_map () =
   let pool = Pool.get ~jobs:4 in
-  (* an inner map from inside a task forks real subtasks into the running
-     session (no deadlock, no inline collapse) and still assembles in
-     input order *)
+  (* an inner map from inside an item runs inline on that item's
+     participant (no deadlock) and still assembles in input order *)
   let r =
     Pool.map ~pool
       (fun i -> List.fold_left ( + ) 0 (Pool.map ~pool (fun j -> i * j) [ 1; 2; 3 ]))
@@ -131,6 +67,154 @@ let test_run_thunks () =
   Alcotest.(check (list int))
     "run evaluates thunks in order" [ 10; 20 ]
     (Pool.run ~pool [ (fun () -> 10); (fun () -> 20) ])
+
+(* ------------------------------------------------ worker domains --- *)
+
+(* Whether items really run on worker domains: the inline fast path
+   takes every batch when the environment recommends one job. *)
+let dispatches () = Pool.recommended_jobs () > 1
+
+let with_trace f =
+  Trace.enable ();
+  ignore (Trace.drain ());
+  Fun.protect ~finally:Trace.disable f;
+  Trace.drain ()
+
+let test_worker_span_parent () =
+  let pool = Pool.get ~jobs:4 in
+  let main_tid = (Domain.self () :> int) in
+  let spans =
+    with_trace (fun () ->
+        Trace.with_span ~name:"submit" (fun () ->
+            ignore
+              (Pool.map ~pool
+                 (fun i ->
+                   Trace.with_span ~name:"item" (fun () ->
+                       (* long enough that the workers take some items *)
+                       Unix.sleepf 0.002;
+                       i))
+                 (List.init 16 Fun.id))))
+  in
+  let named n = List.filter (fun s -> s.Trace.sp_name = n) spans in
+  let items = named "item" and tasks = named "pool.task" in
+  Alcotest.(check int) "one item span per item" 16 (List.length items);
+  if dispatches () then begin
+    (* on every domain, the item nests in its pool.task span, which
+       nests in the span the submitter had open *)
+    List.iter
+      (fun s ->
+        Alcotest.(check (option string)) "item under pool.task"
+          (Some "pool.task") s.Trace.sp_parent;
+        Alcotest.(check int) "item depth" 2 s.Trace.sp_depth)
+      items;
+    List.iter
+      (fun s ->
+        Alcotest.(check (option string)) "pool.task under submit"
+          (Some "submit") s.Trace.sp_parent)
+      tasks;
+    Alcotest.(check bool) "some items ran on a worker domain" true
+      (List.exists (fun s -> s.Trace.sp_tid <> main_tid) items)
+  end
+
+let test_memo_waiter_across_domains () =
+  let pool = Pool.get ~jobs:4 in
+  let memo : int Goengine.Memo.t = Goengine.Memo.create () in
+  let computed = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computed;
+    (* the claimant holds the slot long enough for the others to wait *)
+    Unix.sleepf 0.05;
+    ((Domain.self () :> int), true)
+  in
+  let answers =
+    Pool.map ~pool
+      (fun _ ->
+        let self = (Domain.self () :> int) in
+        match Goengine.Memo.find_or_compute memo "k" compute with
+        | `Computed d -> (`Computed, d, self)
+        | `Hit d -> (`Hit, d, self))
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check int) "computed once" 1 (Atomic.get computed);
+  Alcotest.(check int) "one claimant" 1
+    (List.length (List.filter (fun (k, _, _) -> k = `Computed) answers));
+  let claimant = match answers with (_, d, _) :: _ -> d | [] -> -1 in
+  List.iter
+    (fun (_, d, _) -> Alcotest.(check int) "every item got the claimant's value" claimant d)
+    answers;
+  if dispatches () then
+    Alcotest.(check bool) "a waiter on another domain got the value" true
+      (List.exists (fun (k, _, self) -> k = `Hit && self <> claimant) answers)
+
+let test_concurrent_submitters () =
+  let pool = Pool.get ~jobs:4 in
+  let xs = List.init 300 Fun.id in
+  let submit k () =
+    List.init 5 (fun _ -> Pool.map ~pool (fun x -> (k * 1000) + x) xs)
+  in
+  let d = Domain.spawn (submit 1) in
+  let mine = submit 2 () in
+  let theirs = Domain.join d in
+  List.iter
+    (Alcotest.(check (list int)) "this thread's results in input order"
+       (List.map (fun x -> 2000 + x) xs))
+    mine;
+  List.iter
+    (Alcotest.(check (list int)) "other thread's results in input order"
+       (List.map (fun x -> 1000 + x) xs))
+    theirs
+
+(* every solver site stalls: a stalled item sleeps on its participant,
+   and jobs 4 must still answer what jobs 1 answers *)
+let test_stalls_match_jobs1 () =
+  let analyse jobs =
+    let reg = Goobs.Metrics.create () in
+    let e = Gcatch.Passes.engine ~registry:reg ~jobs () in
+    let r = E.analyse e ~name:"stalls" [ Pipeline.multi_chan 8 ] in
+    (D.list_to_json r.E.r_diags, Goobs.Metrics.counters_list reg)
+  in
+  Fun.protect ~finally:Goobs.Faults.clear (fun () ->
+      (match Goobs.Faults.parse "solver:*!stall" with
+      | Ok specs -> Goobs.Faults.set_plan specs
+      | Error e -> Alcotest.fail e);
+      let d1, c1 = analyse 1 in
+      let d4, c4 = analyse 4 in
+      Alcotest.(check string) "diagnostics equal" d1 d4;
+      Alcotest.(check (list (pair string int))) "run counters equal" c1 c4;
+      Alcotest.(check bool) "bugs found" true (String.length d1 > 2))
+
+(* The regression test for running each channel to completion: in a
+   traced jobs-2 analysis, a domain never starts a channel before the
+   one it is running has finished, so no two bmoc.channel spans on one
+   domain overlap.  A scheduler that suspends a channel at its solver
+   polls interleaves them. *)
+let test_bmoc_channels_run_to_completion () =
+  let e = Gcatch.Passes.engine ~jobs:2 () in
+  let spans =
+    with_trace (fun () ->
+        ignore (E.analyse e ~name:"to-completion" [ Pipeline.multi_chan 12 ]))
+  in
+  let chans = List.filter (fun s -> s.Trace.sp_name = "bmoc.channel") spans in
+  Alcotest.(check int) "one span per channel" 12 (List.length chans);
+  let tids = List.sort_uniq compare (List.map (fun s -> s.Trace.sp_tid) chans) in
+  List.iter
+    (fun tid ->
+      let on_tid =
+        List.sort
+          (fun a b -> Float.compare a.Trace.sp_ts_us b.Trace.sp_ts_us)
+          (List.filter (fun s -> s.Trace.sp_tid = tid) chans)
+      in
+      ignore
+        (List.fold_left
+           (fun prev_end s ->
+             if s.Trace.sp_ts_us +. 1e-3 < prev_end then
+               Alcotest.failf
+                 "domain %d started a channel at %.1f us before the previous \
+                  one ended at %.1f us"
+                 tid s.Trace.sp_ts_us prev_end;
+             s.Trace.sp_ts_us +. s.Trace.sp_dur_us)
+           neg_infinity on_tid))
+    tids
 
 (* -------------------------------------------------- solver budget --- *)
 
@@ -215,8 +299,8 @@ let batches_count () =
   | None -> 0
 
 let test_small_map_runs_inline () =
-  (* batches of <= 2 items skip the session machinery entirely, even on
-     a multi-participant pool: no epoch bump, no deques, no counter *)
+  (* batches of <= 2 items skip the dispatch entirely, even on a
+     multi-participant pool: nothing queued, no counter *)
   let pool = Pool.get ~jobs:4 in
   let before = batches_count () in
   Alcotest.(check (list int)) "pair result" [ 2; 4 ]
@@ -236,10 +320,6 @@ let test_recommended_jobs_sane () =
 
 let tests =
   [
-    Alcotest.test_case "deque: LIFO pop / FIFO steal" `Quick test_deque_lifo_fifo;
-    Alcotest.test_case "deque: empty behaviour" `Quick test_deque_empty;
-    Alcotest.test_case "deque: steal under contention" `Quick
-      test_deque_steal_contention;
     Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
     Alcotest.test_case "zero-worker fallback" `Quick test_map_zero_worker_fallback;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
@@ -247,10 +327,20 @@ let tests =
     Alcotest.test_case "run thunks" `Quick test_run_thunks;
     Alcotest.test_case "small map runs inline" `Quick test_small_map_runs_inline;
     Alcotest.test_case "recommended jobs sane" `Quick test_recommended_jobs_sane;
+    Alcotest.test_case "worker items keep span parents" `Quick
+      test_worker_span_parent;
+    Alcotest.test_case "memo waiter across domains" `Quick
+      test_memo_waiter_across_domains;
+    Alcotest.test_case "concurrent submitters in order" `Quick
+      test_concurrent_submitters;
+    Alcotest.test_case "solver stalls match sequential" `Quick
+      test_stalls_match_jobs1;
+    Alcotest.test_case "bmoc channels run to completion" `Quick
+      test_bmoc_channels_run_to_completion;
+    Alcotest.test_case "corpus determinism jobs 1 vs 4" `Slow
+      test_corpus_determinism;
     Alcotest.test_case "solver budget skips channels" `Quick
       test_solver_timeout_skips;
     Alcotest.test_case "generous budget changes nothing" `Quick
       test_no_timeout_finds_fig1;
-    Alcotest.test_case "corpus determinism jobs 1 vs 4" `Slow
-      test_corpus_determinism;
   ]

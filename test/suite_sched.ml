@@ -1,155 +1,23 @@
-(* Tests for the effects-based scheduler (Goengine.Pool): fork/yield/
-   await semantics in and out of a session, nested fan-out forking real
-   tasks at every level (task-count assertion, not timing), span
-   parentage surviving steal-then-resume, smallest-index-exception-wins
-   for stolen tasks, and jobs-1 vs jobs-4 byte-equality of diagnostics
-   and run-registry metrics under the scheduler.
-
-   [Pool.with_scheduler] is load-bearing here: it enters the scheduler
-   unconditionally, so these tests exercise real task scheduling even on
-   a single-hardware-thread machine where [Pool.map]'s inline fast path
-   would otherwise kick in. *)
+(* Tests for the domain pool's dispatch contract (Goengine.Pool): the
+   smallest failing index wins whatever order items finish in on several
+   domains, and only after every item has run; the "pool" fault site is
+   per dispatched item; [grain] dispatches chunks; a nested map
+   dispatches nothing; a created pool shuts down; jobs-1 vs jobs-4
+   analyses are byte-equal in diagnostics and run-registry metrics.  Also
+   [GCATCH_JOBS] parsing.  The dispatch assertions only hold when the
+   environment recommends more than one job: otherwise every batch takes
+   the inline path. *)
 
 module Pool = Goengine.Pool
 module E = Goengine.Engine
 module D = Goengine.Diagnostics
-module Trace = Goobs.Trace
 module M = Goobs.Metrics
 
-(* process-registry scheduler counters ("sched.*") *)
+let dispatches () = Pool.recommended_jobs () > 1
+
+(* process-registry pool counters *)
 let counter name =
   Option.value (List.assoc_opt name (M.counters_list M.default)) ~default:0
-
-(* ------------------------------------------------- fork/yield/await --- *)
-
-let test_fork_await_outside () =
-  (* outside a session [fork] degenerates to an immediate call and
-     [await] reads the already-filled promise — sequential semantics *)
-  Alcotest.(check bool) "not in task" false (Pool.in_task ());
-  let p = Pool.fork (fun () -> 41 + 1) in
-  Alcotest.(check int) "fork/await outside scheduler" 42 (Pool.await p);
-  let p = Pool.fork (fun () -> failwith "boom") in
-  (match Pool.await p with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure m -> Alcotest.(check string) "exception preserved" "boom" m);
-  (* yield outside a task is a no-op, not an error *)
-  Pool.yield ()
-
-let test_fork_await_scheduled () =
-  let pool = Pool.get ~jobs:4 in
-  let r =
-    Pool.with_scheduler ~pool (fun () ->
-        Alcotest.(check bool) "in task" true (Pool.in_task ());
-        let ps =
-          List.init 8 (fun i ->
-              Pool.fork (fun () ->
-                  Pool.yield ();
-                  i * i))
-        in
-        List.fold_left (fun acc p -> acc + Pool.await p) 0 ps)
-  in
-  Alcotest.(check bool) "back outside" false (Pool.in_task ());
-  Alcotest.(check int) "sum of squares through promises" 140 r
-
-let test_yield_requeues () =
-  let pool = Pool.get ~jobs:2 in
-  let before = counter "sched.yields" in
-  Pool.with_scheduler ~pool (fun () ->
-      for _ = 1 to 5 do
-        Pool.yield ()
-      done);
-  Alcotest.(check bool) "yields counted" true
-    (counter "sched.yields" - before >= 5)
-
-let test_await_filled_promise_is_immediate () =
-  let pool = Pool.get ~jobs:2 in
-  let r =
-    Pool.with_scheduler ~pool (fun () ->
-        let p = Pool.fork (fun () -> 7) in
-        (* give the child every chance to finish so the await hits the
-           already-Full path *)
-        Pool.yield ();
-        Pool.await p + Pool.await p)
-  in
-  Alcotest.(check int) "promise readable repeatedly" 14 r
-
-(* ---------------------------------------------------- nested fan-out --- *)
-
-let test_nested_depth3_forks_real_tasks () =
-  let pool = Pool.get ~jobs:4 in
-  let before = counter "sched.tasks_spawned" in
-  let r =
-    Pool.with_scheduler ~pool (fun () ->
-        Pool.map ~pool
-          (fun a ->
-            Pool.map ~pool
-              (fun b ->
-                Pool.map ~pool
-                  (fun c -> (100 * a) + (10 * b) + c)
-                  [ 1; 2 ])
-              [ 1; 2 ])
-          [ 1; 2 ])
-  in
-  Alcotest.(check (list (list (list int))))
-    "depth-3 results in input order"
-    [
-      [ [ 111; 112 ]; [ 121; 122 ] ];
-      [ [ 211; 212 ]; [ 221; 222 ] ];
-    ]
-    r;
-  (* the task-count assertion: 2 + 4 + 8 = 14 subtasks across the three
-     levels — nested maps fork real scheduled tasks, they do not
-     collapse to inline loops (a timing assertion would be flaky; the
-     spawn counter is exact) *)
-  let spawned = counter "sched.tasks_spawned" - before in
-  Alcotest.(check bool)
-    (Printf.sprintf "every level forked real tasks (%d spawned, want >= 14)"
-       spawned)
-    true (spawned >= 14)
-
-(* ------------------------------------------------------ span handoff --- *)
-
-let test_steal_keeps_span_parentage () =
-  let pool = Pool.get ~jobs:4 in
-  Trace.enable ();
-  ignore (Trace.drain ());
-  Fun.protect
-    ~finally:(fun () -> Trace.disable ())
-    (fun () ->
-      Pool.with_scheduler ~pool (fun () ->
-          let ps =
-            List.init 8 (fun i ->
-                Pool.fork (fun () ->
-                    Trace.with_span ~name:"sched.outer" (fun () ->
-                        (* suspend inside the open span: the task can be
-                           stolen and resumed on another domain between
-                           the yield and the close *)
-                        Pool.yield ();
-                        Trace.with_span ~name:"sched.inner" (fun () ->
-                            Pool.yield ();
-                            i))))
-          in
-          List.iter (fun p -> ignore (Pool.await p)) ps);
-      let spans = Trace.drain () in
-      let named n =
-        List.filter (fun s -> s.Trace.sp_name = n) spans
-      in
-      let outer = named "sched.outer" and inner = named "sched.inner" in
-      Alcotest.(check int) "every outer span closed" 8 (List.length outer);
-      Alcotest.(check int) "every inner span closed" 8 (List.length inner);
-      (* parentage survives suspension and migration: wherever the task
-         resumed, the inner span still closes under its own task's outer
-         span, never under another domain's unrelated stack *)
-      List.iter
-        (fun s ->
-          Alcotest.(check (option string))
-            "inner parented under outer" (Some "sched.outer")
-            s.Trace.sp_parent)
-        inner;
-      List.iter
-        (fun s ->
-          Alcotest.(check int) "inner depth below outer" 1 s.Trace.sp_depth)
-        inner)
 
 (* ------------------------------------------------- exception choice --- *)
 
@@ -158,56 +26,116 @@ exception Boom of int
 let test_stolen_exception_smallest_index () =
   let pool = Pool.get ~jobs:4 in
   (match
-     Pool.with_scheduler ~pool (fun () ->
-         Pool.map ~pool
-           (fun x ->
-             (* yield on both sides of the raise so failing tasks hop
-                between domains; the winner must still be chosen by
-                index, not by completion order *)
-             Pool.yield ();
-             if x mod 7 = 3 then raise (Boom x);
-             Pool.yield ();
-             x)
-           (List.init 64 (fun i -> i)))
+     Pool.map ~pool
+       (fun x ->
+         (* later items fail first: items spread over the domains finish
+            out of index order, and the winner must still be chosen by
+            index, not by completion order *)
+         if x mod 7 = 3 then begin
+           Unix.sleepf (0.0002 *. float_of_int (64 - x));
+           raise (Boom x)
+         end;
+         x)
+       (List.init 64 (fun i -> i))
    with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom x -> Alcotest.(check int) "smallest failing index" 3 x);
-  (* the shared pool survives the failed session *)
+  (* the shared pool survives the failed batch *)
   Alcotest.(check (list int))
     "pool usable after exception" [ 2; 4; 6 ]
-    (Pool.with_scheduler ~pool (fun () ->
-         Pool.map ~pool (fun x -> 2 * x) [ 1; 2; 3 ]))
+    (Pool.map ~pool (fun x -> 2 * x) [ 1; 2; 3 ])
 
-(* ------------------------------------------- determinism under sched --- *)
+let test_items_finish_before_raise () =
+  let pool = Pool.get ~jobs:4 in
+  let ran = Atomic.make 0 in
+  (match
+     Pool.map ~pool
+       (fun x ->
+         if x = 0 then raise (Boom 0);
+         Unix.sleepf 0.0005;
+         Atomic.incr ran)
+       (List.init 32 Fun.id)
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom x -> Alcotest.(check int) "failing index" 0 x);
+  (* a dispatched batch raises only after every other item ran, whatever
+     the schedule; the inline path is a plain [List.map] and stops at
+     the raise *)
+  Alcotest.(check int) "every other item ran"
+    (if dispatches () then 31 else 0)
+    (Atomic.get ran)
 
-(* several independent channels so a 4-job fan-out has real width *)
-let multi_chan =
-  "package p\n\
-   func f1() {\n\tc := make(chan int)\n\tgo func() {\n\t\tc <- 1\n\t}()\n}\n\
-   func f2() {\n\td := make(chan int)\n\tgo func() {\n\t\td <- 2\n\t}()\n\
-   \t<-d\n}\n\
-   func f3() {\n\te := make(chan int)\n\tgo func() {\n\t\te <- 3\n\t}()\n}\n\
-   func f4() {\n\tf := make(chan int)\n\tgo func() {\n\t\tf <- 4\n\t}()\n}\n"
+(* ------------------------------------------------------ dispatch --- *)
 
-let analyse ~scheduled jobs =
+let test_pool_fault_keyed_by_index () =
+  let pool = Pool.get ~jobs:4 in
+  Fun.protect ~finally:Goobs.Faults.clear (fun () ->
+      (match Goobs.Faults.parse "pool@5" with
+      | Ok specs -> Goobs.Faults.set_plan specs
+      | Error e -> Alcotest.fail e);
+      match Pool.map ~pool (fun x -> x) (List.init 8 Fun.id) with
+      | r ->
+          (* inline batches have no dispatched items to fault *)
+          Alcotest.(check bool) "inline path only" false (dispatches ());
+          Alcotest.(check (list int)) "inline results" (List.init 8 Fun.id) r
+      | exception Goobs.Faults.Injected (site, key) ->
+          Alcotest.(check (pair string string)) "item 5 faulted"
+            ("pool", "5") (site, key))
+
+let test_grain_dispatches_chunks () =
+  let pool = Pool.get ~jobs:4 in
+  let before = counter "sched.tasks_spawned" in
+  let xs = List.init 37 Fun.id in
+  Alcotest.(check (list int)) "order preserved" (List.map succ xs)
+    (Pool.map ~pool ~grain:4 succ xs);
+  Alcotest.(check int) "one dispatched item per chunk of 4"
+    (if dispatches () then 10 else 0)
+    (counter "sched.tasks_spawned" - before)
+
+let test_nested_map_dispatches_nothing () =
+  let pool = Pool.get ~jobs:4 in
+  let before = counter "pool.batches" in
+  let r =
+    Pool.map ~pool
+      (fun a -> Pool.map ~pool (fun b -> (10 * a) + b) [ 1; 2; 3; 4 ])
+      [ 1; 2; 3; 4 ]
+  in
+  Alcotest.(check (list (list int))) "nested results in input order"
+    (List.map (fun a -> List.map (fun b -> (10 * a) + b) [ 1; 2; 3; 4 ]) [ 1; 2; 3; 4 ])
+    r;
+  (* only the outer batch was queued: inner maps ran inline on the
+     participant that took the outer item *)
+  Alcotest.(check int) "one batch" (if dispatches () then 1 else 0)
+    (counter "pool.batches" - before)
+
+let test_created_pool_shuts_down () =
+  let pool = Pool.create ~jobs:3 () in
+  Alcotest.(check int) "jobs" 3 (Pool.jobs pool);
+  let xs = List.init 50 Fun.id in
+  Alcotest.(check (list int)) "maps" (List.map (fun x -> x * 3) xs)
+    (Pool.map ~pool (fun x -> x * 3) xs);
+  (* the idle workers wake up and exit: the join returns *)
+  Pool.shutdown pool
+
+(* ------------------------------------------- determinism under pool --- *)
+
+(* eight independent channels: more than BMOC's single-chunk batch (four
+   or fewer channels run inline), so a 4-job fan-out has real width *)
+let multi_chan = Pipeline.multi_chan 8
+
+let analyse jobs =
   let reg = M.create () in
   let e = Gcatch.Passes.engine ~registry:reg ~jobs () in
-  let go () = E.analyse e ~name:"det" [ multi_chan ] in
-  let r =
-    if scheduled then Pool.with_scheduler ~pool:(Pool.get ~jobs:4) go
-    else go ()
-  in
+  let r = E.analyse e ~name:"det" [ multi_chan ] in
   (D.list_to_json r.E.r_diags, M.counters_list reg)
 
 let test_jobs_byte_equality_under_scheduler () =
-  (* jobs=1 analysed plainly vs jobs=4 analysed as a scheduled task
-     (which makes every nested map inside the engine fork for real,
-     whatever the hardware): diagnostics and the run registry's
-     counters must be byte-identical.  Scheduler traffic lives in the
-     process registry under "pool."/"sched." and is *not* compared —
-     steal counts are schedule-dependent by nature. *)
-  let d1, c1 = analyse ~scheduled:false 1 in
-  let d4, c4 = analyse ~scheduled:true 4 in
+  (* diagnostics and the run registry's counters must be byte-identical
+     at jobs 1 and 4.  Pool traffic lives in the process registry under
+     "pool."/"sched." and is *not* compared — a jobs-1 run dispatches
+     nothing. *)
+  let d1, c1 = analyse 1 in
+  let d4, c4 = analyse 4 in
   Alcotest.(check string) "diagnostics byte-identical" d1 d4;
   Alcotest.(check (list (pair string int))) "run counters identical" c1 c4;
   Alcotest.(check bool) "solver counters present" true
@@ -242,20 +170,20 @@ let test_jobs_of_env_fallback () =
 
 let tests =
   [
-    Alcotest.test_case "fork/await outside scheduler" `Quick
-      test_fork_await_outside;
-    Alcotest.test_case "fork/await scheduled" `Quick test_fork_await_scheduled;
-    Alcotest.test_case "yield requeues" `Quick test_yield_requeues;
-    Alcotest.test_case "await filled promise" `Quick
-      test_await_filled_promise_is_immediate;
-    Alcotest.test_case "nested depth-3 forks real tasks" `Quick
-      test_nested_depth3_forks_real_tasks;
-    Alcotest.test_case "steal keeps span parentage" `Quick
-      test_steal_keeps_span_parentage;
     Alcotest.test_case "stolen exception: smallest index wins" `Quick
       test_stolen_exception_smallest_index;
-    Alcotest.test_case "jobs 1 vs 4 byte-equality under scheduler" `Quick
-      test_jobs_byte_equality_under_scheduler;
+    Alcotest.test_case "every item runs before the raise" `Quick
+      test_items_finish_before_raise;
+    Alcotest.test_case "pool fault keyed by item index" `Quick
+      test_pool_fault_keyed_by_index;
+    Alcotest.test_case "grain dispatches one per chunk" `Quick
+      test_grain_dispatches_chunks;
+    Alcotest.test_case "nested map dispatches nothing" `Quick
+      test_nested_map_dispatches_nothing;
+    Alcotest.test_case "created pool maps and shuts down" `Quick
+      test_created_pool_shuts_down;
     Alcotest.test_case "GCATCH_JOBS fallback + warning" `Quick
       test_jobs_of_env_fallback;
+    Alcotest.test_case "jobs 1 vs 4 byte-equality under scheduler" `Quick
+      test_jobs_byte_equality_under_scheduler;
   ]
