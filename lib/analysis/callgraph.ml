@@ -40,7 +40,11 @@ type site =
   | Sdirect of string * Ir.pp * edge_kind
   | Sindirect of Ir.var * int * Ir.pp (* function var, arg count, site *)
 
-type func_sites = { cs_name : string; cs_sites : site list }
+type func_sites = {
+  cs_name : string;
+  cs_sites : site list;
+  cs_pp_base : int; (* added to the sites' program points *)
+}
 
 let extract_func (f : Ir.func) : func_sites =
   let sites = ref [] in
@@ -53,29 +57,19 @@ let extract_func (f : Ir.func) : func_sites =
           sites := Sindirect (fv, List.length args, i.ipp) :: !sites
       | _ -> ())
     f;
-  { cs_name = f.name; cs_sites = List.rev !sites }
+  { cs_name = f.name; cs_sites = List.rev !sites; cs_pp_base = 0 }
 
 let rebase_sites off (cs : func_sites) : func_sites =
-  if off = 0 then cs
-  else
-    {
-      cs with
-      cs_sites =
-        List.map
-          (function
-            | Sdirect (g, pp, k) -> Sdirect (g, pp + off, k)
-            | Sindirect (fv, n, pp) -> Sindirect (fv, n, pp + off))
-          cs.cs_sites;
-    }
+  if off = 0 then cs else { cs with cs_pp_base = cs.cs_pp_base + off }
 
-(* Resolve sites into edges.  The site lists are re-sorted by function
-   name so the edge list comes out exactly as the whole-program builder
-   produced it ([Ir.funcs_list] order, reverse-cons discovery order). *)
+(* Resolve sites into edges.  The site lists are taken in function
+   name order ({!Ir.in_func_order}: sorted unless they already are, a
+   name listed twice keeping its last entry) so the edge list comes out
+   exactly as the whole-program builder produced it ([Ir.funcs_list]
+   order, reverse-cons discovery order). *)
 let build_from_sites ?alias (prog : Ir.program) (sites : func_sites list) : t
     =
-  let sites =
-    List.sort (fun a b -> String.compare a.cs_name b.cs_name) sites
-  in
+  let sites = Ir.in_func_order (fun cs -> cs.cs_name) sites in
   let edges = ref [] in
   let add ?(ambiguous = false) caller callee site kind =
     if Hashtbl.mem prog.funcs callee then
@@ -86,8 +80,9 @@ let build_from_sites ?alias (prog : Ir.program) (sites : func_sites list) : t
       List.iter
         (fun s ->
           match s with
-          | Sdirect (g, pp, kind) -> add cs.cs_name g pp kind
+          | Sdirect (g, pp, kind) -> add cs.cs_name g (cs.cs_pp_base + pp) kind
           | Sindirect (fv, argc, pp) -> (
+              let pp = cs.cs_pp_base + pp in
               let candidates =
                 match alias with
                 | Some al ->

@@ -10,7 +10,7 @@ module Ir = Goir.Ir
    nothing else of the IR, so two programs whose sync facts and alias
    facts are equal have equal primitive maps.  Like the other per-file
    facts they are extracted with file-local program points and rebased
-   by the file's assembly offset. *)
+   by the file's assembly offset, which [so_pp_base] carries. *)
 
 type kind = Send | Recv | Close | Lock | Unlock | Wg_add | Wg_done | Wg_wait
 
@@ -23,7 +23,11 @@ type op = {
   s_arm : int option; (* arm index when the op is a select arm *)
 }
 
-type func_ops = { so_name : string; so_ops : op list }
+type func_ops = {
+  so_name : string;
+  so_ops : op list;
+  so_pp_base : int; (* added to the operations' program points *)
+}
 
 let extract_func (f : Ir.func) : func_ops =
   let ops = ref [] in
@@ -71,12 +75,8 @@ let extract_func (f : Ir.func) : func_ops =
             arms
       | _ -> ())
     f.blocks;
-  { so_name = f.name; so_ops = List.rev !ops }
+  { so_name = f.name; so_ops = List.rev !ops; so_pp_base = 0 }
 
 let rebase off (fo : func_ops) : func_ops =
   if off = 0 || fo.so_ops = [] then fo
-  else
-    {
-      fo with
-      so_ops = List.map (fun o -> { o with s_pp = o.s_pp + off }) fo.so_ops;
-    }
+  else { fo with so_pp_base = fo.so_pp_base + off }

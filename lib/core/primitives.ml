@@ -50,39 +50,32 @@ let kinds_of : Syncops.kind -> Report.op_kind * prim_kind = function
 
 (* The map from per-function sync facts (one entry per program
    function, in any order).  Functions are visited in name order, the
-   [Ir.funcs_list] order; a name listed twice (declared in two files)
+   [Ir.funcs_list] order ({!Ir.in_func_order}: no sort when the entries
+   already come in it); a name listed twice (declared in two files)
    keeps its last entry, as assembly keeps the last declaration. *)
 let of_ops (alias : Alias.t) (funcs : Syncops.func_ops list) : t =
   let t = { ops = Hashtbl.create 64; kinds = Hashtbl.create 64; alias } in
-  let rec visit = function
-    | [] -> ()
-    | (a : Syncops.func_ops) :: (b :: _ as rest) when a.so_name = b.so_name ->
-        visit rest
-    | (fo : Syncops.func_ops) :: rest ->
-        List.iter
-          (fun (s : Syncops.op) ->
-            let kind, prim_kind = kinds_of s.s_kind in
-            List.iter
-              (fun obj ->
-                note_kind t obj prim_kind;
-                add_op t
-                  {
-                    o_obj = obj;
-                    o_func = fo.so_name;
-                    o_pp = s.s_pp;
-                    o_loc = s.s_loc;
-                    o_kind = kind;
-                    o_deferred = s.s_deferred;
-                    o_select_arm = s.s_arm;
-                  })
-              (objs t fo.so_name s.s_place))
-          fo.so_ops;
-        visit rest
-  in
-  visit
-    (List.stable_sort
-       (fun (a : Syncops.func_ops) b -> String.compare a.so_name b.so_name)
-       funcs);
+  List.iter
+    (fun (fo : Syncops.func_ops) ->
+      List.iter
+        (fun (s : Syncops.op) ->
+          let kind, prim_kind = kinds_of s.s_kind in
+          List.iter
+            (fun obj ->
+              note_kind t obj prim_kind;
+              add_op t
+                {
+                  o_obj = obj;
+                  o_func = fo.so_name;
+                  o_pp = fo.so_pp_base + s.s_pp;
+                  o_loc = s.s_loc;
+                  o_kind = kind;
+                  o_deferred = s.s_deferred;
+                  o_select_arm = s.s_arm;
+                })
+            (objs t fo.so_name s.s_place))
+        fo.so_ops)
+    (Ir.in_func_order (fun (fo : Syncops.func_ops) -> fo.so_name) funcs);
   t
 
 let collect (prog : Ir.program) (alias : Alias.t) : t =

@@ -671,17 +671,6 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
                mine theirs
        | Some _ | None -> mine)
   in
-  (* each file's facts rebased by its pp offset, concatenated *)
-  let rebased pick rebase =
-    let off = ref 0 in
-    List.concat_map
-      (fun fv ->
-        let o = !off in
-        off := o + Goir.Lower.file_pp_count fv.fv_lowered;
-        List.map (rebase o) (pick fv.fv_facts))
-      (Lazy.force a_files)
-  in
-  let a_sync () = rebased (fun ff -> ff.ff_sync) Goanalysis.Syncops.rebase in
   (* Early cutoff.  The predecessor's files are compared in order: a file
      whose lowered key is unchanged is the same file; any other must
      have the same program-point count (so every later file keeps its
@@ -764,6 +753,47 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
            M.add (M.counter t.registry "engine.assemble_files_placed") !placed;
            ir))
   in
+  (* Where each function's facts sit, as (file, position) pairs in the
+     order the whole-program analyses visit functions: the program's
+     function order, which assembly sorted once (by name, a name
+     declared in two files taking the later file's).  Computed once per
+     record, so alias, call graph and primitive map are handed facts
+     they need not sort. *)
+  let a_order =
+    lazy
+      (let order = Goir.Ir.funcs_list (Lazy.force a_ir) in
+       let slot = Hashtbl.create (2 * List.length order + 1) in
+       List.iteri (fun i (f : Goir.Ir.func) -> Hashtbl.replace slot f.name i) order;
+       let where = Array.make (Hashtbl.length slot) (0, 0) in
+       List.iteri
+         (fun fi fv ->
+           List.iteri
+             (fun k (cs : Goanalysis.Callgraph.func_sites) ->
+               where.(Hashtbl.find slot cs.cs_name) <- (fi, k))
+             fv.fv_facts.ff_sites)
+         (Lazy.force a_files);
+       where)
+  in
+  (* each function's facts in that order, rebased by its file's pp
+     offset *)
+  let rebased pick rebase =
+    let off = ref 0 in
+    let files =
+      Array.of_list
+        (List.map
+           (fun fv ->
+             let o = !off in
+             off := o + Goir.Lower.file_pp_count fv.fv_lowered;
+             (o, Array.of_list (pick fv.fv_facts)))
+           (Lazy.force a_files))
+    in
+    Array.fold_right
+      (fun (fi, k) acc ->
+        let o, xs = files.(fi) in
+        rebase o xs.(k) :: acc)
+      (Lazy.force a_order) []
+  in
+  let a_sync () = rebased (fun ff -> ff.ff_sync) Goanalysis.Syncops.rebase in
   let taken_over : 'a. (artifacts -> 'a Lazy.t) -> 'a option =
    fun l ->
     match pred_if_equal () with

@@ -219,6 +219,19 @@ let parallel_map pool f (items : 'a array) : 'b list =
     outs;
   Array.to_list (Array.map (function Some (Ok v) -> v | _ -> assert false) outs)
 
+(* The inline path keeps the dispatched path's contract: every item
+   runs, then the exception of the smallest failing index is re-raised,
+   so the items after a failing one run (and count) at any job count. *)
+let rec inline_map f = function
+  | [] -> []
+  | x :: rest -> (
+      match f x with
+      | y -> y :: inline_map f rest
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          List.iter (fun x -> try ignore (f x) with _ -> ()) rest;
+          Printexc.raise_with_backtrace e bt)
+
 let map_items ~pool f xs =
   match xs with
   | [] -> []
@@ -228,7 +241,7 @@ let map_items ~pool f xs =
         || List.compare_length_with xs inline_threshold <= 0
         || recommended_jobs () = 1
         || Domain.DLS.get in_item
-      then List.map f xs
+      then inline_map f xs
       else parallel_map pool f (Array.of_list xs)
 
 (* Split [xs] into consecutive chunks of at most [k] items. *)
@@ -251,7 +264,7 @@ let chunks k xs =
    items (a per-file lex, a cheap per-channel check) are batched into
    consecutive chunks so the dispatch overhead is paid once per chunk,
    not once per item.  Chunking must depend only on the input (never on
-   [pool.jobs]): a chunk runs its items inline left to right, so the
+   [pool.jobs]): a chunk runs all its items inline left to right, so the
    first failing item of the smallest failing chunk — i.e. the globally
    smallest failing index — still wins deterministically, exactly as in
    the unchunked map. *)
@@ -260,8 +273,8 @@ let map ~pool ?(grain = 1) f xs =
   else
     match chunks grain xs with
     | [] -> []
-    | [ c ] -> List.map f c
-    | cs -> List.concat (map_items ~pool (List.map f) cs)
+    | [ c ] -> inline_map f c
+    | cs -> List.concat (map_items ~pool (inline_map f) cs)
 
 let run ~pool thunks = map ~pool (fun th -> th ()) thunks
 

@@ -147,6 +147,28 @@ let find_inst (f : func) (p : pp) : inst option =
    assembled. *)
 let funcs_list (prog : program) : func list = prog.order
 
+(* Per-function items (one per declaration, in any order) put in the
+   {!funcs_list} order: sorted by name, a name listed twice keeping its
+   last item, as assembly keeps a repeated name's last declaration.
+   Input already in that order is returned as is after one linear
+   check, so a caller handing over sorted items pays no sort. *)
+let in_func_order (name : 'a -> string) (xs : 'a list) : 'a list =
+  let rec strictly_sorted = function
+    | a :: (b :: _ as rest) ->
+        String.compare (name a) (name b) < 0 && strictly_sorted rest
+    | [ _ ] | [] -> true
+  in
+  let rec last_of_each = function
+    | a :: (b :: _ as rest) when String.equal (name a) (name b) ->
+        last_of_each rest
+    | a :: rest -> a :: last_of_each rest
+    | [] -> []
+  in
+  if strictly_sorted xs then xs
+  else
+    last_of_each
+      (List.stable_sort (fun a b -> String.compare (name a) (name b)) xs)
+
 let find_func (prog : program) name = Hashtbl.find_opt prog.funcs name
 
 let inst_count (prog : program) =

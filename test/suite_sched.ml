@@ -47,23 +47,25 @@ let test_stolen_exception_smallest_index () =
 
 let test_items_finish_before_raise () =
   let pool = Pool.get ~jobs:4 in
-  let ran = Atomic.make 0 in
-  (match
-     Pool.map ~pool
-       (fun x ->
-         if x = 0 then raise (Boom 0);
-         Unix.sleepf 0.0005;
-         Atomic.incr ran)
-       (List.init 32 Fun.id)
-   with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom x -> Alcotest.(check int) "failing index" 0 x);
-  (* a dispatched batch raises only after every other item ran, whatever
-     the schedule; the inline path is a plain [List.map] and stops at
-     the raise *)
-  Alcotest.(check int) "every other item ran"
-    (if dispatches () then 31 else 0)
-    (Atomic.get ran)
+  (* plain and chunked: the batch raises only after every other item
+     ran, whatever the schedule, dispatched or inline *)
+  List.iter
+    (fun grain ->
+      let ran = Atomic.make 0 in
+      (match
+         Pool.map ~pool ~grain
+           (fun x ->
+             if x = 0 then raise (Boom x);
+             Unix.sleepf 0.0005;
+             Atomic.incr ran)
+           (List.init 32 Fun.id)
+       with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom x -> Alcotest.(check int) "failing index" 0 x);
+      Alcotest.(check int)
+        (Printf.sprintf "every other item ran (grain %d)" grain)
+        31 (Atomic.get ran))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------ dispatch --- *)
 
