@@ -588,8 +588,12 @@ let () =
   in
   List.iter
     (fun (_, f) ->
-      (* every experiment starts with an empty solve-cache memory tier,
-         so its numbers do not depend on which experiments ran before *)
+      (* every experiment starts with an empty memory tier for the
+         standalone detector (micro and E5 time [Bmoc.detect_full]), so
+         its numbers do not depend on which experiments ran before.  The
+         shared engine keeps its verdicts across experiments, as it
+         keeps its compiles and records; E8, which times cold runs,
+         analyses on an engine of its own. *)
       Gcatch.Solve_cache.reset_memory ();
       f ())
     chosen;

@@ -181,9 +181,9 @@ let max_cache_mb_arg =
     & info [ "max-cache-mb" ] ~docv:"MB"
         ~doc:
           "Bound the in-memory cache tiers (frontend memo tables and the \
-           solve cache) to roughly $(docv) MB, evicting least-recently-used \
-           entries; eviction counts appear in /vars and /metrics. 0 (the \
-           default) means unbounded, as in one-shot runs.")
+           solve cache) to roughly $(docv) MB together, evicting the least \
+           recently used entry of any tier; eviction counts appear in /vars \
+           and /metrics. 0 (the default) means unbounded, as in one-shot runs.")
 
 let max_queue_arg =
   Arg.(

@@ -274,7 +274,8 @@ type outcomes = (Alias.obj, outcome) Hashtbl.t
 let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
     ~(dis : Disentangle.t) ~(cg : Callgraph.t) ~(alias : Alias.t)
     ~(prog : Ir.program) ~(cst : chan_stats)
-    ~(enum_memo : Pathenum.combination list Goengine.Memo.t) (c : Alias.obj) :
+    ~(enum_memo : Pathenum.combination list Goengine.Memo.t)
+    ~(verdicts : Goengine.Engine.derived Goengine.Memo.t) (c : Alias.obj) :
     Report.bmoc_bug list * bool =
   let on_stats ~conflicts ~decisions ~propagations ~theory_conflicts ~learnts
       ~restarts ~reductions =
@@ -520,8 +521,9 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
   | None -> run_solve ()
   | Some fp ->
       let timed_out = ref false in
-      let e, _cached =
-        Solve_cache.find_or_compute ?dir:cfg.cache_dir fp (fun () ->
+      let e =
+        Solve_cache.find_or_compute ~mem:verdicts ?dir:cfg.cache_dir fp
+          (fun () ->
             let found, timed = run_solve () in
             timed_out := timed;
             (* never cache a budget-truncated channel: its (empty)
@@ -551,21 +553,18 @@ let rung_cfg cfg i =
       };
   }
 
-(* [detect_channel] plus the degradation ladder: a channel that blows its
+(* [attempt] (a channel's [detect_channel] at a given config) plus the
+   degradation ladder: a channel that blows its
    solver budget is retried at progressively reduced bounds before being
    given up on.  Returns the bugs, whether the channel is finally skipped,
    and how many retry rungs were consumed (0 = solved at full bounds; a
    successful retry is a *degraded but present* verdict — fewer paths
    explored — which beats no verdict at all).  Without a budget there is
    nothing to ladder off: the clean path is one plain call. *)
-let detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c
-    : Report.bmoc_bug list * bool * int =
+let detect_channel_ladder ~cfg attempt : Report.bmoc_bug list * bool * int =
   (* Rungs are sequential decisions, no speculation: whether rung [i+1]
      runs depends on rung [i]'s verdict, which keeps solver-call counters
      and the consumed rung count schedule-independent. *)
-  let attempt cfg =
-    detect_channel ~cfg ~prims ~dis ~cg ~alias ~prog ~cst ~enum_memo c
-  in
   let found, timed = attempt cfg in
   if
     (not timed)
@@ -682,10 +681,10 @@ type root_result =
 
    The alias facts, call graph and primitive map are the caller's: the
    engine pass hands over the ones its artifact record already holds,
-   which every other detector pass reads too. *)
+   which every other detector pass reads too, and its [verdicts] memo. *)
 let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
-    ?(metrics = M.default) ?dis ?carry ~(alias : Alias.t) ~(cg : Callgraph.t)
-    ~(prims : Primitives.t) (prog : Ir.program) : full =
+    ?(metrics = M.default) ?dis ?carry ~verdicts ~(alias : Alias.t)
+    ~(cg : Callgraph.t) ~(prims : Primitives.t) (prog : Ir.program) : full =
   let reg = M.create () in
   let dis =
     match dis with Some d -> d | None -> Disentangle.build prims cg
@@ -757,8 +756,9 @@ let detect_with ?(cfg = default_config) ?(pool = Pool.sequential)
               | Some reason -> Opressure reason
               | None -> (
                   match
-                    detect_channel_ladder ~cfg ~prims ~dis ~cg ~alias ~prog
-                      ~cst ~enum_memo c
+                    detect_channel_ladder ~cfg (fun cfg ->
+                        detect_channel ~cfg ~prims ~dis ~cg ~alias ~prog ~cst
+                          ~enum_memo ~verdicts c)
                   with
                   | found, timed_out, rungs -> Odone (found, timed_out, rungs)
                   | exception e ->
@@ -921,4 +921,5 @@ let detect_full ?cfg ?pool ?metrics (prog : Ir.program) : full =
   let alias = Alias.analyse prog in
   let cg = Callgraph.build ~alias prog in
   let prims = Primitives.collect prog alias in
-  detect_with ?cfg ?pool ?metrics ~alias ~cg ~prims prog
+  let verdicts = Atomic.get Solve_cache.standalone in
+  detect_with ?cfg ?pool ?metrics ~verdicts ~alias ~cg ~prims prog

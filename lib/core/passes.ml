@@ -247,7 +247,7 @@ let bmoc_pass ?(cfg = Bmoc.default_config) () : E.pass =
               in
               let r =
                 Bmoc.detect_with ~cfg ~pool ~metrics ~dis:(dis_for a) ?carry
-                  ~alias:(Lazy.force a.E.a_alias)
+                  ~verdicts:a.E.a_verdicts ~alias:(Lazy.force a.E.a_alias)
                   ~cg:(Lazy.force a.E.a_callgraph) ~prims:(prims_for a)
                   (Lazy.force a.E.a_ir)
               in

@@ -15,8 +15,8 @@ module Trace = Goobs.Trace
    entries are never *wrong*, merely unreachable.
 
    Two tiers:
-   - an in-process table, shared by every run in the process (bench
-     loops, repeated [analyse] calls, the jobs=1-then-jobs=4 test);
+   - a memory table: the engine's verdict memo ([Engine.a_verdicts]),
+     under the engine's byte budget, or [standalone];
    - an optional on-disk tier ([GCATCH_CACHE_DIR] / [--cache-dir]), one
      {!Goengine.Store} entry of kind "solve" per fingerprint — a
      corrupted or truncated entry is a miss, never an error.
@@ -51,16 +51,17 @@ let fingerprint (v : 'a) : string =
    and the rest *wait* instead of solving the same problem twice.  Beyond
    the wasted work, this is what keeps the hit/miss counters
    schedule-independent — a fixed problem set produces exactly one miss
-   per distinct fingerprint at any [--jobs] setting. *)
-let mem : entry Goengine.Memo.t = Goengine.Memo.create ()
-let reset_memory () = Goengine.Memo.reset mem
+   per distinct fingerprint at any [--jobs] setting.  The engine holds
+   entries as [Engine.derived] values, without naming their type. *)
+type Goengine.Engine.derived += Verdict of entry
 
-(* A long-lived server bounds the memory tier; evictions are counted in
-   the process registry (like hit/miss — a warm run's counters already
-   differ from a cold run's).  [mb <= 0] removes the bound. *)
-let set_memory_budget_mb mb =
-  let on_evict n = M.add (M.counter M.default "bmoc.solve_cache_evictions") n in
-  Goengine.Memo.set_budget ~on_evict mem ~bytes:(mb * 1024 * 1024)
+(* The standalone detector's table ([Bmoc.detect_full] has no engine):
+   the one process-wide table, which no engine path reads.
+   [reset_memory] replaces it with an empty one. *)
+let standalone : Goengine.Engine.derived Goengine.Memo.t Atomic.t =
+  Atomic.make (Goengine.Memo.create ())
+
+let reset_memory () = Atomic.set standalone (Goengine.Memo.create ())
 
 (* -------------------------------------------------------- frontend --- *)
 
@@ -91,13 +92,12 @@ let read_disk dir fp =
       Trace.with_span ~name:"bmoc.cache.lookup" (fun () ->
           Goengine.Store.read s ~kind:"solve" ~key:fp))
 
-(* Serve [fp] from the memory tier, then the disk tier, then by running
+(* Serve [fp] from the memory tier [mem], then the disk tier, then by running
    [compute].  [compute] returns [(entry, store)]; [store = false] marks
    a result that must not be cached (a budget-truncated solve) — it is
-   returned to this caller but the slot is released.  Returns the entry
-   plus [true] when it came from a cache tier. *)
-let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
-    entry * bool =
+   returned to this caller but the slot is released. *)
+let find_or_compute ~mem ?dir (fp : string) (compute : unit -> entry * bool) :
+    entry =
   let from_disk = ref false in
   let stored = ref false in
   match
@@ -105,7 +105,7 @@ let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
         match read_disk dir fp with
         | Some (e, _) ->
             from_disk := true;
-            (e, true)
+            (Verdict e, true)
         | None ->
             let e, store = compute () in
             if store then begin
@@ -119,18 +119,19 @@ let find_or_compute ?dir (fp : string) (compute : unit -> entry * bool) :
                            ~key:fp e)))
                 dir
             end;
-            (e, store))
+            (Verdict e, store))
   with
-  | `Hit e ->
+  | `Hit (Verdict e) ->
       bump "hit";
       journal_solve ~event:"solve.hit" ~from:"mem" fp;
-      (e, true)
-  | `Computed e when !from_disk ->
+      e
+  | `Computed (Verdict e) when !from_disk ->
       bump "hit";
       bump "disk_hit";
       journal_solve ~event:"solve.hit" ~from:"disk" fp;
-      (e, true)
-  | `Computed e ->
+      e
+  | `Computed (Verdict e) ->
       bump "miss";
       journal_solve ~event:"solve.miss" ~stored:!stored fp;
-      (e, false)
+      e
+  | `Hit _ | `Computed _ -> invalid_arg "Solve_cache: a foreign value"

@@ -116,6 +116,9 @@ type artifacts = {
   a_sig_digests : string list Lazy.t;
       (* each file's signature digest, in file order: the signature
          fingerprint's input *)
+  a_verdicts : derived Memo.t;
+      (* the engine's verdict memo, shared by its records: the memory
+         tier of BMOC's solve cache *)
 }
 
 and prior = {
@@ -163,20 +166,6 @@ type run = {
          over the frontend units and every pass's units *)
 }
 
-(* Per-file artifact memos, keyed by the file's content hash (plus, for
-   the stages that read cross-file context, the program's signature
-   fingerprint).  Promise-keyed so concurrent analyses sharing a file
-   compute each per-file unit at most once — which also keeps the
-   per-file stage counters schedule-independent.  Tokens are not
-   memoised: a file is lexed only when its AST misses both tiers. *)
-type file_caches = {
-  fc_ast : Minigo.Ast.file Memo.t;
-  fc_sigs : Minigo.Typecheck.sig_item list Memo.t;
-  fc_typed : Minigo.Ast.file Memo.t;
-  fc_lowered : Goir.Lower.lowered_file Memo.t;
-  fc_facts : file_facts Memo.t;
-}
-
 type t = {
   mutable passes : pass list;
   cache : (string, artifacts) Hashtbl.t;
@@ -192,6 +181,7 @@ type t = {
          registry before each run and fold it into the process registry
          after ([merge_into]) — request-scoped counters without losing
          /metrics monotonicity. *)
+  reporting : M.t ref; (* [registry], for the memos' eviction counts *)
   max_entries : int;
   pool : Pool.t;
   lock : Mutex.t; (* guards [cache] and [file_times]: batch drivers
@@ -199,7 +189,20 @@ type t = {
                      one engine *)
   store : Store.t option; (* optional on-disk tier for per-file
                              artifacts (parse/sig/typed/lowered) *)
-  fc : file_caches;
+  (* The memory tiers, under one byte budget.  Per-file artifact memos
+     are keyed by the file's content hash (plus, for the stages that
+     read cross-file context, the program's signature fingerprint).
+     Promise-keyed so concurrent analyses sharing a file compute each
+     per-file unit at most once — which also keeps the per-file stage
+     counters schedule-independent.  Tokens are not memoised: a file is
+     lexed only when its AST misses both tiers. *)
+  budget : Memo.budget;
+  fc_ast : Minigo.Ast.file Memo.t;
+  fc_sigs : Minigo.Typecheck.sig_item list Memo.t;
+  fc_typed : Minigo.Ast.file Memo.t;
+  fc_lowered : Goir.Lower.lowered_file Memo.t;
+  fc_facts : file_facts Memo.t;
+  verdicts : derived Memo.t; (* [a_verdicts] *)
   file_times : (string, float) Hashtbl.t;
       (* cumulative frontend seconds per source file, for --profile *)
   file_digests : (string, string) Hashtbl.t;
@@ -220,6 +223,12 @@ let create ?(max_entries = 512) ?(passes = []) ?(jobs = 1) ?pool ?registry
     ?cache_dir () =
   let pool = match pool with Some p -> p | None -> Pool.get ~jobs in
   let registry = match registry with Some r -> r | None -> M.create () in
+  let budget = Memo.budget () and reporting = ref registry in
+  let file () =
+    Memo.create ~budget
+      ~on_evict:(fun n -> M.add (M.counter !reporting "engine.file_mem_evictions") n)
+      ()
+  in
   {
     passes;
     cache = Hashtbl.create 32;
@@ -227,18 +236,22 @@ let create ?(max_entries = 512) ?(passes = []) ?(jobs = 1) ?pool ?registry
     cache_clock = 0;
     latest = Hashtbl.create 8;
     registry;
+    reporting;
     max_entries;
     pool;
     lock = Mutex.create ();
     store = Option.map Store.at cache_dir;
-    fc =
-      {
-        fc_ast = Memo.create ();
-        fc_sigs = Memo.create ();
-        fc_typed = Memo.create ();
-        fc_lowered = Memo.create ();
-        fc_facts = Memo.create ();
-      };
+    budget;
+    fc_ast = file ();
+    fc_sigs = file ();
+    fc_typed = file ();
+    fc_lowered = file ();
+    fc_facts = file ();
+    (* counted beside the solve cache's other counters *)
+    verdicts =
+      Memo.create ~budget
+        ~on_evict:(fun n -> M.add (M.counter M.default "bmoc.solve_cache_evictions") n)
+        ();
     file_times = Hashtbl.create 64;
     file_digests = Hashtbl.create 64;
   }
@@ -269,21 +282,14 @@ let passes t = t.passes
 (* Swap the engine's reporting registry.  Callers serialize runs (the
    server holds its request lock across set + analyse), so counters of a
    run never straddle two registries. *)
-let set_registry t r = t.registry <- r
+let set_registry t r =
+  t.registry <- r;
+  t.reporting := r
 
-(* Bound the per-file memo tables to roughly [mb] megabytes total, split
-   evenly across the five stages (the typed/lowered tables dominate in
-   practice, but an even split keeps small stages from being squeezed to
-   zero).  Evictions are counted per engine under
-   "engine.file_mem_evictions".  [mb <= 0] removes the bound. *)
+(* Bound the engine's six memory tiers (five per-file memos and the
+   verdict memo) to [mb] megabytes together; [mb <= 0] unbounds them. *)
 let set_cache_budget_mb (t : t) mb =
-  let per = if mb <= 0 then 0 else max 1 (mb * 1024 * 1024 / 5) in
-  let on_evict n = M.add (M.counter t.registry "engine.file_mem_evictions") n in
-  Memo.set_budget ~on_evict t.fc.fc_ast ~bytes:per;
-  Memo.set_budget ~on_evict t.fc.fc_sigs ~bytes:per;
-  Memo.set_budget ~on_evict t.fc.fc_typed ~bytes:per;
-  Memo.set_budget ~on_evict t.fc.fc_lowered ~bytes:per;
-  Memo.set_budget ~on_evict t.fc.fc_facts ~bytes:per
+  Memo.set_budget t.budget ~bytes:(mb * 1024 * 1024)
 
 (* Read one engine counter by registry name (e.g. "stage.parse.runs",
    "engine.cache_hits"); unknown names read as 0. *)
@@ -511,7 +517,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
   (* lexing is part of the parse unit; it keeps its own run counter,
      bumped before the fault site so a faulting file still counts *)
   let parse_file (file, src, key) =
-    file_unit t ~stage:"parse" ~memo:t.fc.fc_ast ~key ~file ~disk:true
+    file_unit t ~stage:"parse" ~memo:t.fc_ast ~key ~file ~disk:true
       ~reintern:Minigo.Intern.file (fun () ->
         M.incr (M.counter t.registry "stage.lex.runs");
         Goobs.Faults.trigger ~site:"frontend" ~key:file ();
@@ -523,7 +529,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
      text), so a warm run reads 49 tiny entries plus parses the one
      edited file instead of re-parsing the world. *)
   let sig_file ?tree ((file, _, key) as fk) =
-    file_unit t ~stage:"sig" ~memo:t.fc.fc_sigs ~key ~file ~disk:true
+    file_unit t ~stage:"sig" ~memo:t.fc_sigs ~key ~file ~disk:true
       (fun () ->
         Minigo.Typecheck.file_signatures
           (match tree with Some a -> a | None -> parse_file fk))
@@ -534,7 +540,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
      A file that only turns out to need parsing inside the signature
      fan-out (an unreadable disk entry) still parses there. *)
   let sig_stored (_, _, key) =
-    Memo.find_done t.fc.fc_sigs key <> None
+    Memo.find_done t.fc_sigs key <> None
     || Option.fold t.store ~none:false ~some:(fun s ->
            Sys.file_exists (Store.path s ~kind:"sig" ~key))
   in
@@ -611,7 +617,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
     Digest.to_hex (Digest.string (key ^ tag ^ Lazy.force a_fp))
   in
   let typed_file ((file, _, _) as fk) =
-    file_unit t ~stage:"typecheck" ~memo:t.fc.fc_typed
+    file_unit t ~stage:"typecheck" ~memo:t.fc_typed
       ~key:(stage_key "\x00" fk) ~file ~disk:true ~reintern:Minigo.Intern.file
       (fun () ->
         Minigo.Typecheck.check_file (tables ()).st_env (parse_file fk))
@@ -620,7 +626,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
     lazy (stage_span t "typecheck" (fun () -> pmap typed_file keyed))
   in
   let lowered_file ((file, _, _) as fk) =
-    file_unit t ~stage:"lower" ~memo:t.fc.fc_lowered ~key:(stage_key "\x01" fk)
+    file_unit t ~stage:"lower" ~memo:t.fc_lowered ~key:(stage_key "\x01" fk)
       ~file ~disk:true (fun () ->
         Goir.Lower.lower_file (tables ()).st_lower (typed_file fk))
   in
@@ -635,7 +641,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
            let lfs = Lazy.force a_lowered in
            pmap
              (fun (((file, _, _) as fk), lf) ->
-               file_unit t ~stage:"facts" ~memo:t.fc.fc_facts
+               file_unit t ~stage:"facts" ~memo:t.fc_facts
                  ~key:(stage_key "\x02" fk) ~file (fun () ->
                    let funcs = List.map snd (Goir.Lower.file_funcs lf) in
                    {
@@ -895,7 +901,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
         with
         | `Hit v | `Computed v -> v);
     a_peek = Memo.find_done derived;
-    a_keep = (fun name v -> ignore (Memo.preload derived name (fun () -> Some v)));
+    a_keep = (fun name v -> ignore (Memo.find_or_compute derived name (fun () -> (v, true))));
     a_prior =
       (fun () ->
         Option.map
@@ -921,6 +927,7 @@ let build_artifacts (t : t) ?pred ~key ~name (sources : source list) :
         else []);
     a_sig_tables;
     a_sig_digests;
+    a_verdicts = t.verdicts;
   }
 
 (* Drop digest-table entries no live record reads: the table gains a
@@ -958,9 +965,9 @@ let artifacts_keyed (t : t) ~name (sources, key) : artifacts =
              artifact record pins the whole-program IR once forced, so a
              long-lived server runs with a small [max_entries] and leans
              on this bound; one-shot workloads never come close to it.
-             Per-file memos are bounded separately ([set_cache_budget_mb])
-             — evicting a source set must not drop per-file work that
-             other live sets still share. *)
+             The memory tiers are bounded separately ([set_cache_budget_mb])
+             — evicting a source set must not drop per-file work or
+             verdicts that other live sets still share. *)
           let evicted = ref false in
           while Hashtbl.length t.cache >= t.max_entries do
             let victim = ref None in

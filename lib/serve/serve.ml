@@ -215,18 +215,14 @@ type t = {
 
 let counter t name = M.counter t.registry name
 
-(* A fresh engine for [cfg], at boot and on every quarantine rebuild. *)
+(* A fresh engine for [cfg], at boot and on every quarantine rebuild:
+   cold by construction, its memory tiers bounded by --max-cache-mb. *)
 let new_engine cfg registry =
   let engine =
     Gcatch.Passes.engine ~cfg:cfg.s_detector ~jobs:cfg.s_jobs ~registry
       ~max_entries:cfg.s_max_artifact_sets ()
   in
-  if cfg.s_max_cache_mb > 0 then begin
-    (* the frontend memos dominate (typed + lowered ASTs per file), so
-       they get 3/4 of the budget; the solve cache the rest *)
-    E.set_cache_budget_mb engine (max 1 (cfg.s_max_cache_mb * 3 / 4));
-    Gcatch.Solve_cache.set_memory_budget_mb (max 1 (cfg.s_max_cache_mb / 4))
-  end;
+  E.set_cache_budget_mb engine cfg.s_max_cache_mb;
   engine
 
 let create ?(cfg = default_cfg) () : t =
@@ -337,7 +333,6 @@ let rebuild_engine (t : t) ~reason : unit =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.run_mu)
     (fun () ->
-      Gcatch.Solve_cache.reset_memory ();
       t.engine <- new_engine t.cfg t.registry;
       (* the heap latch guarded state that just went away with the old
          engine; clear it and let the fresh engine earn its own verdict *)

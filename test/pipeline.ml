@@ -16,12 +16,15 @@ type t = {
   trad : Gcatch.Report.trad_bug list;
 }
 
-(* The default passes (BMOC and the five traditional checkers).  A
-   [cfg] or [jobs] other than the defaults gets a fresh engine. *)
-let analyse ?cfg ?(jobs = 1) ~name sources : t =
+(* The default passes (BMOC and the five traditional checkers), on
+   [engine] if given.  Otherwise a [cfg] or [jobs] other than the
+   defaults gets a fresh engine. *)
+let analyse ?engine ?cfg ?(jobs = 1) ~name sources : t =
   let engine =
-    if cfg = None && jobs = 1 then Lazy.force default_engine
-    else P.engine ?cfg ~jobs ()
+    match engine with
+    | Some e -> e
+    | None when cfg = None && jobs = 1 -> Lazy.force default_engine
+    | None -> P.engine ?cfg ~jobs ()
   in
   let run = E.analyse engine ~name sources in
   match run.E.r_artifacts with
@@ -37,6 +40,13 @@ let analyse ?cfg ?(jobs = 1) ~name sources : t =
 (* The lowered IR alone. *)
 let compile_ir ~name sources : Goir.Ir.program =
   Lazy.force (E.artifacts (Lazy.force default_engine) ~name sources).E.a_ir
+
+(* [sources] with a channel-free file appended: analysed again on the
+   same engine, it is a new record with no predecessor to take outcomes
+   over from, whose channels all look their verdicts up in the engine's
+   solve tier (the files before it keep their names and program points,
+   so the fingerprints are the same). *)
+let with_empty_file sources = sources @ [ "package p\n" ]
 
 (* The run's "bmoc.*" counters: the detector statistics, which a
    solve-cache hit replays exactly. *)

@@ -37,16 +37,17 @@ let check_same_analysis label (a : Pipeline.t)
 (* --------------------------------------------------- memory tier ---- *)
 
 let test_warm_replays_cold () =
-  SC.reset_memory ();
+  let engine = Gcatch.Passes.engine () in
   let sources = app_sources "bbolt" in
   let h0 = hits () and m0 = misses () in
-  let cold = Pipeline.analyse ~name:"cache-bbolt" sources in
+  let cold = Pipeline.analyse ~engine ~name:"cache-bbolt" sources in
   let h1 = hits () and m1 = misses () in
   Alcotest.(check bool) "cold run misses" true (m1 > m0);
-  (* a fresh engine: the shared one would take the record's own outcomes
-     over without consulting the solve cache *)
+  (* a new record, so that the channels consult the solve cache instead
+     of taking the first record's outcomes over *)
   let warm =
-    Pipeline.analyse ~cfg:Gcatch.Bmoc.default_config ~name:"cache-bbolt" sources
+    Pipeline.analyse ~engine ~name:"cache-bbolt"
+      (Pipeline.with_empty_file sources)
   in
   let h2 = hits () and m2 = misses () in
   Alcotest.(check bool) "warm run hits" true (h2 - h1 >= m1 - m0);
@@ -73,10 +74,19 @@ let test_cache_off_matches () =
 let test_warm_jobs_identical () =
   (* a cold jobs=1 run then a warm jobs=4 run: the promise-keyed memory
      tier serves the same verdicts whatever the schedule *)
-  SC.reset_memory ();
   let sources = app_sources "grpc" in
-  let a1 = Pipeline.analyse ~jobs:1 ~name:"cache-grpc" sources in
-  let a4 = Pipeline.analyse ~jobs:4 ~name:"cache-grpc" sources in
+  let a1 =
+    Pipeline.analyse ~engine:(Gcatch.Passes.engine ()) ~name:"cache-grpc"
+      sources
+  in
+  let engine = Gcatch.Passes.engine ~jobs:4 () in
+  ignore (Pipeline.analyse ~engine ~name:"cache-grpc" sources);
+  let m0 = misses () in
+  let a4 =
+    Pipeline.analyse ~engine ~name:"cache-grpc"
+      (Pipeline.with_empty_file sources)
+  in
+  Alcotest.(check int) "warm run never misses" m0 (misses ());
   check_same_analysis "jobs 1 cold vs jobs 4 warm" a1 a4;
   Alcotest.(check (list (pair string int)))
     "same stats"

@@ -211,9 +211,8 @@ let test_engine_facts_match_standalone () =
 (* The SAT instance BMOC hands the solver is part of the output: the
    pass metrics print its counters.  Each program's bmoc metrics on a
    fresh engine and the digest of its bugs' witnesses must equal the
-   pinned values in {!Sat_pins}.  The solve cache's memory tier is
-   emptied first, since a hit would replay the counters instead of
-   solving. *)
+   pinned values in {!Sat_pins}.  A fresh engine starts with an empty
+   solve tier, so every channel is solved, not replayed. *)
 let test_sat_instance_pinned () =
   let module E = Goengine.Engine in
   let module Pa = Gcatch.Passes in
@@ -222,7 +221,6 @@ let test_sat_instance_pinned () =
   List.iter2
     (fun (name, sources) (pin_name, pin_metrics, pin_witness) ->
       Alcotest.(check string) "program order" pin_name name;
-      Gcatch.Solve_cache.reset_memory ();
       let r = E.analyse (Pa.engine ()) ~name sources in
       let pr = List.find (fun pr -> pr.E.pr_pass = "bmoc") r.E.r_passes in
       let metrics =

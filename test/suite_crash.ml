@@ -61,11 +61,7 @@ let with_server ?cfg f =
   with
   | Error e -> Alcotest.fail e
   | Ok server ->
-      Fun.protect
-        ~finally:(fun () ->
-          T.stop server;
-          Gcatch.Solve_cache.set_memory_budget_mb 0)
-        (fun () -> f srv server)
+      Fun.protect ~finally:(fun () -> T.stop server) (fun () -> f srv server)
 
 let temp_dir () =
   let d =
@@ -105,10 +101,6 @@ let cfg_at ?(cfg = Serve.default_cfg) dir =
     Serve.s_detector = { Gcatch.Bmoc.default_config with cache_dir = Some dir };
   }
 
-(* simulate process death: the solve cache's memory tier is global
-   state that would die with the process *)
-let restart () = Gcatch.Solve_cache.reset_memory ()
-
 (* Counter deltas over [f]. *)
 let deltas names f =
   let before = List.map pv names in
@@ -123,9 +115,8 @@ let entries dir suffix =
 let edited = [ leak "Snap"; clean_edited ]
 
 (* The edit posted after each restart: its status and diagnostics
-   (byte-identical to [expect], a cold one-shot run computed before the
-   warm-up, so that the run leaves the request nothing in memory) are
-   checked, and the deltas of [names] over the request are returned. *)
+   (byte-identical to [expect], a cold one-shot run on an engine of its
+   own) are checked, and the deltas of [names] over the request are returned. *)
 let post_edit ~expect server names =
   let (code, body), d =
     deltas names (fun () ->
@@ -138,7 +129,6 @@ let post_edit ~expect server names =
 
 (* Server A analyses a two-file program on a fresh cache directory. *)
 let warm_up cfg =
-  restart ();
   with_server ~cfg (fun _ server ->
       let code, _ =
         T.fetch_post server "/analyse" (body_of_sources [ leak "Snap"; clean ])
@@ -156,7 +146,6 @@ let test_restart_reads_disk () =
   let cfg = cfg_at dir in
   let expect = local_diag_bytes ~jobs:1 edited in
   warm_up cfg;
-  restart ();
   with_server ~cfg (fun _ server ->
       let d =
         post_edit ~expect server
@@ -188,7 +177,6 @@ let test_restart_recomputes_deleted () =
   let lowered = entries dir ".lower" in
   Alcotest.(check int) "one lower entry per file" 2 (List.length lowered);
   List.iter (fun n -> Sys.remove (Filename.concat dir n)) lowered;
-  restart ();
   with_server ~cfg (fun _ server ->
       let d = post_edit ~expect server [ "stage.lower.runs" ] in
       Alcotest.(check int) "both files lowered again" 2 (d "stage.lower.runs"))

@@ -516,8 +516,10 @@ let test_pressure_stands_down () =
   let nfuncs = List.length (Goir.Ir.funcs_list ir) in
   let bugs, kept, _ = T.run T.missing_unlock w in
   Alcotest.(check bool) "reports" true (bugs <> []);
+  let verdicts = Goengine.Memo.create () in
   let detect ?carry reg =
-    Gcatch.Bmoc.detect_with ~metrics:reg ~dis ?carry ~alias ~cg ~prims ir
+    Gcatch.Bmoc.detect_with ~metrics:reg ~dis ?carry ~verdicts ~alias ~cg ~prims
+      ir
   in
   let cold = detect (Goobs.Metrics.create ()) in
   let nchannels = cold.Gcatch.Bmoc.f_stats.channels_analysed in
@@ -580,7 +582,7 @@ let test_missing_outcomes_resolved () =
   let cfg = { Gcatch.Bmoc.default_config with solve_cache = false } in
   let detect ?carry () =
     Gcatch.Bmoc.detect_with ~cfg ~metrics:(Goobs.Metrics.create ()) ~dis ?carry
-      ~alias ~cg ~prims ir
+      ~verdicts:(Goengine.Memo.create ()) ~alias ~cg ~prims ir
   in
   let names outs =
     List.sort compare

@@ -655,9 +655,6 @@ let normalized_journal path =
 let test_journal_determinism_across_jobs () =
   let run jobs =
     let path = Filename.temp_file "gcatch-journal" ".jsonl" in
-    (* both runs must be cold: the solve memo is process-wide, and a
-       warm second run would journal hits where the first had misses *)
-    Gcatch.Solve_cache.reset_memory ();
     Journal.open_ ~path;
     let e = Gcatch.Passes.engine ~jobs () in
     ignore (E.analyse e ~name:"det" [ multi_chan ]);

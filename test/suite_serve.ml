@@ -78,11 +78,7 @@ let with_server ?cfg f =
   with
   | Error e -> Alcotest.fail e
   | Ok server ->
-      Fun.protect
-        ~finally:(fun () ->
-          T.stop server;
-          Gcatch.Solve_cache.set_memory_budget_mb 0)
-        (fun () -> f srv server)
+      Fun.protect ~finally:(fun () -> T.stop server) (fun () -> f srv server)
 
 (* ------------------------------------------- concurrent byte-identity --- *)
 
@@ -123,10 +119,20 @@ let test_concurrent_byte_identity () =
 
 (* ------------------------------------------------------- LRU eviction --- *)
 
+(* Two tables of different value types under one byte budget: eviction
+   takes the least recently used entry of either table, never a
+   Computing slot, and each table's [on_evict] counts its own entries
+   only. *)
 let test_memo_lru () =
-  let m : string Memo.t = Memo.create () in
-  let evicted = ref 0 in
-  Memo.set_budget ~on_evict:(fun n -> evicted := !evicted + n) m ~bytes:8192;
+  let budget = Memo.budget () in
+  let evicted = ref 0 and other = ref 0 in
+  let m : string Memo.t =
+    Memo.create ~budget ~on_evict:(fun n -> evicted := !evicted + n) ()
+  in
+  let (_ : int array Memo.t) =
+    Memo.create ~budget ~on_evict:(fun n -> other := !other + n) ()
+  in
+  Memo.set_budget budget ~bytes:8192;
   for i = 0 to 9 do
     ignore
       (Memo.find_or_compute m
@@ -134,15 +140,63 @@ let test_memo_lru () =
          (fun () -> (String.make 1024 (Char.chr (65 + i)), true)))
   done;
   Alcotest.(check bool) "evictions happened" true (!evicted > 0);
+  Alcotest.(check int) "the idle table lost nothing" 0 !other;
   Alcotest.(check bool) "table stayed bounded" true (Memo.size m < 10);
   (* the most recent key must still be resident; an evicted key
      recomputes to the same value *)
   (match Memo.find_or_compute m "k9" (fun () -> Alcotest.fail "k9 evicted") with
   | `Hit v -> Alcotest.(check string) "resident value" (String.make 1024 'J') v
   | `Computed _ -> Alcotest.fail "k9 should be a hit");
-  match Memo.find_or_compute m "k0" (fun () -> (String.make 1024 'A', true)) with
+  (match Memo.find_or_compute m "k0" (fun () -> (String.make 1024 'A', true)) with
   | `Hit v | `Computed v ->
-      Alcotest.(check string) "recomputed value" (String.make 1024 'A') v
+      Alcotest.(check string) "recomputed value" (String.make 1024 'A') v);
+  (* a budget three entries of either table fill and a fourth exceeds *)
+  let budget = Memo.budget () in
+  let ev_s = ref 0 and ev_a = ref 0 in
+  let s : string Memo.t =
+    Memo.create ~budget ~on_evict:(fun n -> ev_s := !ev_s + n) ()
+  in
+  let a : int array Memo.t =
+    Memo.create ~budget ~on_evict:(fun n -> ev_a := !ev_a + n) ()
+  in
+  let sv = String.make 1024 's' and av = Array.make 128 7 in
+  let words v = Obj.reachable_words (Obj.repr v) + 8 in
+  let hi = max (words sv) (words av) and lo = min (words sv) (words av) in
+  Memo.set_budget budget ~bytes:(((3 * hi) + (lo / 2)) * (Sys.word_size / 8));
+  let put t k v = ignore (Memo.find_or_compute t k (fun () -> (v, true))) in
+  let hit t k = ignore (Memo.find_or_compute t k (fun () -> Alcotest.fail k)) in
+  let resident t k = Memo.find_done t k <> None in
+  let check_evicted label es ea =
+    Alcotest.(check (pair int int)) label (es, ea) (!ev_s, !ev_a)
+  in
+  put s "a" sv;
+  put a "b" av;
+  put s "c" sv;
+  hit s "a";
+  put a "d" av;
+  Alcotest.(check bool) "the other table's older entry went" false
+    (resident a "b");
+  Alcotest.(check bool) "the hit entry stayed" true (resident s "a");
+  check_evicted "one eviction, counted by its own table" 0 1;
+  hit a "d";
+  put a "e" av;
+  Alcotest.(check bool) "across tables, the least recent went" false
+    (resident s "c");
+  check_evicted "the string table counts its own" 1 1;
+  (* while [x] computes, flooding the other table drops every Done entry
+     of this one but not the claimed slot *)
+  let during = ref 0 in
+  ignore
+    (Memo.find_or_compute a "x" (fun () ->
+         List.iter (fun k -> put s k sv) [ "f"; "g"; "h"; "i" ];
+         during := Memo.size a;
+         (av, true)));
+  Alcotest.(check int) "only the Computing slot was left" 1 !during;
+  Alcotest.(check bool) "the claimed value landed" true (resident a "x");
+  Alcotest.(check (list bool)) "the flood's survivors"
+    [ false; false; true; true ]
+    (List.map (resident s) [ "f"; "g"; "h"; "i" ]);
+  check_evicted "each table counted its own drops" 4 3
 
 (* Three sizeable source sets through a 1 MB cache budget and a
    2-entry artifact cache: evictions must fire, and re-requesting the
@@ -338,6 +392,64 @@ let test_one_copy_per_content () =
       let again = post "the edit again" body [ 0; 0; 0 ] in
       Alcotest.(check string) "the same answer" first again)
 
+(* --------------------------------------------- per-engine solve tier --- *)
+
+let solve_counters =
+  [ "bmoc.solve_cache_hit"; "bmoc.solve_cache_miss"; "bmoc.solve_cache_evictions" ]
+
+let deltas names f =
+  let before = List.map pv names in
+  f ();
+  List.map2 (fun n b -> pv n - b) names before
+
+(* A bounded server's budget is its engine's: an unbounded server
+   created after it keeps every verdict.  The app is analysed twice
+   under one name, the second time with a channel-free file appended,
+   so that the record's outcomes cannot be taken over: every channel
+   looks its verdict up again and must find it in memory.  (A second
+   name would miss: a verdict holds the source locations, and the file
+   names carry the name.)  Its ~1200 verdicts outgrow 1 MB. *)
+let test_bounded_server_leaves_others_unbounded () =
+  let _bounded =
+    Serve.create ~cfg:{ Serve.default_cfg with Serve.s_max_cache_mb = 1 } ()
+  in
+  let srv = Serve.create () in
+  let app = [ Pipeline.multi_chan 1200 ] in
+  let post sources () =
+    let r =
+      Serve.handle_analyse srv
+        { T.rq_path = "/analyse"; rq_headers = []; rq_body = body_of_sources sources }
+    in
+    Alcotest.(check int) "status" 200 r.T.status
+  in
+  match deltas solve_counters (post app) with
+  | [ hit; miss; _ ] -> (
+      Alcotest.(check int) "a fresh server starts cold" 0 hit;
+      Alcotest.(check bool) "every channel solved" true (miss >= 1200);
+      match deltas solve_counters (post (app @ [ "package p\n" ])) with
+      | [ hit'; miss'; evicted ] ->
+          Alcotest.(check int) "every channel hits memory" miss hit';
+          Alcotest.(check int) "no channel misses" 0 miss';
+          Alcotest.(check int) "no verdict evicted" 0 evicted
+      | _ -> assert false)
+  | _ -> assert false
+
+(* Each engine owns its verdicts: a second engine in the same process
+   solves every channel again. *)
+let test_engines_share_no_verdicts () =
+  let app = [ Pipeline.multi_chan 6 ] in
+  List.iter
+    (fun label ->
+      let e = Gcatch.Passes.engine ~registry:(M.create ()) () in
+      match
+        deltas solve_counters (fun () -> ignore (E.analyse e ~name:"twin" app))
+      with
+      | [ hit; miss; _ ] ->
+          Alcotest.(check int) (label ^ ": no hit") 0 hit;
+          Alcotest.(check int) (label ^ ": a miss per channel") 6 miss
+      | _ -> assert false)
+    [ "first engine"; "second engine" ]
+
 (* ------------------------------------------------- parser hardening ----- *)
 
 let test_http_parser_hardening () =
@@ -411,4 +523,8 @@ let tests =
     Alcotest.test_case "watch re-analyses only the edit" `Quick
       test_watch_reanalyses_only_edited;
     Alcotest.test_case "one copy per content" `Quick test_one_copy_per_content;
+    Alcotest.test_case "a bounded server leaves others unbounded" `Quick
+      test_bounded_server_leaves_others_unbounded;
+    Alcotest.test_case "engines share no verdicts" `Quick
+      test_engines_share_no_verdicts;
   ]
