@@ -412,7 +412,7 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
               cfg.max_group_size) ))
   in
   let run_solve () : Report.bmoc_bug list * bool =
-  let session = Constraints.create_session () in
+  let session = Constraints.create_session ~pset ~prims in
   let bugs = ref [] in
   let seen_groups = Hashtbl.create 16 in
   try
@@ -429,50 +429,41 @@ let detect_channel ?(cfg = default_config) ~(prims : Primitives.t)
     (fun (combo_id, combo) ->
       begin
         cst.c_combinations <- cst.c_combinations + 1;
-        List.iter
-          (fun gi ->
-            cst.c_path_events <-
-              cst.c_path_events + List.length gi.Pathenum.gi_path.p_events)
-          combo;
+        (* each goroutine's events by uid (a path's uids are its
+           positions) *)
+        let events =
+          Array.of_list
+            (List.map
+               (fun (gi : Pathenum.goroutine_instance) ->
+                 cst.c_path_events <-
+                   cst.c_path_events + List.length gi.gi_path.p_events;
+                 Array.of_list gi.gi_path.p_events)
+               combo)
+        in
+        let event (g : Constraints.group_member) = events.(g.g_gid).(g.g_uid) in
         let groups = suspicious_groups cfg pset combo in
         List.iter
           (fun group ->
             (* dedupe by the static pps of the group ops *)
             let key =
               List.sort compare
-                (List.map
-                   (fun (g : Constraints.group_member) ->
-                     let gi = List.nth combo g.g_gid in
-                     match
-                       List.find_opt
-                         (fun (e : Pathenum.event) -> e.e_uid = g.g_uid)
-                         gi.gi_path.p_events
-                     with
-                     | Some e -> e.e_pp
-                     | None -> -1)
-                   group)
+                (List.map (fun g -> (event g).Pathenum.e_pp) group)
             in
             if not (Hashtbl.mem seen_groups key) then begin
               cst.c_groups_checked <- cst.c_groups_checked + 1;
-              let problem = { Constraints.combo; group; pset; prims } in
               cst.c_solver_calls <- cst.c_solver_calls + 1;
               match
-                Constraints.solve_incr session ?should_stop ~on_stats problem
+                Constraints.solve_incr session ?should_stop ~on_stats combo group
               with
               | Constraints.Cannot_block -> ()
               | Constraints.Blocks witness ->
                   Hashtbl.add seen_groups key ();
                   let blocked =
                     List.map
-                      (fun (g : Constraints.group_member) ->
-                        let gi = List.nth combo g.g_gid in
-                        let e =
-                          List.find
-                            (fun (e : Pathenum.event) -> e.e_uid = g.g_uid)
-                            gi.gi_path.p_events
-                        in
+                      (fun g ->
+                        let e = event g in
                         let kind =
-                          match e.e_desc with
+                          match e.Pathenum.e_desc with
                           | Sync (Sop (k, _)) -> k
                           | Sync (Sselect _) -> Report.Kselect
                           | _ -> Report.Ksend
@@ -654,7 +645,7 @@ type root_result =
 (* Detect BMOC bugs across the whole program, fanning the per-root
    [detect_channel_ladder] calls out over [pool].  Each worker
    accumulates into a private per-channel record (and, inside
-   [Constraints.solve], its own scratch SAT solver); the per-channel
+   [Constraints.solve_incr], its own solver session); the per-channel
    counts are summed in canonical root order and added to a run-local
    metrics registry once per counter — sums commute, so jobs=1 and
    jobs=N produce identical metrics — and the final bug list is sorted

@@ -48,69 +48,6 @@ let rec to_string = function
 
 (* ------------------------------------------------------------- CNF *)
 
-(* Tseitin transformation.  [fresh ()] allocates a new SAT variable;
-   [lit_of_atom] maps an atom id to a SAT literal; [emit] receives each
-   clause of SAT literals (see {!Sat} for the encoding) the moment it is
-   produced.  Returns the literal representing the whole formula. *)
-
-type cnf_ctx = {
-  fresh : unit -> int; (* fresh SAT variable *)
-  lit_of_atom : int -> int; (* positive literal for an atom *)
-  emit : int list -> unit; (* consume one clause *)
-}
-
-let emit ctx c = ctx.emit c
-
-let lit_true ctx =
-  (* a dedicated always-true variable *)
-  let v = ctx.fresh () in
-  let l = Sat.lit_of_var v true in
-  emit ctx [ l ];
-  l
-
-(* Sequential-counter encoding of  guard -> (sum(xs) <= k)  (Sinz 2005,
-   with every clause weakened by the guard).  The guard mechanism reifies
-   cardinalities for *positive* polarity, which is all the constraint
-   generator needs: negated cardinalities are rewritten into their exact
-   complements before reaching here (¬(≤k) ≡ ≥k+1). *)
-let encode_at_most_g ctx ~(guard : int option) k (xs : int list) =
-  let weaken c = match guard with Some g -> Sat.neg g :: c | None -> c in
-  let emit ctx c = emit ctx (weaken c) in
-  let n = List.length xs in
-  if k >= n then ()
-  else if k < 0 then emit ctx [] (* sum <= -1 is unsatisfiable *)
-  else if k = 0 then List.iter (fun x -> emit ctx [ Sat.neg x ]) xs
-  else begin
-    let xs = Array.of_list xs in
-    (* s.(i).(j): among x_0..x_i at least (j+1) are true; dims n x k *)
-    let s =
-      Array.init n (fun _ -> Array.init k (fun _ -> Sat.lit_of_var (ctx.fresh ()) true))
-    in
-    (* x_0 -> s_{0,0} *)
-    emit ctx [ Sat.neg xs.(0); s.(0).(0) ];
-    for i = 1 to n - 1 do
-      emit ctx [ Sat.neg xs.(i); s.(i).(0) ];
-      emit ctx [ Sat.neg s.(i - 1).(0); s.(i).(0) ];
-      for j = 1 to k - 1 do
-        emit ctx [ Sat.neg xs.(i); Sat.neg s.(i - 1).(j - 1); s.(i).(j) ];
-        emit ctx [ Sat.neg s.(i - 1).(j); s.(i).(j) ]
-      done;
-      (* overflow: x_i and already k true among x_0..x_{i-1} -> conflict *)
-      emit ctx [ Sat.neg xs.(i); Sat.neg s.(i - 1).(k - 1) ]
-    done
-  end
-
-let encode_at_least_g ctx ~guard k xs =
-  (* at least k of xs  <=>  at most (n-k) of (not xs) *)
-  let n = List.length xs in
-  if k <= 0 then ()
-  else if k > n then
-    emit ctx (match guard with Some g -> [ Sat.neg g ] | None -> [])
-  else encode_at_most_g ctx ~guard (n - k) (List.map Sat.neg xs)
-
-let encode_at_most ctx k xs = encode_at_most_g ctx ~guard:None k xs
-let encode_at_least ctx k xs = encode_at_least_g ctx ~guard:None k xs
-
 (* Push negation through the formula so that cardinalities only ever
    occur positively (their complements are exact over integers). *)
 let rec nnf_not (f : t) : t =
@@ -127,77 +64,47 @@ let rec nnf_not (f : t) : t =
   | AtLeast (k, fs) -> AtMost (k - 1, fs)
   | Exactly (k, fs) -> Or [ AtMost (k - 1, fs); AtLeast (k + 1, fs) ]
 
-(* Translate a formula to a defining literal. *)
-let rec lit_of ctx (f : t) : int =
+(* Tseitin transformation through the gates of {!Cnf}: [atom] maps an
+   atom id to its positive SAT literal.  Returns the literal
+   representing the whole formula; children are translated left to
+   right, before their parent's gate variable is allocated. *)
+let rec lit_of c atom (f : t) : int =
   match f with
-  | True -> lit_true ctx
-  | False -> Sat.neg (lit_true ctx)
-  | Atom i -> ctx.lit_of_atom i
-  | Not (Atom i) -> Sat.neg (ctx.lit_of_atom i)
-  | Not g -> lit_of ctx (nnf_not g)
-  | And fs ->
-      let ls = List.map (lit_of ctx) fs in
-      let v = Sat.lit_of_var (ctx.fresh ()) true in
-      (* v -> each l;  all l -> v *)
-      List.iter (fun l -> emit ctx [ Sat.neg v; l ]) ls;
-      emit ctx (v :: List.map Sat.neg ls);
-      v
-  | Or fs ->
-      let ls = List.map (lit_of ctx) fs in
-      let v = Sat.lit_of_var (ctx.fresh ()) true in
-      emit ctx (Sat.neg v :: ls);
-      List.iter (fun l -> emit ctx [ v; Sat.neg l ]) ls;
-      v
-  | Implies (a, b) -> lit_of ctx (Or [ Not a; b ])
+  | True -> Cnf.true_ c
+  | False -> Cnf.false_ c
+  | Atom i -> atom i
+  | Not (Atom i) -> Sat.neg (atom i)
+  | Not g -> lit_of c atom (nnf_not g)
+  | And fs -> Cnf.and_ c (operands c atom fs)
+  | Or fs -> Cnf.or_ c (operands c atom fs)
+  | Implies (a, b) -> lit_of c atom (Or [ Not a; b ])
   | Iff (a, b) ->
-      let la = lit_of ctx a in
-      let lb = lit_of ctx b in
-      let v = Sat.lit_of_var (ctx.fresh ()) true in
-      emit ctx [ Sat.neg v; Sat.neg la; lb ];
-      emit ctx [ Sat.neg v; la; Sat.neg lb ];
-      emit ctx [ v; la; lb ];
-      emit ctx [ v; Sat.neg la; Sat.neg lb ];
-      v
-  | AtMost (k, fs) ->
-      (* reified for positive polarity: v -> (sum <= k) *)
-      let ls = List.map (lit_of ctx) fs in
-      let v = Sat.lit_of_var (ctx.fresh ()) true in
-      encode_at_most_g ctx ~guard:(Some v) k ls;
-      v
-  | AtLeast (k, fs) ->
-      let ls = List.map (lit_of ctx) fs in
-      let v = Sat.lit_of_var (ctx.fresh ()) true in
-      encode_at_least_g ctx ~guard:(Some v) k ls;
-      v
-  | Exactly (k, fs) ->
-      let ls = List.map (lit_of ctx) fs in
-      let v = Sat.lit_of_var (ctx.fresh ()) true in
-      encode_at_most_g ctx ~guard:(Some v) k ls;
-      encode_at_least_g ctx ~guard:(Some v) k ls;
-      v
+      let la = lit_of c atom a in
+      let lb = lit_of c atom b in
+      Cnf.iff c la lb
+  | AtMost (k, fs) -> Cnf.at_most c k (operands c atom fs)
+  | AtLeast (k, fs) -> Cnf.at_least c k (operands c atom fs)
+  | Exactly (k, fs) -> Cnf.exactly c k (operands c atom fs)
+
+(* Push the literals of [fs] as operands; returns where they start. *)
+and operands c atom fs =
+  let from = Cnf.sp c in
+  List.iter (fun f -> Cnf.push c (lit_of c atom f)) fs;
+  from
 
 (* Assert [f] as a top-level fact. *)
-let assert_formula ctx (f : t) =
+let assert_formula c atom (f : t) =
   (* flatten top-level conjunctions to keep the CNF small *)
   let rec go f =
     match f with
     | True -> ()
     | And fs -> List.iter go fs
-    | False -> emit ctx []
+    | False -> Cnf.empty c
     | Or fs when List.for_all (function Atom _ | Not (Atom _) -> true | _ -> false) fs ->
-        emit ctx
-          (List.map
-             (function
-               | Atom i -> ctx.lit_of_atom i
-               | Not (Atom i) -> Sat.neg (ctx.lit_of_atom i)
-               | _ -> assert false)
-             fs)
-    | AtMost (k, fs) -> encode_at_most ctx k (List.map (lit_of ctx) fs)
-    | AtLeast (k, fs) -> encode_at_least ctx k (List.map (lit_of ctx) fs)
-    | Exactly (k, fs) ->
-        let ls = List.map (lit_of ctx) fs in
-        encode_at_most ctx k ls;
-        encode_at_least ctx k ls
-    | other -> emit ctx [ lit_of ctx other ]
+        Cnf.assert_or c (operands c atom fs)
+    | AtMost (k, fs) -> Cnf.assert_at_most c k (operands c atom fs)
+    | AtLeast (k, fs) -> Cnf.assert_at_least c k (operands c atom fs)
+    | Exactly (k, fs) -> Cnf.assert_exactly c k (operands c atom fs)
+    | other -> Cnf.assert_lit c (lit_of c atom other)
   in
   go f

@@ -40,18 +40,11 @@ val nnf_not : t -> t
 (** Push a negation one level in, turning negated cardinalities into
     their exact complements. *)
 
-(** CNF emission context: [fresh] allocates SAT variables, [lit_of_atom]
-    maps atom ids to positive SAT literals, [emit] receives each clause
-    in the order the translation produces it. *)
-type cnf_ctx = {
-  fresh : unit -> int;
-  lit_of_atom : int -> int;
-  emit : int list -> unit;
-}
+val lit_of : Cnf.t -> (int -> int) -> t -> int
+(** [lit_of c atom f] Tseitin-translates [f] through [c]'s gates, with
+    [atom] mapping atom ids to positive SAT literals, and returns the
+    formula's defining literal. *)
 
-val lit_of : cnf_ctx -> t -> int
-(** Tseitin-translate a formula to its defining literal. *)
-
-val assert_formula : cnf_ctx -> t -> unit
+val assert_formula : Cnf.t -> (int -> int) -> t -> unit
 (** Assert a formula as a top-level fact (flattening conjunctions and
     emitting cardinalities unguarded). *)

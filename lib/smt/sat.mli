@@ -13,6 +13,10 @@ type result = Sat | Unsat
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the instance in place: afterwards it behaves exactly as
+    [create ()] would, but keeps its storage. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its 1-based index. *)
 
@@ -26,6 +30,10 @@ val neg : int -> int
 val add_clause : t -> int list -> bool
 (** Add a clause of literals; returns [false] if the formula became
     trivially unsatisfiable.  May be called between [solve] calls. *)
+
+val add_clause_sub : t -> int array -> int -> int -> bool
+(** [add_clause_sub t a off len] is [add_clause] on the literals
+    [a.(off) .. a.(off + len - 1)]; [a] is not retained. *)
 
 exception Timeout
 (** Raised by {!solve} when [should_stop] returns [true]. *)
@@ -70,3 +78,9 @@ val n_vars : t -> int
 
 val n_clauses : t -> int
 val n_learnts : t -> int
+
+val clause_stream : t -> int * int
+(** The clauses handed to {!add_clause} and {!add_clause_sub} so far:
+    their number, and a digest of their literals in order (each clause
+    as given, before simplification), for checking that two encoders
+    emit the same instance. *)

@@ -35,12 +35,49 @@ type atom_info =
   | Abool (* a fresh boolean: never shared *)
   | Adiff of Diff_logic.atom (* x - y <= c *)
 
+(* A growable int array. *)
+type vec = { mutable a : int array; mutable n : int }
+
+let vec () = { a = [||]; n = 0 }
+
+let vpush v x =
+  if v.n = Array.length v.a then
+    v.a <- Array.append v.a (Array.make (max 16 v.n) 0);
+  v.a.(v.n) <- x;
+  v.n <- v.n + 1
+
 type guard = {
   g_var : int; (* the selector's SAT variable *)
-  mutable g_atoms : int list; (* flushed atom references to release *)
-  mutable g_vars : int list;  (* decision variables of the group *)
+  g_atoms : vec; (* atom occurrences of the flushed formulas *)
+  g_vars : vec;
+      (* per formula, in order: its gate variables, newest first, then
+         its atoms' variables, last occurrence first *)
   mutable g_retired : bool;
 }
+
+(* Difference atoms are interned by one int packing (x, y, c); the rare
+   atom outside the packable range goes to a table of its own. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x1E3779B97F4A7C15 in
+    h lxor (h lsr 29)
+end)
+
+let pack_bits = 24
+let c_bits = 13
+
+let packable x y c =
+  x < 1 lsl pack_bits
+  && y < 1 lsl pack_bits
+  && c >= -(1 lsl (c_bits - 1))
+  && c < 1 lsl (c_bits - 1)
+
+let pack x y c =
+  (x lsl (pack_bits + c_bits)) lor (y lsl c_bits) lor (c + (1 lsl (c_bits - 1)))
 
 type t = {
   sat : Sat.t;
@@ -48,7 +85,8 @@ type t = {
   mutable natoms : int;
   mutable atom_sat_var : int array; (* atom id -> SAT var *)
   mutable atom_refs : int array; (* atom id -> active formula references *)
-  atom_cache : (Diff_logic.atom, int) Hashtbl.t;
+  atom_cache : int Itbl.t; (* packed (x, y, c) -> atom id *)
+  atom_cache_wide : (Diff_logic.atom, int) Hashtbl.t;
   mutable atom_stamp : int array; (* atom id -> last [solve] that took it *)
   mutable var_stamp : int array; (* SAT var -> last [solve] that took it *)
   mutable ovar_stamp : int array; (* order var -> last model that mapped it *)
@@ -56,10 +94,19 @@ type t = {
   mutable stamp : int;
   mutable novars : int;
   mutable pending : (guard option * Expr.t) list;
-  mutable perm_vars : int list; (* decision vars of unguarded formulas *)
-  mutable perm_atoms : int list; (* atom ids of unguarded formulas *)
+  perm_vars : vec; (* as [g_vars], for unguarded formulas *)
+  perm_atoms : vec; (* atom occurrences of unguarded formulas *)
   mutable used_guards : bool;
   mutable theory_conflicts : int;
+  cnf : Cnf.t; (* the open batch's clauses *)
+  mutable batch : guard option option; (* the open batch's guard *)
+  mutable b_vars : vec; (* where its formulas' variables go *)
+  mutable b_atoms : vec; (* where its atom occurrences go *)
+  mutable b_vars0 : int; (* [b_vars]'s length at opening *)
+  mutable b_atoms0 : int;
+  occ : vec; (* the current formula's atom occurrences *)
+  mutable f_fresh0 : int; (* gate variables before the current formula *)
+  scratch : vec;
 }
 
 type model = {
@@ -76,7 +123,8 @@ let create () =
     natoms = 0;
     atom_sat_var = Array.make 16 0;
     atom_refs = Array.make 16 0;
-    atom_cache = Hashtbl.create 64;
+    atom_cache = Itbl.create 64;
+    atom_cache_wide = Hashtbl.create 1;
     atom_stamp = Array.make 16 0;
     var_stamp = Array.make 16 0;
     ovar_stamp = Array.make 16 0;
@@ -84,11 +132,35 @@ let create () =
     stamp = 0;
     novars = 0;
     pending = [];
-    perm_vars = [];
-    perm_atoms = [];
+    perm_vars = vec ();
+    perm_atoms = vec ();
     used_guards = false;
     theory_conflicts = 0;
+    cnf = Cnf.create ();
+    batch = None;
+    b_vars = vec ();
+    b_atoms = vec ();
+    b_vars0 = 0;
+    b_atoms0 = 0;
+    occ = vec ();
+    f_fresh0 = 0;
+    scratch = vec ();
   }
+
+let reset t =
+  (match t.batch with
+  | Some _ -> invalid_arg "Solver.reset: a batch is open"
+  | None -> ());
+  Sat.reset t.sat;
+  t.natoms <- 0;
+  Itbl.clear t.atom_cache;
+  Hashtbl.clear t.atom_cache_wide;
+  t.novars <- 0;
+  t.pending <- [];
+  t.perm_vars.n <- 0;
+  t.perm_atoms.n <- 0;
+  t.used_guards <- false;
+  t.theory_conflicts <- 0
 
 let new_order_var t : ovar =
   let v = t.novars in
@@ -111,108 +183,184 @@ let new_atom t info : int =
   id
 
 (* Booleans carry no name: each call is a new atom, and a caller that
-   needs the same boolean twice keeps the [Expr.t] it got. *)
-let new_bool t : Expr.t = Expr.Atom (new_atom t Abool)
+   needs the same boolean twice keeps the atom it got. *)
+let bool_atom t = new_atom t Abool
+let new_bool t : Expr.t = Expr.Atom (bool_atom t)
 
 (* x - y <= c; difference atoms are interned *)
-let le_c t x y c : Expr.t =
-  let a = { Diff_logic.ax = x; ay = y; ac = c } in
-  match Hashtbl.find_opt t.atom_cache a with
-  | Some id -> Expr.Atom id
-  | None ->
-      let id = new_atom t (Adiff a) in
-      Hashtbl.add t.atom_cache a id;
-      Expr.Atom id
+let diff_atom t x y c =
+  if packable x y c then begin
+    let k = pack x y c in
+    match Itbl.find_opt t.atom_cache k with
+    | Some id -> id
+    | None ->
+        let id = new_atom t (Adiff { Diff_logic.ax = x; ay = y; ac = c }) in
+        Itbl.add t.atom_cache k id;
+        id
+  end
+  else
+    let a = { Diff_logic.ax = x; ay = y; ac = c } in
+    match Hashtbl.find_opt t.atom_cache_wide a with
+    | Some id -> id
+    | None ->
+        let id = new_atom t (Adiff a) in
+        Hashtbl.add t.atom_cache_wide a id;
+        id
 
+let le_c t x y c : Expr.t = Expr.Atom (diff_atom t x y c)
 let lt t x y = le_c t x y (-1) (* x < y *)
 let le t x y = le_c t x y 0
 let eq t x y = Expr.And [ le t x y; le t y x ]
 
 let new_guard t : guard =
   t.used_guards <- true;
-  { g_var = Sat.new_var t.sat; g_atoms = []; g_vars = []; g_retired = false }
+  { g_var = Sat.new_var t.sat; g_atoms = vec (); g_vars = vec (); g_retired = false }
 
 let add ?guard t (f : Expr.t) = t.pending <- (guard, f) :: t.pending
 
-(* Reference every atom occurrence of a flushed formula from its group
-   (or from the unguarded set) and cons the atoms' SAT variables onto
-   [vars], in occurrence order (so the last occurrence ends up first). *)
-let rec note_atoms t g vars (f : Expr.t) =
-  match f with
-  | Expr.True | Expr.False -> vars
-  | Expr.Atom id ->
-      t.atom_refs.(id) <- t.atom_refs.(id) + 1;
-      (match g with
-      | Some g -> g.g_atoms <- id :: g.g_atoms
-      | None -> t.perm_atoms <- id :: t.perm_atoms);
-      t.atom_sat_var.(id) :: vars
-  | Expr.Not h -> note_atoms t g vars h
-  | Expr.And fs | Expr.Or fs -> note_list t g vars fs
-  | Expr.Implies (a, b) | Expr.Iff (a, b) ->
-      note_atoms t g (note_atoms t g vars a) b
-  | Expr.AtMost (_, fs) | Expr.AtLeast (_, fs) | Expr.Exactly (_, fs) ->
-      note_list t g vars fs
+(* ---- batches: clauses emitted through [cnf], handed to the SAT core
+   at [commit] ---- *)
 
-and note_list t g vars = function
-  | [] -> vars
-  | f :: fs -> note_list t g (note_atoms t g vars f) fs
+(* Open a batch whose formulas are weakened by [g]'s selector (none for
+   unguarded formulas). *)
+let open_batch t (g : guard option) =
+  (match t.batch with
+  | Some _ -> invalid_arg "Solver: a batch is already open"
+  | None -> ());
+  let vars, atoms =
+    match g with
+    | Some g -> (g.g_vars, g.g_atoms)
+    | None -> (t.perm_vars, t.perm_atoms)
+  in
+  Cnf.clear t.cnf;
+  Cnf.set_guard t.cnf
+    (match g with
+    | None -> -1
+    | Some g -> Sat.neg (Sat.lit_of_var g.g_var true));
+  t.batch <- Some g;
+  t.b_vars <- vars;
+  t.b_atoms <- atoms;
+  t.b_vars0 <- vars.n;
+  t.b_atoms0 <- atoms.n;
+  t.occ.n <- 0;
+  t.f_fresh0 <- 0
+
+let begin_problem t g = open_batch t (Some g)
+
+(* An occurrence of atom [id] in the current formula; its literal. *)
+let occ t id =
+  vpush t.occ id;
+  Sat.lit_of_var t.atom_sat_var.(id) true
+
+(* Close the current formula: its gate variables (provisional until the
+   commit), newest first, then its atoms' variables, last occurrence
+   first, are what branching is restricted to while its group is
+   assumed. *)
+let end_formula t =
+  match t.batch with
+  | None -> invalid_arg "Solver.end_formula: no open problem"
+  | Some _ ->
+      let vars = t.b_vars and atoms = t.b_atoms in
+      for i = Cnf.n_fresh t.cnf - 1 downto t.f_fresh0 do
+        vpush vars (Cnf.prov_var + i)
+      done;
+      for i = t.occ.n - 1 downto 0 do
+        let id = t.occ.a.(i) in
+        vpush vars t.atom_sat_var.(id);
+        vpush atoms id
+      done;
+      t.occ.n <- 0;
+      t.f_fresh0 <- Cnf.n_fresh t.cnf
+
+(* Hand the open batch to the SAT core: number its gate variables after
+   every variable allocated so far, take its atom references, and add
+   its clauses in emission order. *)
+let commit t =
+  match t.batch with
+  | None -> ()
+  | Some _ ->
+      t.batch <- None;
+      let vars = t.b_vars and atoms = t.b_atoms in
+      let first_var = Sat.n_vars t.sat + 1 in
+      for _ = 1 to Cnf.n_fresh t.cnf do
+        ignore (Sat.new_var t.sat)
+      done;
+      for i = t.b_vars0 to vars.n - 1 do
+        let v = vars.a.(i) in
+        if v >= Cnf.prov_var then vars.a.(i) <- v - Cnf.prov_var + first_var
+      done;
+      for i = t.b_atoms0 to atoms.n - 1 do
+        let id = atoms.a.(i) in
+        t.atom_refs.(id) <- t.atom_refs.(id) + 1
+      done;
+      Cnf.iter_clauses t.cnf ~first_var (fun a off len ->
+          ignore (Sat.add_clause_sub t.sat a off len));
+      Cnf.clear t.cnf
+
+(* Drop the open batch: none of it reaches the SAT core. *)
+let discard t =
+  match t.batch with
+  | None -> ()
+  | Some _ ->
+      t.batch <- None;
+      t.b_vars.n <- t.b_vars0;
+      t.b_atoms.n <- t.b_atoms0;
+      Cnf.clear t.cnf
+
+(* Record every atom occurrence of an [Expr] formula, in occurrence
+   order. *)
+let rec note_atoms t (f : Expr.t) =
+  match f with
+  | Expr.True | Expr.False -> ()
+  | Expr.Atom id -> ignore (occ t id)
+  | Expr.Not h -> note_atoms t h
+  | Expr.And fs | Expr.Or fs -> List.iter (note_atoms t) fs
+  | Expr.Implies (a, b) | Expr.Iff (a, b) ->
+      note_atoms t a;
+      note_atoms t b
+  | Expr.AtMost (_, fs) | Expr.AtLeast (_, fs) | Expr.Exactly (_, fs) ->
+      List.iter (note_atoms t) fs
 
 let flush_pending t =
   match t.pending with
   | [] -> ()
   | fs ->
       t.pending <- [];
-      (* one CNF context for the whole flush: [vars] collects the current
-         formula's variables and [guard_lit] is its guard's negated
-         selector (-1 when unguarded), by which each clause is weakened
-         on its way straight into the SAT core *)
-      let vars = ref [] and guard_lit = ref (-1) in
-      let ctx =
-        {
-          Expr.fresh =
-            (fun () ->
-              let v = Sat.new_var t.sat in
-              vars := v :: !vars;
-              v);
-          lit_of_atom = (fun id -> Sat.lit_of_var t.atom_sat_var.(id) true);
-          emit =
-            (fun c ->
-              let c = if !guard_lit < 0 then c else !guard_lit :: c in
-              ignore (Sat.add_clause t.sat c));
-        }
-      in
+      (* one batch per formula, each weakened by its own guard *)
+      let atom id = Sat.lit_of_var t.atom_sat_var.(id) true in
       List.iter
         (fun (g, f) ->
-          vars := note_atoms t g [] f;
-          guard_lit :=
-            (match g with
-            | None -> -1
-            | Some g -> Sat.neg (Sat.lit_of_var g.g_var true));
-          Expr.assert_formula ctx f;
-          match g with
-          | None -> t.perm_vars <- List.rev_append !vars t.perm_vars
-          | Some g -> g.g_vars <- List.rev_append !vars g.g_vars)
+          open_batch t g;
+          note_atoms t f;
+          Expr.assert_formula t.cnf atom f;
+          end_formula t;
+          commit t)
         (List.rev fs)
 
 let retire_guard t g =
   if not g.g_retired then begin
     g.g_retired <- true;
+    (match t.batch with Some (Some g') when g' == g -> discard t | _ -> ());
     (* anything still pending under this guard would be satisfied by the
        unit below anyway; drop it before it is ever encoded *)
     t.pending <-
       List.filter
         (fun (g', _) -> match g' with Some g' -> g' != g | None -> true)
         t.pending;
-    List.iter
-      (fun id -> t.atom_refs.(id) <- t.atom_refs.(id) - 1)
-      g.g_atoms;
-    g.g_atoms <- [];
-    g.g_vars <- [];
+    for i = 0 to g.g_atoms.n - 1 do
+      let id = g.g_atoms.a.(i) in
+      t.atom_refs.(id) <- t.atom_refs.(id) - 1
+    done;
+    g.g_atoms.a <- [||];
+    g.g_atoms.n <- 0;
+    g.g_vars.a <- [||];
+    g.g_vars.n <- 0;
     ignore (Sat.add_clause t.sat [ Sat.neg (Sat.lit_of_var g.g_var true) ])
   end
 
 let simplify t =
   flush_pending t;
+  commit t;
   Sat.simplify t.sat
 
 exception Timeout = Sat.Timeout
@@ -221,31 +369,29 @@ let next_stamp t =
   t.stamp <- t.stamp + 1;
   t.stamp
 
-(* The distinct entries of [lists] that [keep] accepts, in order of first
-   occurrence, deduplicated with the stamp array [seen] (indexed by
-   entry): one pass counts them, a second fills the array. *)
-let distinct t seen keep lists =
-  let iter f =
-    let stamp = next_stamp t in
-    List.iter
-      (List.iter (fun x ->
-           if keep x && seen.(x) <> stamp then begin
-             seen.(x) <- stamp;
-             f x
-           end))
-      lists
-  in
-  let n = ref 0 in
-  iter (fun _ -> incr n);
-  let a = Array.make !n 0 and i = ref 0 in
-  iter (fun x ->
-      a.(!i) <- x;
-      incr i);
-  a
+(* The distinct entries of [vecs] that [keep] accepts, deduplicated
+   with the stamp array [seen] (indexed by entry): each vec is read
+   from its end, and the vecs in order. *)
+let distinct t seen keep vecs =
+  let stamp = next_stamp t in
+  let out = t.scratch in
+  out.n <- 0;
+  List.iter
+    (fun v ->
+      for i = v.n - 1 downto 0 do
+        let x = v.a.(i) in
+        if keep x && seen.(x) <> stamp then begin
+          seen.(x) <- stamp;
+          vpush out x
+        end
+      done)
+    vecs;
+  Array.sub out.a 0 out.n
 
 let solve ?(should_stop = fun () -> false) ?(assumptions = []) t :
     result =
   flush_pending t;
+  commit t;
   let asm_lits =
     List.map (fun g -> Sat.lit_of_var g.g_var true) assumptions
   in
@@ -260,7 +406,8 @@ let solve ?(should_stop = fun () -> false) ?(assumptions = []) t :
         t.var_stamp <-
           Array.append t.var_stamp
             (Array.make (max (nvars + 1) (Array.length t.var_stamp)) 0);
-      (* last occurrence first: the order VSIDS ties are broken in *)
+      (* each variable at its last occurrence, last first here and
+         reversed below: the order VSIDS ties are broken in *)
       let vs =
         distinct t t.var_stamp
           (fun _ -> true)
@@ -395,3 +542,9 @@ let solve ?(should_stop = fun () -> false) ?(assumptions = []) t :
 let theory_conflicts t = t.theory_conflicts
 let sat_stats t = Sat.stats t.sat
 let sat_ext_stats t = Sat.stats_ext t.sat
+
+let cnf t = t.cnf
+
+let instance t =
+  let n, digest = Sat.clause_stream t.sat in
+  (Sat.n_vars t.sat, n, digest)

@@ -28,6 +28,11 @@ type result = Sat_model of model | Unsat
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the solver in place: afterwards it behaves exactly as a fresh
+    [create] would (no atoms, variables, clauses or statistics), but
+    keeps its storage. *)
+
 val new_order_var : t -> ovar
 val new_bool : t -> Expr.t
 (** A fresh boolean atom.  Variables carry no names: each call allocates
@@ -76,6 +81,40 @@ val solve :
 (** Solve under the given active guards.  [Unsat] under assumptions does
     not poison the instance: later calls with different assumptions see
     the same shared state (atoms, lemmas, learnt clauses). *)
+
+(** {2 Direct encoding}
+
+    A caller that knows its formulas' shapes can skip {!Expr}: it
+    interns atoms by id, emits each formula's clauses through {!cnf}'s
+    gates (literals of atoms through {!occ}), closes each formula with
+    {!end_formula}, and lets {!solve} hand the batch to the SAT core —
+    the same instance, variable numbers and branching order that adding
+    the equivalent formulas with {!add} gives. *)
+
+val diff_atom : t -> ovar -> ovar -> int -> int
+(** [diff_atom t x y c] is the id of the atom [x - y <= c] ([le_c]'s
+    atom). *)
+
+val bool_atom : t -> int
+(** A fresh boolean atom's id ([new_bool]'s atom). *)
+
+val begin_problem : t -> guard -> unit
+(** Open a batch of formulas weakened by the guard's selector.  {!solve}
+    commits it; {!retire_guard} on the guard drops it uncommitted. *)
+
+val cnf : t -> Cnf.t
+(** The open batch's clause buffer. *)
+
+val occ : t -> int -> int
+(** An occurrence of an atom in the current formula: its positive SAT
+    literal. *)
+
+val end_formula : t -> unit
+(** Close the current formula of the open batch. *)
+
+val instance : t -> int * int * int
+(** The SAT instance so far: (variables, clauses added, digest of the
+    clauses in order), see {!Sat.clause_stream}. *)
 
 val theory_conflicts : t -> int
 val sat_stats : t -> int * int * int

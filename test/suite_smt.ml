@@ -102,6 +102,49 @@ let test_dl_negated_atom () =
       Alcotest.(check bool) "y <= x" true (m.order_of y <= m.order_of x)
   | S.Unsat -> Alcotest.fail "should be sat")
 
+(* Difference atoms are interned under a packed int key; a constant of
+   4096 or more in magnitude, or an order variable numbered 2^24 or
+   higher, does not pack and takes a second table.  Both must return
+   one id per atom and keep distinct atoms apart. *)
+let test_dl_wide_atoms () =
+  let t = S.create () in
+  let x = S.new_order_var t and y = S.new_order_var t in
+  let same name a b = Alcotest.(check int) name (a ()) (b ()) in
+  let packed = S.diff_atom t x y 100 and wide = S.diff_atom t x y 5000 in
+  same "packed atom interned once" (fun () -> packed) (fun () -> S.diff_atom t x y 100);
+  same "wide atom interned once" (fun () -> wide) (fun () -> S.diff_atom t x y 5000);
+  same "negative wide atom interned once"
+    (fun () -> S.diff_atom t y x (-5000))
+    (fun () -> S.diff_atom t y x (-5000));
+  let ids =
+    [ packed; wide; S.diff_atom t y x (-5000); S.diff_atom t y x 5000; S.diff_atom t x y 4095;
+      S.diff_atom t x y 4096; S.diff_atom t x y (-4096); S.diff_atom t x y (-4097) ]
+  in
+  Alcotest.(check int) "distinct atoms, distinct ids" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  (* an order variable past the packed range (numbering only: this
+     solver is never solved, so no table is sized by it) *)
+  let big = ref x in
+  for _ = 1 to 1 lsl 24 do
+    big := S.new_order_var t
+  done;
+  let far = S.diff_atom t !big x 0 in
+  same "wide variable interned once" (fun () -> far) (fun () -> S.diff_atom t !big x 0);
+  Alcotest.(check bool) "wide variable atom is new" false
+    (List.mem far ids || far = S.diff_atom t x !big 0);
+  (* the theory sees a wide constant as it is *)
+  let t = S.create () in
+  let x = S.new_order_var t and y = S.new_order_var t in
+  S.add t (S.le_c t x y 5000);
+  S.add t (E.not_ (S.le_c t x y 4999));
+  (match S.solve t with
+  | S.Sat_model m -> Alcotest.(check int) "x - y" 5000 (m.order_of x - m.order_of y)
+  | S.Unsat -> Alcotest.fail "x - y = 5000 should be sat");
+  check_sat "x - y <= -5000 and y - x <= 4999" false (fun t ->
+      let x = S.new_order_var t and y = S.new_order_var t in
+      S.add t (S.le_c t x y (-5000));
+      S.add t (S.le_c t y x 4999))
+
 let test_dl_guarded () =
   (* p -> x<y, q -> y<x, p|q sat; p&q unsat *)
   let t = S.create () in
@@ -486,6 +529,8 @@ let tests =
     Alcotest.test_case "eq vs lt" `Quick test_dl_eq_vs_lt;
     Alcotest.test_case "negated difference atom" `Quick test_dl_negated_atom;
     Alcotest.test_case "guarded difference atoms" `Quick test_dl_guarded;
+    Alcotest.test_case "difference atoms outside the packed range" `Quick
+      test_dl_wide_atoms;
     Alcotest.test_case "assumption groups independent" `Quick
       test_assumption_groups_independent;
     Alcotest.test_case "retire guard" `Quick test_retire_guard;

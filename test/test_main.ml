@@ -31,4 +31,5 @@ let () =
       ("crash", Suite_crash.tests);
       ("gfix", Suite_gfix.tests);
       ("corpus", Suite_corpus.tests);
+      ("encoder", Suite_encoder.tests);
     ]
